@@ -252,7 +252,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
     exact_val: float | None = None
     if len(pts) == 1:
         exact_val = one_particle_success(params, pts[0])
-    elif len(pts) == 2 and params.size <= 1024:
+    elif len(pts) == 2:
         exact_val = pair_absorption_exact(params).value(pts[0], pts[1])
     cfg = _config_echo(
         args,
@@ -327,9 +327,8 @@ def cmd_odes(args: argparse.Namespace) -> int:
     s = params.size
     k_top = min(2, s)
     system = build_moment_system(params, k_top)
-    tol = args.tol if args.tol is not None else 1e-12
     if args.time is None:
-        field = stationary_moments(system, tol=tol)
+        field = stationary_moments(system)
         time_note: float | None = None
     else:
         start = field_from_configuration(
@@ -354,7 +353,7 @@ def cmd_odes(args: argparse.Namespace) -> int:
     cfg = _config_echo(
         args,
         "odes",
-        {"size": s, "rate": params.rate, "time": time_note, "tol": tol},
+        {"size": s, "rate": params.rate, "time": time_note},
     )
     if args.format == "json":
         payload = {
@@ -466,8 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"fractions ({a1}, {a2}) give no ordered bulk pair at size {s}"
             )
-        method = "dense" if s <= 1024 else "gauss_seidel"
-        m2 = pair_absorption_exact(params, method=method).value(x1, x2)
+        m2 = pair_absorption_exact(params).value(x1, x2)
         rows.append((s, x1, x2, m2, target, abs(m2 - target)))
     errors = np.array([r[5] for r in rows])
     sizes = np.array([float(r[0]) for r in rows])
@@ -543,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("odes", help="moment hierarchy: stationary solve or integration")
     _add_model_flags(p)
     p.add_argument("--time", type=float, default=None, help="integrate to this time")
-    p.add_argument("--tol", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_odes)
 

@@ -8,12 +8,14 @@ family is eventually absorbed with every walker frozen (value 1) or dead
 (value 0), so the stationary moment of the starting sites is exactly the
 probability that all walkers freeze.
 
-For k = 2 that probability solves a small harmonic system on the triangle
-x < y, with the one-walker ruin line x/(S+1) as its boundary data. It is
-solved here either by a direct sparse factorization ("dense") or by
-Gauss-Seidel sweeps ordered by (y - x, x). The stencil only couples adjacent
-gap levels y - x, so a whole level can be updated at once without changing
-the sequential sweep result.
+For k = 2 that probability solves a harmonic system on the triangle
+x < y with the one-walker ruin line x/(S+1) as its boundary data. Its
+solution is the closed form (Spohn, J. Phys. A 16 (1983) 4275)
+
+    m2(x, y) = xy/(S+1)^2 - x(S+1-y)/(S(S+1)^2) = x(y-1)/(S(S+1)),
+
+which also takes the boundary values m2(0, y) = 0 and m2(x, S+1) = x/(S+1),
+so the pair value costs O(1) at any size.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .core import (
     Configuration,
@@ -34,14 +34,10 @@ from .core import (
     as_generator,
     validate_point_set,
 )
-from .errors import NumericError, ResourceError, ValidationError
-
-MAX_DIRECT_PAIR_SIZE = 1024
-MAX_ITERATIVE_PAIR_SIZE = 10_000
+from .errors import NumericError, ValidationError
 
 _JUMP_CAP = 1_000_000_000
 _ROUND_CAP = 5_000_000
-_EMPTY = np.zeros(0)
 
 
 class DualResult(enum.Enum):
@@ -259,157 +255,22 @@ class PairAbsorption:
     """Freeze-both probability for every ordered pair of start sites."""
 
     size: int
-    values: np.ndarray  # (S+2, S+2); entry [x, y] for 1 <= x < y <= S
-    method: str
-    tol: float
-    residual: float
-    sweeps: int
 
     def value(self, x: int, y: int) -> float:
         s = self.size
         if not (0 <= x < y <= s + 1):
             raise ValidationError(f"need 0 <= x < y <= {s + 1}, got ({x}, {y})")
-        if x == 0:
-            return 0.0
-        if y == s + 1:
-            return x / (s + 1)
-        return float(self.values[x, y])
-
-    def one_particle(self, x: int) -> float:
-        if not 0 <= x <= self.size + 1:
-            raise ValidationError(f"position out of range: {x}")
-        return x / (self.size + 1)
+        # integer numerator and denominator: one correctly rounded division
+        return x * (y - 1) / (s * (s + 1))
 
     def pairs(self) -> Iterator[tuple[int, int, float]]:
         for x in range(1, self.size):
             for y in range(x + 1, self.size + 1):
-                yield x, y, float(self.values[x, y])
+                yield x, y, self.value(x, y)
 
 
-def _relax_pair_levels(
-    levels: list[np.ndarray | None], s: int, ruin: np.ndarray, update: bool
-) -> float:
-    """One sweep over gap levels 1..S-1 in (gap, x) order.
-
-    With update=True this is a Gauss-Seidel sweep (reads below the current
-    level see this sweep's values). With update=False nothing is written and
-    the return value is the max deviation from the harmonic equations.
-    """
-    max_delta = 0.0
-    for d in range(1, s):
-        above = levels[d + 1] if d + 1 <= s - 1 else _EMPTY
-        if d == 1:
-            shrink = np.concatenate(([0.0], above))
-            grow = np.concatenate((above, [ruin[s - 1]]))
-            new = 0.5 * (shrink + grow)
-        else:
-            below = levels[d - 1]
-            left_out = np.concatenate(([0.0], above))
-            right_out = np.concatenate((above, [ruin[s - d]]))
-            left_in = below[1:]
-            right_in = below[:-1]
-            new = 0.25 * (left_out + left_in + right_in + right_out)
-        cur = levels[d]
-        if new.size:
-            max_delta = max(max_delta, float(np.max(np.abs(new - cur))))
-        if update:
-            levels[d] = new
-    return max_delta
-
-
-def _pair_levels_to_grid(levels: list[np.ndarray | None], s: int) -> np.ndarray:
-    values = np.full((s + 2, s + 2), np.nan)
-    for d in range(1, s):
-        xs = np.arange(1, s - d + 1)
-        values[xs, xs + d] = levels[d]
-    return values
-
-
-def _solve_pair_direct(s: int, ruin: np.ndarray) -> list[np.ndarray | None]:
-    offsets = np.zeros(s + 1, dtype=np.int64)
-    for d in range(1, s):
-        offsets[d + 1] = offsets[d] + (s - d)
-    n = int(offsets[s])
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    rhs = np.zeros(n)
-
-    def add(r: np.ndarray, c: np.ndarray, v: float) -> None:
-        rows.append(r)
-        cols.append(c)
-        data.append(np.full(r.shape, v, dtype=np.float64))
-
-    for d in range(1, s):
-        xs = np.arange(1, s - d + 1)
-        ids = offsets[d] + xs - 1
-        add(ids, ids, 2.0 if d == 1 else 4.0)
-        # gap d+1 neighbours: (x-1, y) and (x, y+1)
-        if d + 1 <= s - 1:
-            m = xs >= 2
-            add(ids[m], offsets[d + 1] + xs[m] - 2, -1.0)
-            m = xs <= s - d - 1
-            add(ids[m], offsets[d + 1] + xs[m] - 1, -1.0)
-        rhs[offsets[d] + (s - d) - 1] += ruin[s - d]  # y+1 = S+1 freeze term
-        if d >= 2:
-            # gap d-1 neighbours: (x+1, y) and (x, y-1), always in the grid
-            add(ids, offsets[d - 1] + xs, -1.0)
-            add(ids, offsets[d - 1] + xs - 1, -1.0)
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    flat = spsolve(matrix, rhs)
-    levels: list[np.ndarray | None] = [None] * (s + 1)
-    for d in range(1, s):
-        levels[d] = np.asarray(flat[offsets[d] : offsets[d + 1]])
-    return levels
-
-
-def pair_absorption_exact(
-    params: ModelParams, method: str = "dense", tol: float = 1e-12
-) -> PairAbsorption:
+def pair_absorption_exact(params: ModelParams) -> PairAbsorption:
     """Exact freeze-both probabilities for all pairs 1 <= x < y <= S."""
-    s = params.size
-    if s < 2:
+    if params.size < 2:
         raise ValidationError("pair absorption needs size >= 2")
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
-    if method not in ("dense", "gauss_seidel"):
-        raise ValidationError(f"unknown method {method!r}")
-    ruin = np.arange(s + 2) / (s + 1)
-    sweeps = 0
-    if method == "dense":
-        if s > MAX_DIRECT_PAIR_SIZE:
-            raise ResourceError(
-                f"direct pair solve limited to size <= {MAX_DIRECT_PAIR_SIZE}, got {s}"
-            )
-        levels = _solve_pair_direct(s, ruin)
-    else:
-        if s > MAX_ITERATIVE_PAIR_SIZE:
-            raise ResourceError(
-                f"iterative pair solve limited to size <= {MAX_ITERATIVE_PAIR_SIZE}, got {s}"
-            )
-        levels = [None] + [np.zeros(s - d) for d in range(1, s)]
-        cap = 10 * (s + 1) ** 2 + 1000
-        for sweeps in range(1, cap + 1):
-            delta = _relax_pair_levels(levels, s, ruin, update=True)
-            if delta < tol:
-                break
-        else:
-            raise NumericError(
-                f"pair Gauss-Seidel did not reach {tol} in {cap} sweeps"
-            )
-    residual = _relax_pair_levels(levels, s, ruin, update=False)
-    if residual > 10 * tol:
-        raise NumericError(
-            f"pair solve residual {residual:.3e} exceeds {10 * tol:.3e}"
-        )
-    return PairAbsorption(
-        size=s,
-        values=_pair_levels_to_grid(levels, s),
-        method=method,
-        tol=tol,
-        residual=residual,
-        sweeps=sweeps,
-    )
+    return PairAbsorption(size=params.size)

@@ -24,7 +24,10 @@ meetings. The pieces:
 
 The kernel is found by solving one linear first-passage system for all start
 states at once (shared sparse LU factorization, one right-hand side per
-meeting position), so ladder construction needs a single factorization.
+meeting position), so ladder construction needs a single factorization. The
+right-hand sides and the solution are dense, n_states x (S+1) each, so sizes
+whose table would exceed MAX_KERNEL_ENTRIES are refused before any of it is
+allocated; the cap admits S <= 512.
 """
 
 from __future__ import annotations
@@ -38,12 +41,14 @@ from scipy.sparse.linalg import splu
 
 from .core import ModelParams, RngStream, as_generator
 from .dual import pair_absorption_exact
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ResourceError, ValidationError
 
 _ROUND_CAP = 5_000_000
 _EARLY_STOP_GAMMA = 1e-12
 
 DEFAULT_KERNEL_TOL = 1e-10
+# 2**26 float64 entries is 512 MiB per dense table.
+MAX_KERNEL_ENTRIES = 2**26
 
 
 def p0_independent(params: ModelParams, x: int, y: int) -> float:
@@ -79,6 +84,12 @@ class _KernelTable:
     def __init__(self, size: int, tol: float) -> None:
         self.size = size
         s = size
+        n_states = s * (s - 1) // 2  # gap >= 2 pairs plus (a, S+1) states
+        if n_states * (s + 1) > MAX_KERNEL_ENTRIES:
+            raise ResourceError(
+                f"meeting-kernel table needs {n_states * (s + 1)} entries at size "
+                f"{s}, cap is {MAX_KERNEL_ENTRIES}"
+            )
         index: dict[tuple[int, int], int] = {}
         for a in range(1, s - 1):
             for b in range(a + 2, s + 1):
@@ -86,7 +97,6 @@ class _KernelTable:
         for a in range(1, s):
             index[(a, s + 1)] = len(index)
         self.index = index
-        n_states = len(index)
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -203,7 +213,7 @@ def ladder_tables(
 
     Stops early once the gamma envelope falls below 1e-12; deeper rungs are
     numerically indistinguishable from the limit. The exclusion-pair value
-    p_inf is computed by the exact pair solver for comparison.
+    p_inf is the closed-form pair moment, for comparison.
     """
     s = params.size
     if s < 3:
@@ -240,7 +250,6 @@ def ladder_tables(
     cost = 1.0 / (2 * (s + 1) ** 2)
     for k in range(1, eff_k + 1):
         p[k] = p[k - 1] - c_start[k] * cost
-    pair = pair_absorption_exact(params, method="dense")
     return LadderTable(
         size=s,
         x0=x0,
@@ -249,7 +258,7 @@ def ladder_tables(
         c_start=c_start,
         c_gap2=c_gap2,
         p=p,
-        p_inf=pair.value(x0, y0),
+        p_inf=pair_absorption_exact(params).value(x0, y0),
     )
 
 

@@ -98,6 +98,22 @@ def test_dual_csv_has_exact_column(tmp_path):
     assert abs(est - exact) < 3.5 * se
 
 
+def test_dual_exact_column_at_large_size(tmp_path):
+    out = tmp_path / "du.json"
+    code = run([
+        "dual", "--size", "2000", "--points", "3,1500", "--replicas", "10",
+        "--format", "json", "--deterministic", "--output", str(out),
+    ])
+    assert code == 0
+    exact = json.loads(out.read_text())["exact"]
+    assert exact == pytest.approx(3 * 1499 / (2000 * 2001), rel=1e-15)
+
+
+def test_ladder_size_cap_exit_code(capsys):
+    assert run(["ladder", "--size", "513", "--start", "2,5"]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
 def test_ladder_outputs(tmp_path):
     out = tmp_path / "lad.csv"
     code = run([
@@ -138,6 +154,12 @@ def test_odes_transient(tmp_path):
     assert doc["time"] == 0.5
     vals = [v for _, v in doc["m1"]]
     assert all(-1e-9 <= v <= 1 + 1e-9 for v in vals)
+
+
+def test_odes_has_no_tol_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["odes", "--size", "4", "--tol", "1e-9"])
+    assert exc.value.code == 2
 
 
 def test_duality_check_json(tmp_path):
@@ -181,6 +203,19 @@ def test_sweep_outputs_and_slope(tmp_path):
     summary = json.loads((tmp_path / "sw_summary.json").read_text())["summary"]
     assert summary["target"] == pytest.approx(0.21)
     assert summary["slope"] < 0
+
+
+def test_sweep_beyond_former_solver_limits(tmp_path):
+    out = tmp_path / "sw.json"
+    code = run([
+        "sweep", "--grid", "2048,20000,100000", "--format", "json",
+        "--deterministic", "--output", str(out),
+    ])
+    assert code == 0
+    for s, x1, x2, m2, _, _ in json.loads(out.read_text())["rows"]:
+        n = s + 1
+        want = x1 * x2 / n**2 - x1 * (n - x2) / (s * n**2)
+        assert abs(m2 - want) < 1e-15
 
 
 def test_sweep_rejects_equal_alphas(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import (
     expm_state_distribution,
@@ -8,7 +10,6 @@ from bruteforce import (
 )
 from sepsim.core import Configuration, ModelParams
 from sepsim.dual import (
-    MAX_DIRECT_PAIR_SIZE,
     DualResult,
     estimate_absorption,
     one_particle_success,
@@ -16,7 +17,7 @@ from sepsim.dual import (
     simulate_dual,
     transient_dual_moment,
 )
-from sepsim.errors import ResourceError, ValidationError
+from sepsim.errors import ValidationError
 
 
 def test_one_particle_success_is_ruin_probability():
@@ -105,12 +106,33 @@ def test_pair_absorption_hand_value():
     assert abs(pa.value(1, 3) - 1 / 6) < 1e-12
 
 
-def test_pair_absorption_methods_agree():
-    p = ModelParams(size=9)
-    dense = pair_absorption_exact(p, method="dense")
-    gs = pair_absorption_exact(p, method="gauss_seidel", tol=1e-13)
-    for x, y, v in dense.pairs():
-        assert abs(v - gs.value(x, y)) < 1e-9
+@st.composite
+def _size_and_pairs(draw):
+    size = draw(st.integers(2, 2000))
+    xs = st.integers(1, size - 1)
+    pairs = []
+    for _ in range(draw(st.integers(1, 20))):
+        x = draw(xs)
+        pairs.append((x, draw(st.integers(x + 1, size))))
+    return size, pairs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_size_and_pairs())
+def test_pair_absorption_solves_pair_equations(case):
+    # The discrete Dirichlet problem has one solution, so meeting every
+    # equation and boundary value pins the whole table.
+    size, pairs = case
+    pa = pair_absorption_exact(ModelParams(size=size))
+    v = pa.value
+    for x, y in pairs:
+        if y - x == 1:
+            around = (v(x - 1, y) + v(x, y + 1)) / 2
+        else:
+            around = (v(x - 1, y) + v(x + 1, y) + v(x, y - 1) + v(x, y + 1)) / 4
+        assert abs(v(x, y) - around) < 1e-15
+        assert v(0, y) == 0.0
+        assert v(x, size + 1) == x / (size + 1)
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 6])
@@ -141,10 +163,12 @@ def test_pair_absorption_harmonic_interior():
 def test_pair_absorption_validation_and_caps():
     with pytest.raises(ValidationError):
         pair_absorption_exact(ModelParams(size=1))
-    with pytest.raises(ValidationError):
-        pair_absorption_exact(ModelParams(size=4), method="cholesky")
-    with pytest.raises(ResourceError):
-        pair_absorption_exact(ModelParams(size=MAX_DIRECT_PAIR_SIZE + 1))
+    s = 10**6
+    big = pair_absorption_exact(ModelParams(size=s)).value(3, s // 2)
+    assert big == pytest.approx(
+        3 * (s // 2) / (s + 1) ** 2 - 3 * (s + 1 - s // 2) / (s * (s + 1) ** 2),
+        rel=1e-14,
+    )
     pa = pair_absorption_exact(ModelParams(size=4))
     with pytest.raises(ValidationError):
         pa.value(3, 3)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bruteforce import mc_first_meeting, mc_repeat_meetings
 from sepsim.core import ModelParams
-from sepsim.errors import ValidationError
+from sepsim.errors import ResourceError, ValidationError
 from sepsim.ladder import (
+    MAX_KERNEL_ENTRIES,
     first_meeting_kernel,
     gamma_closed_form,
     ladder_tables,
@@ -151,6 +154,21 @@ def test_ladder_validation():
         ladder_tables(p, 2, 6, k_max=0)
     with pytest.raises(ValidationError):
         ladder_tables(ModelParams(size=2), 1, 2, k_max=3)
+
+
+def test_kernel_table_size_cap():
+    # n_states = S(S-1)/2 rows of S+1 entries: S=512 fits the cap, S=513 not
+    assert 511 * 512 * 513 // 2 <= MAX_KERNEL_ENTRIES < 512 * 513 * 514 // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            ladder_tables(ModelParams(size=513), 2, 5)
+        with pytest.raises(ResourceError):
+            first_meeting_kernel(ModelParams(size=513), 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the dense tables exist
 
 
 def test_final_bound_holds_on_grid():

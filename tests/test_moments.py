@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import expm_state_distribution, moment_from_distribution
 from sepsim.core import Configuration, ModelParams, default_initial_configuration
 from sepsim.dual import pair_absorption_exact
-from sepsim.errors import ResourceError, ValidationError
+from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.exact import build_generator, exact_moment, stationary_distribution
 from sepsim.forward import transient_moment
 from sepsim.moments import (
@@ -101,6 +103,29 @@ def test_stationary_pairs_match_exact_and_dual(size):
             v = field.value((x, y))
             assert abs(v - exact_moment(pi, (x, y))) < 1e-9
             assert abs(v - pa.value(x, y)) < 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 80))
+def test_stationary_pairs_match_closed_form(size):
+    # Spohn's closed form: m1 = x/(S+1), m2 = xy/(S+1)^2 - x(S+1-y)/(S(S+1)^2)
+    field = stationary_moments(build_moment_system(ModelParams(size=size), 2))
+    x = np.arange(1, size + 1)
+    assert np.abs(field.lower.values - x / (size + 1)).max() < 1e-12
+    xs, ys = np.array(field.system.subsets).T
+    n = size + 1
+    m2 = xs * ys / n**2 - xs * (n - ys) / (size * n**2)
+    assert np.abs(field.values - m2).max() < 1e-12
+
+
+def test_stationary_residual_check(monkeypatch):
+    import sepsim.moments
+
+    monkeypatch.setattr(
+        sepsim.moments, "spsolve", lambda a, b: np.zeros(a.shape[0])
+    )
+    with pytest.raises(NumericError):
+        stationary_moments(build_moment_system(ModelParams(size=4), 2))
 
 
 def test_stationary_third_order_matches_exact():
