@@ -235,6 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 for pts, e, se in zip(est.point_sets, est.estimates, est.stderrs)
             ],
             "total_events": est.total_events,
+            "rounds": est.rounds,
         }
         _write(args.output, _json_text(cfg, payload))
     else:

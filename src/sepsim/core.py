@@ -16,6 +16,7 @@ sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,6 +73,15 @@ def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return rng.generator()
+
+
+def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error is NaN below two values."""
+    n = len(vals)
+    est = float(vals.mean())
+    if n < 2:
+        return est, math.nan
+    return est, float(vals.std(ddof=1) / math.sqrt(n))
 
 
 @dataclass(frozen=True)

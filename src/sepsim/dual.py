@@ -32,6 +32,7 @@ from .core import (
     PointSet,
     RngStream,
     as_generator,
+    mean_stderr,
     validate_point_set,
 )
 from .errors import NumericError, ValidationError
@@ -189,11 +190,7 @@ def estimate_absorption(
         finished = dead[idx] | (positions[idx, 0] == s + 1)
         idx = idx[~finished]
     success = (~dead) & (positions[:, 0] == s + 1)
-    vals = success.astype(np.float64)
-    est = float(vals.mean())
-    if n_replicas < 2:
-        return est, float("nan")
-    return est, float(vals.std(ddof=1) / np.sqrt(n_replicas))
+    return mean_stderr(success.astype(np.float64))
 
 
 def transient_dual_moment(
@@ -243,11 +240,7 @@ def transient_dual_moment(
         die = _move_batch(positions, rows, p, sign, s)
         if die.any():
             dead[rows[die]] = True
-    vals = np.where(dead, 0.0, env[positions].prod(axis=1))
-    est = float(vals.mean())
-    if n_replicas < 2:
-        return est, float("nan")
-    return est, float(vals.std(ddof=1) / np.sqrt(n_replicas))
+    return mean_stderr(np.where(dead, 0.0, env[positions].prod(axis=1)))
 
 
 @dataclass(frozen=True)

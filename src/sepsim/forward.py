@@ -1,21 +1,26 @@
 """Monte Carlo simulation of the forward chain.
 
-Two engines share the model definition from core:
+Both engines use the full bond clock: events arrive at the constant total rate
+rate * (S+1), each event fires a uniformly random bond, and firings of
+balanced bonds do nothing. Over a time interval a replica therefore fires a
+Poisson number of independent uniform bonds, so replicas can advance in lock
+step.
 
-* a scalar embedded-jump-chain engine for stationary sampling. It keeps the
-  set of enabled bonds incrementally (each firing can only change the status
-  of the fired bond and its two neighbours), draws the holding time from
-  Exp(rate * #enabled) and picks an enabled bond uniformly, so no events are
-  wasted on no-op firings;
-* a vectorized fixed-time engine for transient moments. It uses the full bond
-  clock: events arrive at the constant total rate rate * (S+1), each event
-  fires a uniformly random bond and firings of balanced bonds do nothing.
-  That makes the per-replica event count Poisson with a known mean, so all
-  replicas advance in lock step on numpy arrays. Both engines realize the
-  same law.
+* Stationary sampling is bit-sliced. A block of up to BLOCK_WIDTH replicas is
+  one Python int with one W-bit field per site 0..S+1; bit r of field k is
+  replica r's occupancy of site k. In each interval (the burn-in, then each
+  sample interval) replica r draws its Poisson quota and its bonds from its
+  own stream, and the block runs as many rounds as the largest quota. In one
+  round every replica still inside its quota fires one bond; the whole round
+  costs a handful of big-int operations. Round masks are built in numpy one
+  chunk of rounds at a time, so memory stays bounded however long the run.
+* Transient moments move many replicas in numpy arrays, one firing per
+  replica per round, with the rounds shrinking as replicas exhaust their
+  quotas.
 
-Stationary estimates pool replica means and report the between-replica
-standard error, which stays honest when consecutive samples are correlated.
+Only state-changing firings are counted as events. Stationary estimates pool
+replica means and report the between-replica standard error, which stays
+honest when consecutive samples are correlated.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .core import (
     RngStream,
     as_generator,
     default_initial_configuration,
-    enabled_bonds,
+    mean_stderr,
     validate_point_set,
 )
 from .errors import ValidationError
@@ -41,7 +47,13 @@ from .errors import ValidationError
 DEFAULT_BURN_IN_FACTOR = 10.0  # multiples of size^2 / rate, the diffusive relaxation scale
 DEFAULT_INTERVAL_DIVISOR = 25.0  # sample every size^2 / 25 time units
 
-_CHUNK = 1 << 14
+# Replicas per lockstep block. Blocks are fixed and workers take whole blocks,
+# so results do not depend on the worker count.
+BLOCK_WIDTH = 64
+
+_CHUNK_BYTES = 1 << 20  # working memory for the round masks of one chunk
+_ROUND_WORK_BYTES = 40  # scratch per replica-round beside its S+1 mask bytes
+_QUOTA_BATCH = 256  # sample intervals whose firing counts are drawn at once
 
 
 @dataclass(frozen=True)
@@ -128,122 +140,143 @@ class EstimatorAccumulator:
         return math.sqrt(max(self.variance, 0.0) / self.count)
 
 
-def step_ctmc(
-    config: Configuration, params: ModelParams, rng: RngStream | np.random.Generator
-) -> tuple[Configuration, float]:
-    """One embedded-chain step: holding time, then a uniform enabled bond.
+def _pack(bits: np.ndarray) -> int:
+    """Block state from an (S+2, W) 0/1 array: bit k*W + r is site k of replica r."""
+    raw = np.packbits(bits.astype(bool).ravel(), bitorder="little")
+    return int.from_bytes(raw.tobytes(), "little")
 
-    With the reservoir sites pinned, at least one bond is always enabled, so
-    an empty move set means corrupted state and fails hard.
+
+def _unpack(occ: int, n_sites: int, width: int) -> np.ndarray:
+    """Inverse of _pack: the (n_sites, W) 0/1 array of a block state."""
+    n_bits = n_sites * width
+    raw = np.frombuffer(occ.to_bytes((n_bits + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_bits, bitorder="little").reshape(n_sites, width)
+
+
+def _masks(bonds: np.ndarray, size: int) -> list[int]:
+    """Round masks from an (n_rounds, W) array of fired bonds.
+
+    Mask bit b*W + r is set when replica r fires bond b in that round; a value
+    outside 0..S leaves the replica idle for the round.
     """
-    if config.size != params.size:
-        raise ValidationError("configuration size does not match params")
-    gen = as_generator(rng)
-    moves = sorted(enabled_bonds(config))
-    assert moves, "no enabled bond; pinned reservoirs make this unreachable"
-    holding = gen.standard_exponential() / (params.rate * len(moves))
-    bond = moves[gen.integers(0, len(moves))]
-    occ = list(config.occupancy)
-    s = config.size
-    if bond == 0:
-        occ[1] = 0
-    elif bond == s:
-        occ[s] = 1
-    else:
-        occ[bond], occ[bond + 1] = occ[bond + 1], occ[bond]
-    return Configuration(tuple(occ)), float(holding)
+    n, width = bonds.shape
+    hit = bonds[:, None, :] == np.arange(size + 1, dtype=bonds.dtype)[None, :, None]
+    packed = np.packbits(hit.reshape(n, (size + 1) * width), axis=1, bitorder="little")
+    row = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + row], "little") for i in range(0, n * row, row)]
 
 
-def _run_replica(
-    params: ModelParams,
-    point_lists: tuple[PointSet, ...],
-    schedule: SimSchedule,
-    stream: RngStream,
-) -> tuple[list[float], int]:
-    """Sample one replica; returns per-set sample means and the event count."""
-    gen = stream.generator()
-    s = params.size
-    rate = params.rate
-    occ = list(default_initial_configuration(params).occupancy)
-    bonds = [b for b in range(s + 1) if occ[b] != occ[b + 1]]
-    pos = [-1] * (s + 1)
-    for i, b in enumerate(bonds):
-        pos[b] = i
+def _fire(occ: int, masks: list[int], width: int, bulk: int) -> tuple[int, int]:
+    """Apply rounds of firings to a block state; also count state changes.
 
-    sums = [0.0] * len(point_lists)
-    t = 0.0
-    next_sample = schedule.burn_in
-    interval = schedule.sample_interval
-    n_samples = schedule.n_samples
-    taken = 0
+    A fired bond whose endpoints differ flips both endpoint fields. Each
+    replica fires at most one bond per round, so the flips of one round touch
+    disjoint bits and apply at once; `bulk` keeps the reservoir fields pinned.
+    """
     events = 0
-    uniforms = gen.random(_CHUNK).tolist()
-    exps = gen.standard_exponential(_CHUNK).tolist()
-    cursor = 0
-    while True:
-        if cursor == _CHUNK:
-            uniforms = gen.random(_CHUNK).tolist()
-            exps = gen.standard_exponential(_CHUNK).tolist()
-            cursor = 0
-        n = len(bonds)
-        t_next = t + exps[cursor] / (rate * n)
-        while taken < n_samples and next_sample <= t_next:
-            for si, pts in enumerate(point_lists):
-                value = 1
-                for p in pts:
-                    if not occ[p]:
-                        value = 0
-                        break
-                sums[si] += value
-            taken += 1
-            next_sample += interval
-        if taken >= n_samples:
-            break
-        t = t_next
-        bond = bonds[int(uniforms[cursor] * n)]
-        cursor += 1
-        events += 1
-        if bond == 0:
-            occ[1] = 0
-        elif bond == s:
-            occ[s] = 1
-        else:
-            occ[bond], occ[bond + 1] = occ[bond + 1], occ[bond]
-        for bb in range(max(bond - 1, 0), min(bond + 1, s) + 1):
-            now_enabled = occ[bb] != occ[bb + 1]
-            idx = pos[bb]
-            if now_enabled and idx < 0:
-                pos[bb] = len(bonds)
-                bonds.append(bb)
-            elif not now_enabled and idx >= 0:
-                last = bonds[-1]
-                bonds[idx] = last
-                pos[last] = idx
-                bonds.pop()
-                pos[bb] = -1
-    return [v / n_samples for v in sums], events
+    for m in masks:
+        t = (occ ^ (occ >> width)) & m
+        events += t.bit_count()
+        occ ^= (t ^ (t << width)) & bulk
+    return occ, events
 
 
-def _run_replica_block(
+def _interval_quotas(
+    gens: list[np.random.Generator], total_rate: float, schedule: SimSchedule
+) -> Iterator[np.ndarray]:
+    """Per-replica firing counts of the burn-in, then of each sample interval."""
+    yield np.array([g.poisson(total_rate * schedule.burn_in) for g in gens])
+    lam = total_rate * schedule.sample_interval
+    left = schedule.n_samples - 1
+    while left:
+        k = min(left, _QUOTA_BATCH)
+        yield from np.stack([g.poisson(lam, size=k) for g in gens], axis=1)
+        left -= k
+
+
+def _round_chunks(
+    quotas: Iterator[np.ndarray], chunk: int
+) -> Iterator[list[tuple[np.ndarray, int, int, bool]]]:
+    """Group the intervals' rounds into chunks of at most `chunk` rounds.
+
+    An interval lasts as many rounds as its largest quota. Each piece is
+    (quotas, first round within the interval, rounds, ends the interval).
+    """
+    pieces: list[tuple[np.ndarray, int, int, bool]] = []
+    n = 0
+    for q in quotas:
+        total = int(q.max())
+        first = 0
+        while True:
+            length = min(total - first, chunk - n)
+            pieces.append((q, first, length, first + length == total))
+            first += length
+            n += length
+            if n == chunk:
+                yield pieces
+                pieces, n = [], 0
+            if first == total:
+                break
+    if pieces:
+        yield pieces
+
+
+def _run_block(
     args: tuple[ModelParams, tuple[PointSet, ...], SimSchedule, RngStream, int, int],
-) -> tuple[list[list[float]], int]:
+) -> tuple[np.ndarray, int, int]:
+    """Run replicas lo..hi-1 in lockstep; per-replica set means, events, rounds."""
     params, point_lists, schedule, base, lo, hi = args
-    means = []
-    events = 0
-    for r in range(lo, hi):
-        m, e = _run_replica(params, point_lists, schedule, base.offset(r))
-        means.append(m)
-        events += e
-    return means, events
+    s, width = params.size, hi - lo
+    gens = [base.offset(r).generator() for r in range(lo, hi)]
+    start = default_initial_configuration(params).as_array()
+    occ = _pack(np.repeat(start[:, None], width, axis=1))
+    bulk = ((1 << (s * width)) - 1) << width
+    longest = max(len(pts) for pts in point_lists)
+    # Pad each set with its last point; the AND over a set ignores repeats.
+    index = np.array([pts + pts[-1:] * (longest - len(pts)) for pts in point_lists])
+    hits = np.zeros((len(point_lists), width), dtype=np.int64)
+    chunk = max(1, _CHUNK_BYTES // (width * (s + 1 + _ROUND_WORK_BYTES)))
+    quotas = _interval_quotas(gens, params.rate * (s + 1), schedule)
+    events = rounds = 0
+    for pieces in _round_chunks(quotas, chunk):
+        lengths = [length for _, _, length, _ in pieces]
+        step = np.concatenate([np.arange(f, f + n) for _, f, n, _ in pieces])
+        quota = np.repeat(np.array([q for q, _, _, _ in pieces]), lengths, axis=0)
+        fires = step[:, None] < quota
+        # Narrow and round-major, so that _masks compares contiguous rows.
+        bonds = np.full((len(step), width), s + 1, dtype=np.min_scalar_type(s + 1))
+        bonds.T[fires.T] = np.concatenate(
+            [g.integers(0, s + 1, size=k) for g, k in zip(gens, fires.sum(axis=0))]
+        )
+        masks = _masks(bonds, s)
+        done = 0
+        for _, _, length, ends in pieces:
+            occ, changed = _fire(occ, masks[done : done + length], width, bulk)
+            events += changed
+            done += length
+            if ends:
+                hits += _unpack(occ, s + 2, width)[index].all(axis=1)
+        rounds += len(step)
+    return hits.T / schedule.n_samples, events, rounds
 
 
 @dataclass(frozen=True)
 class StationaryEstimate:
+    """Pooled moment estimates with their between-replica standard errors.
+
+    total_events counts state-changing firings. rounds counts lockstep rounds
+    summed over blocks, idle padding included; with one block (n_replicas <=
+    BLOCK_WIDTH), total_events / (rounds * n_replicas) is the share of
+    replica-rounds that changed the state.
+    """
+
     point_sets: tuple[PointSet, ...]
     estimates: np.ndarray
     stderrs: np.ndarray
     total_events: int
     n_replicas: int
+    rounds: int
 
 
 def estimate_stationary_moments(
@@ -255,8 +288,9 @@ def estimate_stationary_moments(
 ) -> StationaryEstimate:
     """Estimate several occupation moments from the same trajectories.
 
-    Replica r draws from rng.offset(r), so the result is independent of the
-    worker split and reproducible bit for bit.
+    Replica r draws from rng.offset(r), and replicas are grouped into fixed
+    blocks of BLOCK_WIDTH that workers take whole, so the result is
+    independent of n_workers and reproducible bit for bit.
     """
     sets = tuple(
         validate_point_set(pts, params.size, interior_only=True) for pts in point_sets
@@ -264,23 +298,21 @@ def estimate_stationary_moments(
     if not sets:
         raise ValidationError("need at least one point set")
     reps = schedule.n_replicas
-    if n_workers <= 1 or reps == 1:
-        blocks = [(0, reps)]
+    jobs = [
+        (params, sets, schedule, rng, lo, min(lo + BLOCK_WIDTH, reps))
+        for lo in range(0, reps, BLOCK_WIDTH)
+    ]
+    if n_workers <= 1 or len(jobs) == 1:
+        results = [_run_block(job) for job in jobs]
     else:
-        n_workers = min(n_workers, reps)
-        step = (reps + n_workers - 1) // n_workers
-        blocks = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-    jobs = [(params, sets, schedule, rng, lo, hi) for lo, hi in blocks]
-    if len(jobs) == 1:
-        results = [_run_replica_block(jobs[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_run_replica_block, jobs))
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
+            results = list(pool.map(_run_block, jobs))
     accs = [EstimatorAccumulator() for _ in sets]
-    total_events = 0
-    for means, events in results:
+    total_events = total_rounds = 0
+    for means, events, rounds in results:
         total_events += events
-        for row in means:
+        total_rounds += rounds
+        for row in means.tolist():
             for acc, value in zip(accs, row):
                 acc.update(value)
     return StationaryEstimate(
@@ -289,6 +321,7 @@ def estimate_stationary_moments(
         stderrs=np.array([a.stderr for a in accs]),
         total_events=total_events,
         n_replicas=reps,
+        rounds=total_rounds,
     )
 
 
@@ -364,9 +397,4 @@ def transient_moment(
             lo_vals = sub[mid, bm]
             sub[mid, bm] = sub[mid, bm + 1]
             sub[mid, bm + 1] = lo_vals
-    vals = occ[:, pts].min(axis=1).astype(np.float64)
-    est = float(vals.mean())
-    if n_replicas < 2:
-        return est, math.nan
-    se = float(vals.std(ddof=1) / math.sqrt(n_replicas))
-    return est, se
+    return mean_stderr(occ[:, pts].min(axis=1).astype(np.float64))

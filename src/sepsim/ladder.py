@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import ModelParams, RngStream, as_generator
+from .core import ModelParams, RngStream, as_generator, mean_stderr
 from .dual import pair_absorption_exact
 from .errors import NumericError, ResourceError, ValidationError
 
@@ -364,11 +364,7 @@ def simulate_hybrid_pair(
             done[both] = True
             success[both] = True
         idx = idx[~done[idx]]
-    vals = success.astype(np.float64)
-    est = float(vals.mean())
-    if reps < 2:
-        return est, float("nan")
-    return est, float(vals.std(ddof=1) / np.sqrt(reps))
+    return mean_stderr(success.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -421,12 +417,7 @@ def simulate_aux_walk(
     gamma_se = np.zeros(k_max + 1)
     gamma_mc[0] = 1.0
     for j in range(1, k_max + 1):
-        hits = (visits >= j).astype(np.float64)
-        gamma_mc[j] = float(hits.mean())
-        if n_replicas >= 2:
-            gamma_se[j] = float(hits.std(ddof=1) / np.sqrt(n_replicas))
-        else:
-            gamma_se[j] = float("nan")
+        gamma_mc[j], gamma_se[j] = mean_stderr((visits >= j).astype(np.float64))
     return AuxWalkResult(
         size=size,
         n_replicas=n_replicas,

@@ -30,6 +30,17 @@ def swap_result(state, bond, size):
     return tuple(occ)
 
 
+def step_ctmc(state, size, rng, rate=1.0):
+    """One embedded-chain step: Exp(rate * #enabled) holding time, then a
+    uniformly chosen enabled bond. Returns the new state and the holding time.
+    """
+    moves = [b for b in range(size + 1) if swap_result(state, b, size) != state]
+    assert moves, "pinned reservoirs keep at least one bond enabled"
+    holding = rng.standard_exponential() / (rate * len(moves))
+    bond = moves[rng.integers(0, len(moves))]
+    return swap_result(state, bond, size), float(holding)
+
+
 def dense_generator(size, rate=1.0):
     """Dense rate matrix over the binary-counter state order."""
     states = all_states(size)

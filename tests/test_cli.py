@@ -74,6 +74,18 @@ def test_simulate_scientific_replica_count(tmp_path):
     assert read_config_line(out)["replicas"] == 10
 
 
+def test_simulate_json_reports_rounds(tmp_path):
+    out = tmp_path / "sim.json"
+    code = run([
+        "simulate", "--size", "4", "--replicas", "6", "--samples", "20",
+        "--threads", "1", "--format", "json", "--deterministic", "--output", str(out),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert isinstance(doc["rounds"], int)
+    assert 0 < doc["total_events"] <= doc["rounds"] * 6
+
+
 def test_simulate_budget_warning(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code = run([

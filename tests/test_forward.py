@@ -1,18 +1,31 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bruteforce import expm_state_distribution, moment_from_distribution
+from bruteforce import (
+    expm_state_distribution,
+    moment_from_distribution,
+    step_ctmc,
+    swap_result,
+)
 from sepsim.core import Configuration, ModelParams, enabled_bonds
 from sepsim.errors import ValidationError
 from sepsim.exact import build_generator, exact_moment, stationary_distribution
 from sepsim.forward import (
     EstimatorAccumulator,
     SimSchedule,
+    _fire,
+    _masks,
+    _pack,
+    _unpack,
     default_schedule,
     estimate_stationary_moment,
     estimate_stationary_moments,
     estimate_stationary_profile,
-    step_ctmc,
     transient_moment,
 )
 
@@ -77,16 +90,16 @@ def test_accumulator_merge_empty():
 
 def test_step_ctmc_is_reproducible():
     p = ModelParams(size=5, seed=11)
-    c0 = Configuration.from_interior_string("01100")
+    c0 = (0, 1, 1, 0, 0)
 
     def walk():
         gen = p.stream(0).generator()
         c, t = c0, 0.0
         path = []
         for _ in range(40):
-            c, dt = step_ctmc(c, p, gen)
+            c, dt = step_ctmc(c, 5, gen)
             t += dt
-            path.append(c.interior_string())
+            path.append(c)
         return path, t
 
     a, ta = walk()
@@ -98,9 +111,9 @@ def test_step_ctmc_is_reproducible():
 def test_step_ctmc_fires_enabled_bonds_only():
     p = ModelParams(size=4, seed=2)
     gen = p.stream(1).generator()
-    c = Configuration.from_interior_string("0110")
+    c = (0, 1, 1, 0)
     for _ in range(60):
-        nxt, dt = step_ctmc(c, p, gen)
+        nxt, dt = step_ctmc(c, 4, gen)
         assert dt > 0
         assert nxt != c
         c = nxt
@@ -111,15 +124,46 @@ def test_step_ctmc_holding_time_scales():
     # sample mean over many steps from a fixed two-bond state.
     p = ModelParams(size=2, seed=5)
     gen = p.stream(0).generator()
-    c = Configuration.from_interior_string("10")
-    assert len(enabled_bonds(c)) == 3
+    c = (1, 0)
+    assert len(enabled_bonds(Configuration.from_interior(c))) == 3
     times = []
     for _ in range(4000):
-        _, dt = step_ctmc(c, p, gen)
+        _, dt = step_ctmc(c, 2, gen)
         times.append(dt)
     mean = np.mean(times)
     se = np.std(times, ddof=1) / np.sqrt(len(times))
     assert abs(mean - 1 / 3) < 4 * se
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 40),
+    width=st.integers(1, 130),
+    n_rounds=st.integers(0, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_kernel_matches_scalar_replay(size, width, n_rounds, seed):
+    # Random starts and random per-replica bond sequences; -1 is an idle
+    # round. Each replica replayed alone must match its bit field exactly.
+    rng = np.random.default_rng(seed)
+    interior = rng.integers(0, 2, size=(size, width))
+    bonds = rng.integers(-1, size + 1, size=(n_rounds, width))
+    bonds[:, rng.random(width) < 0.2] = -1
+    start = np.vstack([np.zeros(width, int), interior, np.ones(width, int)])
+    bulk = ((1 << (size * width)) - 1) << width
+    occ, events = _fire(_pack(start), _masks(bonds, size), width, bulk)
+    final = _unpack(occ, size + 2, width)
+    assert not final[0].any() and final[-1].all()
+    changes = 0
+    for r in range(width):
+        state = tuple(int(v) for v in interior[:, r])
+        for b in bonds[:, r]:
+            if b >= 0:
+                new = swap_result(state, int(b), size)
+                changes += new != state
+                state = new
+        assert tuple(int(v) for v in final[1:-1, r]) == state
+    assert events == changes
 
 
 def test_stationary_estimate_matches_exact():
@@ -151,14 +195,60 @@ def test_profile_shares_trajectories():
 
 
 def test_worker_split_does_not_change_results():
+    # 70 replicas span two lockstep blocks, so 3 workers really split them.
     p = ModelParams(size=4, seed=6)
-    sched = default_schedule(p, n_replicas=8, n_samples=30)
     sets = [(1,), (2, 4)]
-    serial = estimate_stationary_moments(p, sets, sched, p.stream(0), n_workers=1)
-    pooled = estimate_stationary_moments(p, sets, sched, p.stream(0), n_workers=3)
-    assert np.array_equal(serial.estimates, pooled.estimates)
-    assert np.array_equal(serial.stderrs, pooled.stderrs)
-    assert serial.total_events == pooled.total_events
+    for reps in (8, 70):
+        sched = default_schedule(p, n_replicas=reps, n_samples=30)
+        serial = estimate_stationary_moments(p, sets, sched, p.stream(0), n_workers=1)
+        pooled = estimate_stationary_moments(p, sets, sched, p.stream(0), n_workers=3)
+        assert np.array_equal(serial.estimates, pooled.estimates)
+        assert np.array_equal(serial.stderrs, pooled.stderrs)
+        assert serial.total_events == pooled.total_events
+        assert serial.rounds == pooled.rounds
+
+
+def test_stationary_single_site_matches_exact():
+    # S=1: both bonds are boundary bonds and the only bulk field is pinned
+    # on both sides.
+    p = ModelParams(size=1, seed=2)
+    want = exact_moment(stationary_distribution(build_generator(p)), (1,))
+    sched = default_schedule(p, n_replicas=24, n_samples=200)
+    est = estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
+    assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
+    assert 0 < est.total_events <= est.rounds * 24
+
+
+def test_single_replica_has_nan_stderr():
+    p = ModelParams(size=5, seed=4)
+    sched = default_schedule(p, n_replicas=1, n_samples=50)
+    est = estimate_stationary_profile(p, sched, p.stream(0))
+    assert np.all((est.estimates >= 0) & (est.estimates <= 1))
+    assert np.isnan(est.stderrs).all()
+    assert 0 < est.total_events <= est.rounds
+
+
+def test_zero_burn_in_samples_the_start():
+    p = ModelParams(size=5, seed=1)
+    sched = SimSchedule(burn_in=0.0, n_samples=1, sample_interval=1.0, n_replicas=3)
+    est = estimate_stationary_profile(p, sched, p.stream(0))
+    assert est.estimates.tolist() == [1, 1, 1, 0, 0]
+    assert est.total_events == 0 and est.rounds == 0
+
+
+def test_burn_in_and_masks_are_streamed():
+    # About 130k firings per replica in the burn-in: materialising them, or
+    # their round masks, would take tens of MB.
+    p = ModelParams(size=64, seed=3)
+    sched = SimSchedule(burn_in=2000.0, n_samples=2, sample_interval=1.0, n_replicas=8)
+    tracemalloc.start()
+    try:
+        est = estimate_stationary_moments(p, [(5,), (30, 31)], sched, p.stream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.rounds > 65 * 2000
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_estimate_validates_points():
