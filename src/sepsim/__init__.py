@@ -12,10 +12,8 @@ from .core import (
     Configuration,
     ModelParams,
     RngStream,
-    apply_swap,
     cluster_decompose,
     default_initial_configuration,
-    enabled_bonds,
 )
 from .errors import (
     NumericError,
@@ -30,10 +28,8 @@ __all__ = [
     "Configuration",
     "ModelParams",
     "RngStream",
-    "apply_swap",
     "cluster_decompose",
     "default_initial_configuration",
-    "enabled_bonds",
     "SepsimError",
     "ValidationError",
     "NumericError",

@@ -12,19 +12,28 @@ This module also owns the reproducible-randomness contract: an RngStream is a
 value keyed by (seed, stream_id), and two streams with the same key always
 yield the same draw sequence while distinct ids give statistically independent
 sequences.
+
+The numpy samplers share one driver, lockstep, on a uniformized clock (Bortz,
+Kalos and Lebowitz, J. Comput. Phys. 17 (1975) 10): every open replica takes
+one move per round, moves that change nothing included, so all replicas
+advance together and a round is a handful of array operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ResourceError, ValidationError
 
 _MASK64 = (1 << 64) - 1
+
+# Most lockstep rounds a sampler may run: the cap of an absorbing run, and the
+# largest mean quota a timed run accepts.
+ROUND_CAP = 5_000_000
 
 # A point set is a strictly increasing tuple of site indices; a cluster
 # decomposition is its split into maximal runs of consecutive sites.
@@ -68,13 +77,6 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + k)
 
 
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream value or an already-instantiated generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()
-
-
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error; the error is NaN below two values."""
     n = len(vals)
@@ -82,6 +84,50 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return est, math.nan
     return est, float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def poisson_quotas(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
+    """Sorted Poisson(mean) round counts of n replicas for a timed lockstep run.
+
+    A mean above ROUND_CAP is refused before anything is drawn.
+    """
+    if mean > ROUND_CAP:
+        raise ResourceError(
+            f"{mean:.3g} firings per replica expected, cap is {ROUND_CAP} rounds"
+        )
+    return np.sort(gen.poisson(mean, size=n))
+
+
+def lockstep(
+    n_replicas: int,
+    step: Callable[[np.ndarray], np.ndarray | None],
+    quotas: np.ndarray | None = None,
+) -> None:
+    """Advance replicas 0..n_replicas-1 round by round until none is open.
+
+    Each round calls step(rows) with the open rows in ascending order; step
+    moves every one of them once and returns a mask over rows marking those it
+    absorbed (None when it absorbs none). Absorbed rows never reopen.
+
+    With quotas (sorted, one per replica) row r is open for quotas[r] rounds,
+    so the open rows are a suffix of the unabsorbed ones. Without quotas a row
+    stays open until absorbed; rows still open after ROUND_CAP rounds raise
+    NumericError.
+    """
+    idx = np.arange(n_replicas)
+    n_rounds = ROUND_CAP if quotas is None else int(quotas[-1])
+    for j in range(n_rounds):
+        rows = idx
+        if quotas is not None:
+            spent = np.searchsorted(quotas, j, side="right")  # rows below used up
+            rows = idx[np.searchsorted(idx, spent) :]
+        if not rows.size:
+            return
+        absorbed = step(rows)
+        if absorbed is not None and absorbed.any():
+            idx = rows[~absorbed]
+    if quotas is None and idx.size:
+        raise NumericError(f"{idx.size} replicas still open after {ROUND_CAP} rounds")
 
 
 @dataclass(frozen=True)
@@ -133,32 +179,6 @@ def default_initial_configuration(params: ModelParams) -> Configuration:
     s = params.size
     half = (s + 1) // 2
     return Configuration.from_interior([1 if i <= half else 0 for i in range(1, s + 1)])
-
-
-def apply_swap(config: Configuration, bond: int) -> Configuration:
-    """Fire one bond and return the resulting configuration.
-
-    Interior bonds exchange the endpoint values. Bond 0 sets site 1 empty,
-    bond S sets site S occupied; both reduce to an exchange with the pinned
-    reservoir value.
-    """
-    s = config.size
-    if not 0 <= bond <= s:
-        raise ValidationError(f"bond must lie in [0, {s}], got {bond}")
-    occ = list(config.occupancy)
-    if bond == 0:
-        occ[1] = 0
-    elif bond == s:
-        occ[s] = 1
-    else:
-        occ[bond], occ[bond + 1] = occ[bond + 1], occ[bond]
-    return Configuration(tuple(occ))
-
-
-def enabled_bonds(config: Configuration) -> set[int]:
-    """Bonds whose firing changes the configuration (unequal endpoint values)."""
-    occ = config.occupancy
-    return {s for s in range(config.size + 1) if occ[s] != occ[s + 1]}
 
 
 def validate_point_set(

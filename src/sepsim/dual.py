@@ -16,11 +16,20 @@ solution is the closed form (Spohn, J. Phys. A 16 (1983) 4275)
 
 which also takes the boundary values m2(0, y) = 0 and m2(x, S+1) = x/(S+1),
 so the pair value costs O(1) at any size.
+
+Both samplers run on core.lockstep with one walker kernel, _move_batch: in
+each round every open family moves one uniformly chosen walker one step left
+or right. Moves that change nothing (a frozen walker, a hop onto an occupied
+site) are kept as no-ops, so the event rate does not depend on the state.
+estimate_absorption runs each family until it is absorbed;
+transient_dual_moment gives each family a Poisson number of moves. The
+ladder's hybrid pair uses the same kernel with exclusion switched off per
+family.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,37 +40,12 @@ from .core import (
     ModelParams,
     PointSet,
     RngStream,
-    as_generator,
+    lockstep,
     mean_stderr,
+    poisson_quotas,
     validate_point_set,
 )
-from .errors import NumericError, ValidationError
-
-_JUMP_CAP = 1_000_000_000
-_ROUND_CAP = 5_000_000
-
-
-class DualResult(enum.Enum):
-    DIED = "died"
-    ALL_STUCK = "all_stuck"
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Free walker positions (sorted), count of frozen walkers, death flag."""
-
-    free: tuple[int, ...]
-    stuck_count: int
-    dead: bool
-
-
-@dataclass(frozen=True)
-class DualOutcome:
-    result: DualResult
-    meeting_count: int
-    total_jumps: int
-    final: DualState
-
+from .errors import ValidationError
 
 def one_particle_success(params: ModelParams, x: int) -> float:
     """Ruin probability of a single walker: reach S+1 before 0 from x."""
@@ -70,76 +54,19 @@ def one_particle_success(params: ModelParams, x: int) -> float:
     return x / (params.size + 1)
 
 
-def simulate_dual(
-    params: ModelParams,
-    initial: PointSet,
-    rng: RngStream | np.random.Generator,
-) -> DualOutcome:
-    """Run one family to absorption on the embedded jump chain.
-
-    Only state-changing moves are enumerated: each free walker can hop to an
-    empty neighbour site, die off the left end, or freeze off the right end,
-    all with equal weight. For two walkers the number of entries into
-    distance 1 (while both are free) is recorded.
-    """
-    s = params.size
-    free = list(validate_point_set(initial, s, interior_only=True))
-    k = len(free)
-    gen = as_generator(rng)
-    stuck = 0
-    jumps = 0
-    meetings = 0
-    pair = k == 2
-    if pair and free[1] - free[0] == 1:
-        meetings = 1
-    while free:
-        moves: list[tuple[str, int]] = []
-        last = len(free) - 1
-        for i, p in enumerate(free):
-            if p == 1:
-                moves.append(("die", i))
-            elif i == 0 or free[i - 1] != p - 1:
-                moves.append(("left", i))
-            if p == s:
-                moves.append(("stick", i))
-            elif i == last or free[i + 1] != p + 1:
-                moves.append(("right", i))
-        kind, i = moves[gen.integers(0, len(moves))]
-        jumps += 1
-        if jumps > _JUMP_CAP:
-            raise NumericError(f"dual walk exceeded {_JUMP_CAP} jumps without absorbing")
-        if kind == "die":
-            return DualOutcome(
-                DualResult.DIED,
-                meetings,
-                jumps,
-                DualState(tuple(free), stuck, True),
-            )
-        if kind == "stick":
-            free.pop(i)
-            stuck += 1
-            pair = False
-            continue
-        was_adjacent = pair and free[1] - free[0] == 1
-        free[i] += 1 if kind == "right" else -1
-        if pair and not was_adjacent and free[1] - free[0] == 1:
-            meetings += 1
-    return DualOutcome(
-        DualResult.ALL_STUCK, meetings, jumps, DualState((), stuck, False)
-    )
-
-
 def _move_batch(
     positions: np.ndarray,
     rows: np.ndarray,
     p: np.ndarray,
     sign: np.ndarray,
     size: int,
+    exclusive: np.ndarray | bool = True,
 ) -> np.ndarray:
     """Apply one uniformized move per row in place; returns the new-death mask.
 
-    Frozen walkers (at S+1) and hops into an occupied neighbour are no-ops,
-    which keeps the total event rate state-independent.
+    Walker p[i] of row rows[i] steps by sign[i]. Frozen walkers (at S+1) and,
+    in rows where `exclusive` holds, hops onto an occupied neighbour are
+    no-ops, which keeps the total event rate state-independent.
     """
     k = positions.shape[1]
     pos = positions[rows, p]
@@ -148,7 +75,9 @@ def _move_batch(
     die = (~frozen) & (sign < 0) & (pos == 1)
     left_nb = np.where(p > 0, positions[rows, np.clip(p - 1, 0, k - 1)], -5)
     right_nb = np.where(p < k - 1, positions[rows, np.clip(p + 1, 0, k - 1)], -5)
-    blocked = np.where(sign < 0, left_nb == tgt, (tgt <= size) & (right_nb == tgt))
+    blocked = exclusive & np.where(
+        sign < 0, left_nb == tgt, (tgt <= size) & (right_nb == tgt)
+    )
     movers = (~frozen) & (~die) & (~blocked)
     positions[rows[movers], p[movers]] = tgt[movers]
     return die
@@ -158,7 +87,7 @@ def estimate_absorption(
     params: ModelParams,
     initial: PointSet,
     n_replicas: int,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> tuple[float, float]:
     """Monte Carlo probability that a family freezes completely.
 
@@ -170,25 +99,18 @@ def estimate_absorption(
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     k = len(pts)
-    gen = as_generator(rng)
+    gen = rng.generator()
     positions = np.tile(np.array(pts, dtype=np.int64), (n_replicas, 1))
     dead = np.zeros(n_replicas, dtype=bool)
-    idx = np.arange(n_replicas)
-    rounds = 0
-    while idx.size:
-        rounds += 1
-        if rounds > _ROUND_CAP:
-            raise NumericError(
-                f"absorption sampling exceeded {_ROUND_CAP} rounds, {idx.size} replicas open"
-            )
-        a = idx.size
-        p = gen.integers(0, k, size=a)
-        sign = gen.integers(0, 2, size=a) * 2 - 1
-        die = _move_batch(positions, idx, p, sign, s)
-        if die.any():
-            dead[idx[die]] = True
-        finished = dead[idx] | (positions[idx, 0] == s + 1)
-        idx = idx[~finished]
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        p = gen.integers(0, k, size=rows.size)
+        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
+        die = _move_batch(positions, rows, p, sign, s)
+        dead[rows[die]] = True
+        return die | (positions[rows, 0] == s + 1)
+
+    lockstep(n_replicas, step)
     success = (~dead) & (positions[:, 0] == s + 1)
     return mean_stderr(success.astype(np.float64))
 
@@ -199,7 +121,7 @@ def transient_dual_moment(
     initial_env: Configuration,
     t: float,
     n_replicas: int,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> tuple[float, float]:
     """Expected product of the start field over walker positions at time t.
 
@@ -211,35 +133,28 @@ def transient_dual_moment(
     pts = validate_point_set(initial_points, s, interior_only=True)
     if initial_env.size != s:
         raise ValidationError("environment configuration size does not match params")
-    if not t >= 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
-    k = len(pts)
     env = initial_env.as_array().astype(np.float64)
     if t == 0:
         value = float(env[list(pts)].prod())
         return value, 0.0
-    gen = as_generator(rng)
-    lam_total = 2.0 * params.rate * k
-    counts = np.sort(gen.poisson(lam_total * t, size=n_replicas))
+    k = len(pts)
+    gen = rng.generator()
+    quotas = poisson_quotas(gen, 2.0 * params.rate * k * t, n_replicas)
     positions = np.tile(np.array(pts, dtype=np.int64), (n_replicas, 1))
     dead = np.zeros(n_replicas, dtype=bool)
-    max_events = int(counts[-1])
-    for j in range(max_events):
-        active = n_replicas - int(np.searchsorted(counts, j, side="right"))
-        if active == 0:
-            break
-        rows = np.arange(n_replicas - active, n_replicas)
-        rows = rows[~dead[rows]]
-        if rows.size == 0:
-            continue
-        a = rows.size
-        p = gen.integers(0, k, size=a)
-        sign = gen.integers(0, 2, size=a) * 2 - 1
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        p = gen.integers(0, k, size=rows.size)
+        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
         die = _move_batch(positions, rows, p, sign, s)
-        if die.any():
-            dead[rows[die]] = True
+        dead[rows[die]] = True
+        return die
+
+    lockstep(n_replicas, step, quotas)
     return mean_stderr(np.where(dead, 0.0, env[positions].prod(axis=1)))
 
 

@@ -14,13 +14,17 @@ step.
   round every replica still inside its quota fires one bond; the whole round
   costs a handful of big-int operations. Round masks are built in numpy one
   chunk of rounds at a time, so memory stays bounded however long the run.
-* Transient moments move many replicas in numpy arrays, one firing per
-  replica per round, with the rounds shrinking as replicas exhaust their
-  quotas.
+* Transient moments run on core.lockstep over an (n, S+2) occupancy array:
+  each replica draws its Poisson quota up front and fires one uniform bond
+  per round until the quota is spent. A firing swaps the bond's two
+  endpoints through flat indices, and the reservoir columns are then
+  re-pinned, so the boundary bonds need no case of their own.
 
 Only state-changing firings are counted as events. Stationary estimates pool
 replica means and report the between-replica standard error, which stays
-honest when consecutive samples are correlated.
+honest when consecutive samples are correlated. A stationary schedule that
+expects more than MAX_FIRINGS firings per replica is refused before anything
+is drawn.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ from .core import (
     ModelParams,
     PointSet,
     RngStream,
-    as_generator,
     default_initial_configuration,
+    lockstep,
     mean_stderr,
+    poisson_quotas,
     validate_point_set,
 )
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 
 DEFAULT_BURN_IN_FACTOR = 10.0  # multiples of size^2 / rate, the diffusive relaxation scale
 DEFAULT_INTERVAL_DIVISOR = 25.0  # sample every size^2 / 25 time units
@@ -50,6 +55,10 @@ DEFAULT_INTERVAL_DIVISOR = 25.0  # sample every size^2 / 25 time units
 # Replicas per lockstep block. Blocks are fixed and workers take whole blocks,
 # so results do not depend on the worker count.
 BLOCK_WIDTH = 64
+
+# Expected firings per replica that a stationary run may ask for. The default
+# schedule at S=1000 asks for about 1.8e10.
+MAX_FIRINGS = 10**11
 
 _CHUNK_BYTES = 1 << 20  # working memory for the round masks of one chunk
 _ROUND_WORK_BYTES = 40  # scratch per replica-round beside its S+1 mask bytes
@@ -66,13 +75,13 @@ class SimSchedule:
     n_replicas: int
 
     def __post_init__(self) -> None:
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not (self.burn_in >= 0 and math.isfinite(self.burn_in)):
+            raise ValidationError(f"burn_in must be finite and >= 0, got {self.burn_in}")
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.sample_interval > 0:
+        if not (self.sample_interval > 0 and math.isfinite(self.sample_interval)):
             raise ValidationError(
-                f"sample_interval must be positive, got {self.sample_interval}"
+                f"sample_interval must be finite and positive, got {self.sample_interval}"
             )
         if self.n_replicas < 1:
             raise ValidationError(f"n_replicas must be >= 1, got {self.n_replicas}")
@@ -297,6 +306,12 @@ def estimate_stationary_moments(
     )
     if not sets:
         raise ValidationError("need at least one point set")
+    span = schedule.burn_in + (schedule.n_samples - 1) * schedule.sample_interval
+    firings = params.rate * (params.size + 1) * span
+    if firings > MAX_FIRINGS:
+        raise ResourceError(
+            f"schedule expects {firings:.3g} firings per replica, cap is {MAX_FIRINGS:.0e}"
+        )
     reps = schedule.n_replicas
     jobs = [
         (params, sets, schedule, rng, lo, min(lo + BLOCK_WIDTH, reps))
@@ -354,7 +369,7 @@ def transient_moment(
     t: float,
     points: PointSet,
     n_replicas: int,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> tuple[float, float]:
     """Moment of the occupation product at a fixed time from a fixed start.
 
@@ -374,27 +389,29 @@ def transient_moment(
         for p in pts:
             value *= initial.occupancy[p]
         return value, 0.0
-    gen = as_generator(rng)
-    lam_total = params.rate * (s + 1)
-    counts = np.sort(gen.poisson(lam_total * t, size=n_replicas))
+    gen = rng.generator()
+    quotas = poisson_quotas(gen, params.rate * (s + 1) * t, n_replicas)
     occ = np.tile(initial.as_array(), (n_replicas, 1))
-    max_events = int(counts[-1]) if n_replicas else 0
-    for j in range(max_events):
-        active = n_replicas - int(np.searchsorted(counts, j, side="right"))
-        if active == 0:
-            break
-        sub = occ[n_replicas - active :]
-        b = gen.integers(0, s + 1, size=active)
-        left = np.nonzero(b == 0)[0]
-        right = np.nonzero(b == s)[0]
-        mid = np.nonzero((b != 0) & (b != s))[0]
-        if left.size:
-            sub[left, 1] = 0
-        if right.size:
-            sub[right, s] = 1
-        if mid.size:
-            bm = b[mid]
-            lo_vals = sub[mid, bm]
-            sub[mid, bm] = sub[mid, bm + 1]
-            sub[mid, bm + 1] = lo_vals
+
+    def step(rows: np.ndarray) -> None:
+        _fire_bonds(occ, rows, gen.integers(0, s + 1, size=rows.size))
+
+    lockstep(n_replicas, step, quotas)
     return mean_stderr(occ[:, pts].min(axis=1).astype(np.float64))
+
+
+def _fire_bonds(occ: np.ndarray, rows: np.ndarray, bonds: np.ndarray) -> None:
+    """Fire bonds[i] in replica rows[i] of an (n, S+2) occupancy array in place.
+
+    Rows must be distinct. Each firing swaps the bond's two endpoints; the
+    reservoir columns are then re-pinned, which turns a firing of bond 0 into
+    emptying site 1 and one of bond S into filling site S.
+    """
+    width = occ.shape[1]
+    flat = occ.reshape(-1)
+    i = rows * width + bonds
+    low = flat[i]
+    flat[i] = flat[i + 1]
+    flat[i + 1] = low
+    occ[:, 0] = 0
+    occ[:, -1] = 1

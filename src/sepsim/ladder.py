@@ -28,6 +28,11 @@ meeting position), so ladder construction needs a single factorization. The
 right-hand sides and the solution are dense, n_states x (S+1) each, so sizes
 whose table would exceed MAX_KERNEL_ENTRIES are refused before any of it is
 allocated; the cap admits S <= 512.
+
+Two Monte Carlo samplers check the pieces, both on core.lockstep until every
+replica is absorbed: simulate_hybrid_pair moves the pair with the dual
+walker kernel, exclusion on until its k-th meeting episode ends and off
+after, and simulate_aux_walk runs the reflected walk behind gamma_k.
 """
 
 from __future__ import annotations
@@ -39,11 +44,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import ModelParams, RngStream, as_generator, mean_stderr
-from .dual import pair_absorption_exact
+from .core import ModelParams, RngStream, lockstep, mean_stderr
+from .dual import _move_batch, pair_absorption_exact
 from .errors import NumericError, ResourceError, ValidationError
 
-_ROUND_CAP = 5_000_000
 _EARLY_STOP_GAMMA = 1e-12
 
 DEFAULT_KERNEL_TOL = 1e-10
@@ -268,7 +272,7 @@ def simulate_hybrid_pair(
     y0: int,
     k: int,
     n_replicas: int,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> tuple[float, float]:
     """Monte Carlo check of one ladder rung.
 
@@ -286,84 +290,33 @@ def simulate_hybrid_pair(
         raise ValidationError(f"k must be >= 0, got {k}")
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
-    gen = as_generator(rng)
-    reps = n_replicas
-    a = np.full(reps, x0, dtype=np.int64)
-    b = np.full(reps, y0, dtype=np.int64)
-    meetings = np.zeros(reps, dtype=np.int64)
-    in_episode = np.zeros(reps, dtype=bool)
-    indep = np.full(reps, k == 0)
-    done = np.zeros(reps, dtype=bool)
-    success = np.zeros(reps, dtype=bool)
-    idx = np.arange(reps)
-    rounds = 0
+    gen = rng.generator()
+    positions = np.tile(np.array([x0, y0], dtype=np.int64), (n_replicas, 1))
+    meetings = np.zeros(n_replicas, dtype=np.int64)
+    in_episode = np.zeros(n_replicas, dtype=bool)
+    indep = np.full(n_replicas, k == 0)
+    success = np.zeros(n_replicas, dtype=bool)
 
-    def walk_free(rows: np.ndarray, sign: np.ndarray, coord: np.ndarray) -> None:
-        """Independent-phase move of one coordinate; 0 kills, S+1 retains."""
-        pv = coord[rows]
-        live = pv != s + 1
-        neg = (sign < 0) & live
-        pos = (sign > 0) & live
-        die = neg & (pv == 1)
-        stick = pos & (pv == s)
-        coord[rows[neg & ~die]] -= 1
-        coord[rows[pos & ~stick]] += 1
-        coord[rows[stick]] = s + 1
-        done[rows[die]] = True
+    def step(rows: np.ndarray) -> np.ndarray:
+        pick = gen.integers(0, 2, size=rows.size)
+        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
+        exclusive = ~indep[rows]
+        die = _move_batch(positions, rows, pick, sign, s, exclusive)
+        won = (positions[rows] == s + 1).all(axis=1)
+        success[rows[won]] = True
+        # Episode bookkeeping of the exclusion phase; rows that just ended
+        # are dropped, so their counters are never read again.
+        er = rows[exclusive]
+        dist = positions[er, 1] - positions[er, 0]
+        entered = er[(~in_episode[er]) & (dist == 1)]
+        meetings[entered] += 1
+        in_episode[entered] = True
+        exited = er[in_episode[er] & (dist == 2)]
+        in_episode[exited] = False
+        indep[exited[meetings[exited] >= k]] = True
+        return die | won
 
-    while idx.size:
-        rounds += 1
-        if rounds > _ROUND_CAP:
-            raise NumericError(
-                f"hybrid pair exceeded {_ROUND_CAP} rounds, {idx.size} replicas open"
-            )
-        m = idx.size
-        pick = gen.integers(0, 2, size=m)
-        sign = gen.integers(0, 2, size=m) * 2 - 1
-        exc = ~indep[idx]
-        er, ep, es = idx[exc], pick[exc], sign[exc]
-        if er.size:
-            low_rows, low_sign = er[ep == 0], es[ep == 0]
-            if low_rows.size:
-                av, bv = a[low_rows], b[low_rows]
-                neg = low_sign < 0
-                die = neg & (av == 1)
-                stick_all = (~neg) & (av == s)  # possible only once b is frozen
-                block = (~neg) & (av + 1 == bv) & (bv <= s)
-                a[low_rows[neg & ~die]] -= 1
-                a[low_rows[(~neg) & ~stick_all & ~block]] += 1
-                done[low_rows[die]] = True
-                won = low_rows[stick_all]
-                a[won] = s + 1
-                done[won] = True
-                success[won] = True
-            up_rows, up_sign = er[ep == 1], es[ep == 1]
-            if up_rows.size:
-                bv = b[up_rows]
-                live = bv <= s
-                neg = (up_sign < 0) & live
-                pos = (up_sign > 0) & live
-                block = neg & (bv - 1 == a[up_rows])
-                stick = pos & (bv == s)
-                b[up_rows[neg & ~block]] -= 1
-                b[up_rows[pos & ~stick]] += 1
-                b[up_rows[stick]] = s + 1
-            alive = er[~done[er]]
-            dist = b[alive] - a[alive]
-            entered = alive[(~in_episode[alive]) & (dist == 1)]
-            meetings[entered] += 1
-            in_episode[entered] = True
-            exited = alive[in_episode[alive] & (dist == 2)]
-            in_episode[exited] = False
-            indep[exited[meetings[exited] >= k]] = True
-        ir, ip, isg = idx[~exc], pick[~exc], sign[~exc]
-        if ir.size:
-            walk_free(ir[ip == 0], isg[ip == 0], a)
-            walk_free(ir[ip == 1], isg[ip == 1], b)
-            both = ir[(a[ir] == s + 1) & (b[ir] == s + 1) & ~done[ir]]
-            done[both] = True
-            success[both] = True
-        idx = idx[~done[idx]]
+    lockstep(n_replicas, step)
     return mean_stderr(success.astype(np.float64))
 
 
@@ -382,7 +335,7 @@ def simulate_aux_walk(
     size: int,
     k_max: int,
     n_replicas: int,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> AuxWalkResult:
     """Empirical tail of the number of returns to 0 before reaching S.
 
@@ -395,23 +348,19 @@ def simulate_aux_walk(
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
-    gen = as_generator(rng)
+    gen = rng.generator()
     pos = np.ones(n_replicas, dtype=np.int64)
     visits = np.zeros(n_replicas, dtype=np.int64)
-    idx = np.arange(n_replicas)
-    rounds = 0
-    while idx.size:
-        rounds += 1
-        if rounds > _ROUND_CAP:
-            raise NumericError(
-                f"reflected walk exceeded {_ROUND_CAP} rounds, {idx.size} replicas open"
-            )
-        sign = gen.integers(0, 2, size=idx.size) * 2 - 1
-        pv = pos[idx]
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
+        pv = pos[rows]
         new = np.where(pv == 0, 1, pv + sign)
-        visits[idx[new == 0]] += 1
-        pos[idx] = new
-        idx = idx[new != size]
+        visits[rows[new == 0]] += 1
+        pos[rows] = new
+        return new == size
+
+    lockstep(n_replicas, step)
     gamma = np.array([gamma_closed_form(size, j) for j in range(k_max + 1)])
     gamma_mc = np.zeros(k_max + 1)
     gamma_se = np.zeros(k_max + 1)

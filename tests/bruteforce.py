@@ -2,12 +2,20 @@
 
 Everything here is written from first principles in a deliberately plain
 style: states are occupancy tuples, generators are dense, Monte Carlo runs
-are scalar per-replica loops. None of it shares code with the package, so
-agreement is meaningful.
+are scalar per-replica loops. None of it shares an algorithm with the
+package, so agreement is meaningful. The scalar reference walkers at the end
+take the package's value types (configurations, point sets, errors) so that
+their tests read like the package's own.
 """
+
+import enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, null_space
+
+from sepsim.core import Configuration, validate_point_set
+from sepsim.errors import NumericError, ValidationError
 
 
 def all_states(size):
@@ -147,3 +155,103 @@ def mc_repeat_meetings(size, x, y, k, rng, n_replicas):
         if meetings >= k:
             hits += 1
     return hits / n_replicas
+
+
+def apply_swap(config, bond):
+    """Fire one bond of a Configuration and return the resulting one.
+
+    Interior bonds exchange the endpoint values. Bond 0 sets site 1 empty,
+    bond S sets site S occupied; both reduce to an exchange with the pinned
+    reservoir value.
+    """
+    s = config.size
+    if not 0 <= bond <= s:
+        raise ValidationError(f"bond must lie in [0, {s}], got {bond}")
+    return Configuration.from_interior(swap_result(config.interior(), bond, s))
+
+
+def enabled_bonds(config):
+    """Bonds whose firing changes the configuration (unequal endpoint values)."""
+    occ = config.occupancy
+    return {s for s in range(config.size + 1) if occ[s] != occ[s + 1]}
+
+
+_JUMP_CAP = 1_000_000_000
+
+
+class DualResult(enum.Enum):
+    DIED = "died"
+    ALL_STUCK = "all_stuck"
+
+
+@dataclass(frozen=True)
+class DualState:
+    """Free walker positions (sorted), count of frozen walkers, death flag."""
+
+    free: tuple[int, ...]
+    stuck_count: int
+    dead: bool
+
+
+@dataclass(frozen=True)
+class DualOutcome:
+    """How one family ended, its pair meetings and its jump count."""
+
+    result: DualResult
+    meeting_count: int
+    total_jumps: int
+    final: DualState
+
+
+def simulate_dual(params, initial, rng):
+    """Run one family to absorption on the embedded jump chain.
+
+    Only state-changing moves are enumerated: each free walker can hop to an
+    empty neighbour site, die off the left end, or freeze off the right end,
+    all with equal weight. For two walkers the number of entries into
+    distance 1 (while both are free) is recorded.
+    """
+    s = params.size
+    free = list(validate_point_set(initial, s, interior_only=True))
+    k = len(free)
+    stuck = 0
+    jumps = 0
+    meetings = 0
+    pair = k == 2
+    if pair and free[1] - free[0] == 1:
+        meetings = 1
+    while free:
+        moves: list[tuple[str, int]] = []
+        last = len(free) - 1
+        for i, p in enumerate(free):
+            if p == 1:
+                moves.append(("die", i))
+            elif i == 0 or free[i - 1] != p - 1:
+                moves.append(("left", i))
+            if p == s:
+                moves.append(("stick", i))
+            elif i == last or free[i + 1] != p + 1:
+                moves.append(("right", i))
+        kind, i = moves[rng.integers(0, len(moves))]
+        jumps += 1
+        if jumps > _JUMP_CAP:
+            raise NumericError(f"dual walk exceeded {_JUMP_CAP} jumps without absorbing")
+        if kind == "die":
+            return DualOutcome(
+                DualResult.DIED,
+                meetings,
+                jumps,
+                DualState(tuple(free), stuck, True),
+            )
+        if kind == "stick":
+            free.pop(i)
+            stuck += 1
+            pair = False
+            continue
+        was_adjacent = pair and free[1] - free[0] == 1
+        free[i] += 1 if kind == "right" else -1
+        if pair and not was_adjacent and free[1] - free[0] == 1:
+            meetings += 1
+    return DualOutcome(
+        DualResult.ALL_STUCK, meetings, jumps, DualState((), stuck, False)
+    )

@@ -86,6 +86,15 @@ def test_simulate_json_reports_rounds(tmp_path):
     assert 0 < doc["total_events"] <= doc["rounds"] * 6
 
 
+@pytest.mark.parametrize("burn_in,code", [("nan", 2), ("inf", 2), ("1e19", 4)])
+def test_simulate_rejects_unusable_burn_in(burn_in, code, capsys):
+    assert run([
+        "simulate", "--size", "4", "--replicas", "2", "--samples", "2",
+        "--burn-in", burn_in, "--threads", "1",
+    ]) == code
+    assert "error:" in capsys.readouterr().err
+
+
 def test_simulate_budget_warning(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     code = run([
@@ -200,6 +209,15 @@ def test_duality_check_custom_initial(tmp_path):
         "duality-check", "--size", "4", "--points", "2", "--time", "1.0",
         "--replicas", "1e3", "--initial", "01",
     ]) == 2
+
+
+@pytest.mark.parametrize("time,code", [("1e19", 4), ("1e9", 4), ("inf", 2)])
+def test_duality_check_refuses_unusable_time(time, code, capsys):
+    assert run([
+        "duality-check", "--size", "10", "--points", "3,7", "--time", time,
+        "--replicas", "10",
+    ]) == code
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sweep_outputs_and_slope(tmp_path):

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from bruteforce import apply_swap, enabled_bonds
 from sepsim.core import (
     Configuration,
     ModelParams,
     RngStream,
-    apply_swap,
     cluster_decompose,
     default_initial_configuration,
-    enabled_bonds,
+    lockstep,
     validate_point_set,
 )
-from sepsim.errors import ValidationError
+import sepsim.core
+from sepsim.dual import estimate_absorption
+from sepsim.errors import NumericError, ValidationError
+from sepsim.ladder import simulate_aux_walk, simulate_hybrid_pair
 
 
 def test_model_params_validation():
@@ -176,3 +179,45 @@ def test_rng_offset_matches_stream_arithmetic():
     x = base.offset(5).generator().random(4)
     y = RngStream(seed=base.seed, stream_id=base.stream_id + 5).generator().random(4)
     assert np.array_equal(x, y)
+
+
+def test_lockstep_timed_rows_and_absorption():
+    # Row r is open for quotas[r] rounds; row 2 is absorbed in round 1.
+    seen = []
+
+    def step(rows):
+        seen.append(rows.tolist())
+        return rows == 2 if len(seen) == 2 else None
+
+    lockstep(4, step, np.array([0, 1, 3, 3]))
+    assert seen == [[1, 2, 3], [2, 3], [3]]
+
+
+def test_lockstep_absorbing_runs_until_absorbed():
+    seen = []
+
+    def step(rows):
+        seen.append(rows.tolist())
+        return rows == len(seen) - 1
+
+    lockstep(3, step)
+    assert seen == [[0, 1, 2], [1, 2], [2]]
+
+
+SMALL = ModelParams(size=40, seed=3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: estimate_absorption(SMALL, (20, 21), 50, SMALL.stream(0)),
+        lambda: simulate_hybrid_pair(SMALL, 10, 30, 2, 50, SMALL.stream(0)),
+        lambda: simulate_aux_walk(40, 2, 50, SMALL.stream(0)),
+    ],
+    ids=["absorption", "hybrid", "aux"],
+)
+def test_absorbing_samplers_respect_round_cap(monkeypatch, run):
+    # Every start is more than 10 steps from absorption at S=40.
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", 10)
+    with pytest.raises(NumericError):
+        run()

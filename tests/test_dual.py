@@ -4,17 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    DualResult,
     expm_state_distribution,
     moment_from_distribution,
+    simulate_dual,
     stationary_null_space,
 )
 from sepsim.core import Configuration, ModelParams
 from sepsim.dual import (
-    DualResult,
     estimate_absorption,
     one_particle_success,
     pair_absorption_exact,
-    simulate_dual,
     transient_dual_moment,
 )
 from sepsim.errors import ValidationError
@@ -183,6 +183,14 @@ def test_transient_dual_moment_time_zero():
     assert est == 1.0 and se == 0.0
     est, se = transient_dual_moment(p, (1, 2), env, 0.0, 10, p.stream(0))
     assert est == 0.0 and se == 0.0
+
+
+def test_transient_dual_moment_rejects_bad_time():
+    p = ModelParams(size=4, seed=1)
+    env = Configuration.from_interior_string("1010")
+    for t in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError):
+            transient_dual_moment(p, (1, 3), env, t, 10, p.stream(0))
 
 
 @pytest.mark.parametrize("t,points", [(0.8, (2, 4)), (2.0, (1, 5))])

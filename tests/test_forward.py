@@ -7,18 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    enabled_bonds,
     expm_state_distribution,
     moment_from_distribution,
     step_ctmc,
     swap_result,
 )
-from sepsim.core import Configuration, ModelParams, enabled_bonds
-from sepsim.errors import ValidationError
+from sepsim.core import Configuration, ModelParams
+import sepsim.forward
+from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import build_generator, exact_moment, stationary_distribution
 from sepsim.forward import (
+    MAX_FIRINGS,
     EstimatorAccumulator,
     SimSchedule,
     _fire,
+    _fire_bonds,
     _masks,
     _pack,
     _unpack,
@@ -40,6 +44,36 @@ def test_schedule_validation():
         SimSchedule(burn_in=0.0, n_samples=1, sample_interval=0.0, n_replicas=1)
     with pytest.raises(ValidationError):
         SimSchedule(burn_in=0.0, n_samples=1, sample_interval=0.5, n_replicas=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            SimSchedule(burn_in=bad, n_samples=1, sample_interval=0.5, n_replicas=1)
+        with pytest.raises(ValidationError):
+            SimSchedule(burn_in=0.0, n_samples=1, sample_interval=bad, n_replicas=1)
+
+
+def test_firing_cap_refuses_before_drawing(monkeypatch):
+    # The default schedule at S=1000 (about 1.8e10 firings per replica) is
+    # admitted; a burn-in one firing over the cap is refused. The block
+    # runner is stubbed out, so nothing is simulated either way.
+    ran = []
+    monkeypatch.setattr(
+        sepsim.forward,
+        "_run_block",
+        lambda job: ran.append(job) or (np.zeros((job[5] - job[4], 1)), 0, 0),
+    )
+    p = ModelParams(size=1000)
+    sched = default_schedule(p, n_samples=200)
+    estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
+    assert len(ran) == 1
+    over = SimSchedule(
+        burn_in=MAX_FIRINGS / 1001 * (1 + 1e-9),
+        n_samples=1,
+        sample_interval=1.0,
+        n_replicas=1,
+    )
+    with pytest.raises(ResourceError):
+        estimate_stationary_moments(p, [(1,)], over, p.stream(0))
+    assert len(ran) == 1
 
 
 def test_default_schedule_scales_with_rate():
@@ -289,6 +323,29 @@ def test_transient_moment_rate_rescales_time():
     a, sa = transient_moment(p1, c0, 2.0, (2,), 40_000, p1.stream(0))
     b, sb = transient_moment(p2, c0, 1.0, (2,), 40_000, p2.stream(1))
     assert abs(a - b) < 4 * np.hypot(sa, sb)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(1, 30),
+    n_rows=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bond_kernel_matches_scalar_swap(size, n_rows, seed):
+    # Random states, a random subset of rows, a random bond per fired row.
+    rng = np.random.default_rng(seed)
+    interior = rng.integers(0, 2, size=(n_rows, size), dtype=np.uint8)
+    occ = np.hstack(
+        [np.zeros((n_rows, 1), np.uint8), interior, np.ones((n_rows, 1), np.uint8)]
+    )
+    rows = np.flatnonzero(rng.random(n_rows) < 0.7)
+    bonds = rng.integers(0, size + 1, size=rows.size)
+    _fire_bonds(occ, rows, bonds)
+    want = [tuple(int(v) for v in row) for row in interior]
+    for r, b in zip(rows, bonds):
+        want[r] = swap_result(want[r], int(b), size)
+    assert not occ[:, 0].any() and occ[:, -1].all()
+    assert [tuple(int(v) for v in row[1:-1]) for row in occ] == want
 
 
 def test_transient_moment_with_boundary_points():

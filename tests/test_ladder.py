@@ -5,6 +5,7 @@ import pytest
 
 from bruteforce import mc_first_meeting, mc_repeat_meetings
 from sepsim.core import ModelParams
+from sepsim.dual import estimate_absorption
 from sepsim.errors import ResourceError, ValidationError
 from sepsim.ladder import (
     MAX_KERNEL_ENTRIES,
@@ -199,6 +200,14 @@ def test_hybrid_pair_large_k_approaches_exclusion_value():
     p = ModelParams(size=3, seed=6)
     est, se = simulate_hybrid_pair(p, 1, 3, 40, 60_000, p.stream(0))
     assert abs(est - 1 / 6) < 3.5 * se
+
+
+def test_hybrid_pair_without_switch_is_the_dual_walk():
+    # A switch that never comes leaves the exclusion pair alone, so on one
+    # stream the hybrid must repeat the dual absorption sampler draw for draw.
+    p = ModelParams(size=7, seed=12)
+    hybrid = simulate_hybrid_pair(p, 2, 5, 10**9, 20_000, p.stream(3))
+    assert hybrid == estimate_absorption(p, (2, 5), 20_000, p.stream(3))
 
 
 def test_hybrid_pair_validation():
