@@ -1,9 +1,15 @@
 """Command-line front end for the exclusion-process toolkit.
 
-Every command echoes its configuration into each output file so a run can be
-reproduced from the file alone: CSV files start with a `# config: {...}`
-comment line, JSON files carry a `config` key. With `--deterministic` the
-echo omits the timestamp and repeated runs are byte-identical.
+Every command computes its configuration fields, a JSON payload and its CSV
+tables, and hands them to one writer, _emit. The writer echoes the
+configuration, with the command name and a timestamp (left out under
+--deterministic, so repeated runs are byte-identical), into every file: CSV
+files start with a `# config: {...}` comment line, JSON files carry a
+`config` key. JSON output is the payload in one file; duality-check always
+writes JSON. CSV output writes a table of suffix None to --output and any
+other table to `<stem>_<suffix>.csv`, the stem being --output without a .csv
+or .json extension, plus `<stem>_summary.json` when the payload has a
+"summary". Without --output everything goes to stdout.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Configuration, ModelParams, default_initial_configuration
+from .core import Configuration, ModelParams, default_initial_configuration, validate_point_set
 from .dual import (
     estimate_absorption,
     one_particle_success,
@@ -85,20 +91,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_echo(args: argparse.Namespace, command: str, fields: dict) -> dict:
-    cfg = {"command": command}
-    cfg.update(fields)
-    if not getattr(args, "deterministic", False):
-        cfg["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return cfg
-
-
-def _csv_text(config: dict, header: list[str], rows) -> str:
-    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
@@ -110,17 +102,26 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _stem(output: str) -> str:
-    path = Path(output)
-    if path.suffix in (".csv", ".json"):
-        return str(path.with_suffix(""))
-    return output
-
-
-def _derived(output: str | None, suffix: str) -> str | None:
-    if output is None:
-        return None
-    return f"{_stem(output)}_{suffix}"
+def _emit(args: argparse.Namespace, config: dict, payload: dict, tables=()) -> None:
+    """Write payload as JSON, or tables of (suffix, header, rows) as CSV."""
+    config = {"command": args.command, **config}
+    if not args.deterministic:
+        config["timestamp"] = datetime.now(timezone.utc).isoformat()
+    out = args.output
+    if getattr(args, "format", "json") == "json":
+        _write(out, _json_text(config, payload))
+        return
+    stem = out
+    if out is not None and Path(out).suffix in (".csv", ".json"):
+        stem = str(Path(out).with_suffix(""))
+    for suffix, header, rows in tables:
+        lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        path = out if suffix is None or out is None else f"{stem}_{suffix}.csv"
+        _write(path, "\n".join(lines) + "\n")
+    if "summary" in payload:
+        path = None if out is None else f"{stem}_summary.json"
+        _write(path, _json_text(config, {"summary": payload["summary"]}))
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
@@ -147,43 +148,31 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> No
 def cmd_exact(args: argparse.Namespace) -> int:
     params = _params(args)
     tol = args.tol if args.tol is not None else 1e-13
-    gen = build_generator(params)
-    pi = stationary_distribution(gen, tol=tol)
+    pi = stationary_distribution(build_generator(params), tol=tol)
     profile = occupation_profile(pi)
-    m2 = pair_moments(pi)
     s = params.size
     linear = np.arange(1, s + 1) / (s + 1)
     max_dev = float(np.abs(profile - linear).max())
     print(f"max |m1(x) - x/(S+1)| = {max_dev:.3e}")
-    cfg = _config_echo(
-        args, "exact", {"size": s, "rate": params.rate, "tol": tol}
-    )
     m1_rows = [(x, float(profile[x - 1])) for x in range(1, s + 1)]
-    m2_rows = [(x, y, val) for (x, y), val in sorted(m2.items())]
-    states = [
-        format(state, f"0{s}b")[::-1]  # site 1 leftmost
-        for state in range(pi.probabilities.shape[0])
+    m2_rows = [(x, y, val) for (x, y), val in sorted(pair_moments(pi).items())]
+    pi_rows = [
+        (format(state, f"0{s}b")[::-1], prob)  # site 1 leftmost
+        for state, prob in enumerate(pi.probabilities.tolist())
     ]
-    pi_rows = [(states[i], float(pi.probabilities[i])) for i in range(len(states))]
-    if args.format == "json":
-        payload = {
-            "max_m1_deviation": max_dev,
-            "m1": [[x, v] for x, v in m1_rows],
-            "m2": [[x, y, v] for x, y, v in m2_rows],
-            "pi": {state: prob for state, prob in pi_rows},
-            "residual": pi.residual,
-        }
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        _write(_derived(args.output, "m1.csv"), _csv_text(cfg, ["x", "m1"], m1_rows))
-        _write(
-            _derived(args.output, "m2.csv"),
-            _csv_text(cfg, ["x", "y", "m2"], m2_rows),
-        )
-        _write(
-            _derived(args.output, "pi.csv"),
-            _csv_text(cfg, ["state", "probability"], pi_rows),
-        )
+    payload = {
+        "max_m1_deviation": max_dev,
+        "m1": m1_rows,
+        "m2": m2_rows,
+        "pi": dict(pi_rows),
+        "residual": pi.residual,
+    }
+    tables = [
+        ("m1", ["x", "m1"], m1_rows),
+        ("m2", ["x", "y", "m2"], m2_rows),
+        ("pi", ["state", "probability"], pi_rows),
+    ]
+    _emit(args, {"size": s, "rate": params.rate, "tol": tol}, payload, tables)
     return 0
 
 
@@ -210,39 +199,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"tolerance {args.tol:.3e}; raise --replicas or --samples",
                 file=sys.stderr,
             )
-    cfg = _config_echo(
-        args,
-        "simulate",
-        {
-            "size": params.size,
-            "rate": params.rate,
-            "seed": params.seed,
-            "replicas": schedule.n_replicas,
-            "samples": schedule.n_samples,
-            "burn_in": schedule.burn_in,
-            "sample_interval": schedule.sample_interval,
-            "points": list(args.points) if args.points is not None else None,
-        },
-    )
+    config = {
+        "size": params.size,
+        "rate": params.rate,
+        "seed": params.seed,
+        "replicas": schedule.n_replicas,
+        "samples": schedule.n_samples,
+        "burn_in": schedule.burn_in,
+        "sample_interval": schedule.sample_interval,
+        "points": args.points,
+    }
     rows = [
         (";".join(str(p) for p in pts), float(e), float(se))
         for pts, e, se in zip(est.point_sets, est.estimates, est.stderrs)
     ]
-    if args.format == "json":
-        payload = {
-            "estimates": [
-                {"points": list(pts), "estimate": float(e), "stderr": float(se)}
-                for pts, e, se in zip(est.point_sets, est.estimates, est.stderrs)
-            ],
-            "total_events": est.total_events,
-            "rounds": est.rounds,
-        }
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        _write(
-            args.output,
-            _csv_text(cfg, ["points", "estimate", "stderr"], rows),
-        )
+    payload = {
+        "estimates": [
+            {"points": pts, "estimate": e, "stderr": se}
+            for pts, (_, e, se) in zip(est.point_sets, rows)
+        ],
+        "total_events": est.total_events,
+        "rounds": est.rounds,
+    }
+    _emit(args, config, payload, [(None, ["points", "estimate", "stderr"], rows)])
     return 0
 
 
@@ -255,44 +234,29 @@ def cmd_dual(args: argparse.Namespace) -> int:
         exact_val = one_particle_success(params, pts[0])
     elif len(pts) == 2:
         exact_val = pair_absorption_exact(params).value(pts[0], pts[1])
-    cfg = _config_echo(
-        args,
-        "dual",
-        {
-            "size": params.size,
-            "rate": params.rate,
-            "seed": params.seed,
-            "points": list(pts),
-            "replicas": args.replicas,
-        },
-    )
-    if args.format == "json":
-        payload = {"estimate": est, "stderr": se, "exact": exact_val}
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        row = (";".join(str(p) for p in pts), est, se, exact_val)
-        _write(
-            args.output,
-            _csv_text(cfg, ["points", "estimate", "stderr", "exact"], [row]),
-        )
+    config = {
+        "size": params.size,
+        "rate": params.rate,
+        "seed": params.seed,
+        "points": pts,
+        "replicas": args.replicas,
+    }
+    row = (";".join(str(p) for p in pts), est, se, exact_val)
+    payload = {"estimate": est, "stderr": se, "exact": exact_val}
+    _emit(args, config, payload, [(None, ["points", "estimate", "stderr", "exact"], [row])])
     return 0
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
     params = _params(args)
     x0, y0 = args.start
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    table = ladder_tables(params, x0, y0, k_max=args.kmax, **kwargs)
-    cfg = _config_echo(
-        args,
-        "ladder",
-        {
-            "size": params.size,
-            "rate": params.rate,
-            "start": [x0, y0],
-            "kmax": args.kmax,
-        },
-    )
+    table = ladder_tables(params, x0, y0, k_max=args.kmax)
+    config = {
+        "size": params.size,
+        "rate": params.rate,
+        "start": [x0, y0],
+        "kmax": args.kmax,
+    }
     rows = [
         (
             k,
@@ -310,16 +274,8 @@ def cmd_ladder(args: argparse.Namespace) -> int:
         "slack": table.final_bound - (p0 - table.p_inf),
     }
     header = ["k", "C_k", "gamma_k", "P_k"]
-    if args.format == "json":
-        payload = {
-            "rows": [list(r) for r in rows],
-            "columns": header,
-            "summary": summary,
-        }
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        _write(args.output, _csv_text(cfg, header, rows))
-        _write(_derived(args.output, "summary.json"), _json_text(cfg, {"summary": summary}))
+    payload = {"rows": rows, "columns": header, "summary": summary}
+    _emit(args, config, payload, [(None, header, rows)])
     return 0
 
 
@@ -330,52 +286,30 @@ def cmd_odes(args: argparse.Namespace) -> int:
     system = build_moment_system(params, k_top)
     if args.time is None:
         field = stationary_moments(system)
-        time_note: float | None = None
     else:
         start = field_from_configuration(
             system, default_initial_configuration(params)
         )
         field = integrate_moments(system, start, args.time)
-        time_note = args.time
-    if k_top == 2:
-        m1_field = field.lower
-        m2_rows = [
-            (pts[0], pts[1], float(v))
-            for pts, v in zip(field.system.subsets, field.values)
-        ]
-    else:
-        m1_field = field
-        m2_rows = []
-    assert m1_field is not None
-    m1_rows = [
-        (pts[0], float(v))
-        for pts, v in zip(m1_field.system.subsets, m1_field.values)
-    ]
-    cfg = _config_echo(
+    levels = {
+        f.k: [(*pts, float(v)) for pts, v in zip(f.system.subsets, f.values)]
+        for f in (field, field.lower)
+        if f is not None
+    }
+    m1_rows, m2_rows = levels[1], levels.get(2, [])
+    tables = [("m1", ["x", "m1"], m1_rows), ("m2", ["x", "y", "m2"], m2_rows)]
+    _emit(
         args,
-        "odes",
-        {"size": s, "rate": params.rate, "time": time_note},
+        {"size": s, "rate": params.rate, "time": args.time},
+        {"m1": m1_rows, "m2": m2_rows, "time": args.time},
+        tables if m2_rows else tables[:1],
     )
-    if args.format == "json":
-        payload = {
-            "m1": [[x, v] for x, v in m1_rows],
-            "m2": [[x, y, v] for x, y, v in m2_rows],
-            "time": time_note,
-        }
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        _write(_derived(args.output, "m1.csv"), _csv_text(cfg, ["x", "m1"], m1_rows))
-        if m2_rows:
-            _write(
-                _derived(args.output, "m2.csv"),
-                _csv_text(cfg, ["x", "y", "m2"], m2_rows),
-            )
     return 0
 
 
 def cmd_duality_check(args: argparse.Namespace) -> int:
     params = _params(args)
-    pts = tuple(args.points)
+    pts = validate_point_set(args.points, params.size, interior_only=True)
     if args.initial is not None:
         config0 = Configuration.from_interior_string(args.initial)
         if config0.size != params.size:
@@ -395,21 +329,17 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
         z = (lhs - rhs) / denom
     else:
         z = 0.0 if lhs == rhs else math.inf
-    cfg = _config_echo(
-        args,
-        "duality-check",
-        {
-            "size": params.size,
-            "rate": params.rate,
-            "seed": params.seed,
-            "points": list(pts),
-            "time": args.time,
-            "replicas": args.replicas,
-            "initial": config0.interior_string(),
-        },
-    )
+    config = {
+        "size": params.size,
+        "rate": params.rate,
+        "seed": params.seed,
+        "points": pts,
+        "time": args.time,
+        "replicas": args.replicas,
+        "initial": config0.interior_string(),
+    }
     payload = {"lhs": lhs, "lhs_se": lhs_se, "rhs": rhs, "rhs_se": rhs_se, "z": z}
-    _write(args.output, _json_text(cfg, payload))
+    _emit(args, config, payload)
     return 0
 
 
@@ -420,16 +350,12 @@ def cmd_aux(args: argparse.Namespace) -> int:
         args.replicas,
         ModelParams(size=args.size, seed=args.seed).stream(0),
     )
-    cfg = _config_echo(
-        args,
-        "aux",
-        {
-            "size": args.size,
-            "seed": args.seed,
-            "kmax": args.kmax,
-            "replicas": args.replicas,
-        },
-    )
+    config = {
+        "size": args.size,
+        "seed": args.seed,
+        "kmax": args.kmax,
+        "replicas": args.replicas,
+    }
     rows = [
         (
             k,
@@ -440,11 +366,7 @@ def cmd_aux(args: argparse.Namespace) -> int:
         for k in range(1, args.kmax + 1)
     ]
     header = ["k", "gamma_k", "estimate", "stderr"]
-    if args.format == "json":
-        payload = {"rows": [list(r) for r in rows], "columns": header}
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        _write(args.output, _csv_text(cfg, header, rows))
+    _emit(args, config, {"rows": rows, "columns": header}, [(None, header, rows)])
     return 0
 
 
@@ -473,30 +395,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     slope: float | None = None
     if len(rows) >= 2 and np.all(errors > 0):
         slope = float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
-    cfg = _config_echo(
-        args,
-        "sweep",
-        {
-            "alphas": [a1, a2],
-            "grid": list(args.grid),
-            "rate": args.rate,
-        },
-    )
+    config = {"alphas": [a1, a2], "grid": args.grid, "rate": args.rate}
     header = ["S", "x1", "x2", "m2", "target", "abs_err"]
-    summary = {"target": target, "slope": slope}
-    if args.format == "json":
-        payload = {
-            "rows": [list(r) for r in rows],
-            "columns": header,
-            "summary": summary,
-        }
-        _write(args.output, _json_text(cfg, payload))
-    else:
-        _write(args.output, _csv_text(cfg, header, rows))
-        _write(
-            _derived(args.output, "summary.json"),
-            _json_text(cfg, {"summary": summary}),
-        )
+    payload = {
+        "rows": rows,
+        "columns": header,
+        "summary": {"target": target, "slope": slope},
+    }
+    _emit(args, config, payload, [(None, header, rows)])
     return 0
 
 
@@ -535,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--start", type=_int_list, required=True, metavar="X,Y")
     p.add_argument("--kmax", type=int, default=40)
-    p.add_argument("--tol", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_ladder)
 

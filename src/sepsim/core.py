@@ -31,8 +31,9 @@ from .errors import NumericError, ResourceError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 
-# Most lockstep rounds a sampler may run: the cap of an absorbing run, and the
-# largest mean quota a timed run accepts.
+# Most rounds any clocked loop may run: the cap of an absorbing lockstep run,
+# the largest mean quota a timed lockstep run accepts, and the most Euler steps
+# a moment integration takes.
 ROUND_CAP = 5_000_000
 
 # A point set is a strictly increasing tuple of site indices; a cluster
@@ -54,6 +55,8 @@ class ModelParams:
             raise ValidationError(f"size must be >= 1, got {self.size}")
         if not self.rate > 0.0:
             raise ValidationError(f"rate must be positive, got {self.rate}")
+        if not math.isfinite(self.rate):
+            raise ValidationError(f"rate must be finite, got {self.rate}")
 
     def stream(self, stream_id: int = 0) -> "RngStream":
         return RngStream(self.seed, stream_id)

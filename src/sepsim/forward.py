@@ -110,45 +110,6 @@ def default_schedule(
     )
 
 
-@dataclass
-class EstimatorAccumulator:
-    """Streaming mean and squared deviation (Welford), mergeable across blocks."""
-
-    count: int = 0
-    mean: float = 0.0
-    sum_sq_dev: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.sum_sq_dev += delta * (value - self.mean)
-
-    def merge(self, other: "EstimatorAccumulator") -> "EstimatorAccumulator":
-        """Combined accumulator; exact for any split of the same value stream."""
-        if self.count == 0:
-            return EstimatorAccumulator(other.count, other.mean, other.sum_sq_dev)
-        if other.count == 0:
-            return EstimatorAccumulator(self.count, self.mean, self.sum_sq_dev)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / n
-        ssd = self.sum_sq_dev + other.sum_sq_dev + delta * delta * self.count * other.count / n
-        return EstimatorAccumulator(n, mean, ssd)
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return math.nan
-        return self.sum_sq_dev / (self.count - 1)
-
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return math.nan
-        return math.sqrt(max(self.variance, 0.0) / self.count)
-
-
 def _pack(bits: np.ndarray) -> int:
     """Block state from an (S+2, W) 0/1 array: bit k*W + r is site k of replica r."""
     raw = np.packbits(bits.astype(bool).ravel(), bitorder="little")
@@ -322,21 +283,15 @@ def estimate_stationary_moments(
     else:
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             results = list(pool.map(_run_block, jobs))
-    accs = [EstimatorAccumulator() for _ in sets]
-    total_events = total_rounds = 0
-    for means, events, rounds in results:
-        total_events += events
-        total_rounds += rounds
-        for row in means.tolist():
-            for acc, value in zip(accs, row):
-                acc.update(value)
+    means = np.concatenate([m for m, _, _ in results])  # one row per replica
+    estimates, stderrs = np.array([mean_stderr(col) for col in means.T]).T
     return StationaryEstimate(
         point_sets=sets,
-        estimates=np.array([a.mean for a in accs]),
-        stderrs=np.array([a.stderr for a in accs]),
-        total_events=total_events,
+        estimates=estimates,
+        stderrs=stderrs,
+        total_events=sum(events for _, events, _ in results),
         n_replicas=reps,
-        rounds=total_rounds,
+        rounds=sum(rounds for _, _, rounds in results),
     )
 
 

@@ -49,8 +49,8 @@ from .dual import _move_batch, pair_absorption_exact
 from .errors import NumericError, ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
-
-DEFAULT_KERNEL_TOL = 1e-10
+# Largest accepted max|system @ masses - rhs| after the kernel's direct solve.
+_MAX_RESIDUAL = 1e-10
 # 2**26 float64 entries is 512 MiB per dense table.
 MAX_KERNEL_ENTRIES = 2**26
 
@@ -85,7 +85,7 @@ class MeetingKernel:
 class _KernelTable:
     """First-meeting masses for every transient pair state of one size."""
 
-    def __init__(self, size: int, tol: float) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
         s = size
         n_states = s * (s - 1) // 2  # gap >= 2 pairs plus (a, S+1) states
@@ -135,9 +135,9 @@ class _KernelTable:
         lu = splu(system.tocsc())
         self.masses = lu.solve(rhs)
         residual = float(np.abs(system.tocsr() @ self.masses - rhs).max())
-        if residual > tol:
+        if not residual <= _MAX_RESIDUAL:  # also rejects NaN from a singular solve
             raise NumericError(
-                f"meeting-kernel solve residual {residual:.3e} exceeds {tol:.3e}"
+                f"meeting-kernel solve residual {residual:.3e} exceeds {_MAX_RESIDUAL:.0e}"
             )
 
     def kernel(self, a: int, b: int) -> MeetingKernel:
@@ -148,13 +148,11 @@ class _KernelTable:
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_table(size: int, tol: float) -> _KernelTable:
-    return _KernelTable(size, tol)
+def _kernel_table(size: int) -> _KernelTable:
+    return _KernelTable(size)
 
 
-def first_meeting_kernel(
-    params: ModelParams, x: int, y: int, tol: float = DEFAULT_KERNEL_TOL
-) -> MeetingKernel:
+def first_meeting_kernel(params: ModelParams, x: int, y: int) -> MeetingKernel:
     """Distribution of the lower position at the pair's first distance-1 state."""
     s = params.size
     if s < 3:
@@ -163,18 +161,15 @@ def first_meeting_kernel(
         raise ValidationError(
             f"start must satisfy 1 <= x < y <= {s} with y - x >= 2, got ({x}, {y})"
         )
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {tol}")
-    return _kernel_table(s, tol).kernel(x, y)
+    return _kernel_table(s).kernel(x, y)
 
 
 @dataclass(frozen=True)
 class LadderTable:
     """Ladder of success probabilities and meeting factors from one start.
 
-    Arrays are indexed by the meeting count k; index 0 of c_start and rows 0
-    of c_gap2 are unused padding. c_gap2[k, m] is the k-meeting factor from
-    the distance-2 start (m, m+2).
+    Arrays are indexed by the meeting count k; index 0 of c_start is unused
+    padding.
     """
 
     size: int
@@ -182,17 +177,8 @@ class LadderTable:
     y0: int
     k_max: int
     c_start: np.ndarray
-    c_gap2: np.ndarray
     p: np.ndarray
     p_inf: float
-
-    @property
-    def alpha(self) -> float:
-        return self.x0 / (self.size + 1)
-
-    @property
-    def beta(self) -> float:
-        return self.y0 / (self.size + 1)
 
     @property
     def final_bound(self) -> float:
@@ -211,7 +197,6 @@ def ladder_tables(
     x0: int,
     y0: int,
     k_max: int = 40,
-    tol: float = DEFAULT_KERNEL_TOL,
 ) -> LadderTable:
     """Build the meeting ladder from (x0, y0) up to k_max meetings.
 
@@ -228,7 +213,7 @@ def ladder_tables(
         )
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    table = _kernel_table(s, tol)
+    table = _kernel_table(s)
     user = table.masses[table.index[(x0, y0)]]
     gap2_rows = [table.index[(m, m + 2)] for m in range(1, s)]
     interior = table.masses[gap2_rows][:, : s - 1]  # mass at n = 1..S-1 per start
@@ -240,15 +225,12 @@ def ladder_tables(
             eff_k = k
             break
     c_start = np.full(eff_k + 1, np.nan)
-    c_gap2 = np.full((eff_k + 1, s), np.nan)
     cvec = interior.sum(axis=1)
     c_start[1] = user_int.sum()
-    c_gap2[1, 1:] = cvec
     for k in range(2, eff_k + 1):
         combo = cvec + np.concatenate(([0.0], cvec[:-1]))
         cvec = 0.5 * (interior @ combo)
         c_start[k] = 0.5 * float(user_int @ combo)
-        c_gap2[k, 1:] = cvec
     p = np.zeros(eff_k + 1)
     p[0] = p0_independent(params, x0, y0)
     cost = 1.0 / (2 * (s + 1) ** 2)
@@ -260,7 +242,6 @@ def ladder_tables(
         y0=y0,
         k_max=eff_k,
         c_start=c_start,
-        c_gap2=c_gap2,
         p=p,
         p_inf=pair_absorption_exact(params).value(x0, y0),
     )

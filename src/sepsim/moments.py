@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .core import Configuration, ModelParams, cluster_decompose
+from .core import ROUND_CAP, Configuration, ModelParams, cluster_decompose
 from .errors import NumericError, ResourceError, ValidationError
 
 MAX_SUBSET_COUNT = 200_000
@@ -225,12 +225,15 @@ def integrate_moments(
 
     The step size is capped at 1/(2 max|diagonal|) of the rate-scaled
     operator, which keeps the explicit scheme stable; each level's source
-    uses the lower level's value from the start of the step.
+    uses the lower level's value from the start of the step. A run needing
+    more than core.ROUND_CAP steps is refused before the first one.
     """
     if initial.k != system.k or initial.system.params.size != system.params.size:
         raise ValidationError("initial field does not match the system")
     if dt_max <= 0:
         raise ValidationError(f"dt_max must be positive, got {dt_max}")
+    if not math.isfinite(t):
+        raise ValidationError(f"target time must be finite, got {t}")
     t0 = initial.time if initial.time is not None else 0.0
     if t < t0:
         raise ValidationError(f"target time {t} is before the field time {t0}")
@@ -249,6 +252,12 @@ def integrate_moments(
     if duration > 0:
         max_diag = 2.0 * rate * max(s.max_clusters for s in systems)
         dt = min(dt_max, 1.0 / (2.0 * max_diag))
+        # duration / dt, without dividing by a dt that underflowed to 0
+        steps = max(duration / dt_max, 2.0 * max_diag * duration)
+        if steps > ROUND_CAP:
+            raise ResourceError(
+                f"integration to t={t} needs {steps:.3g} steps, cap is {ROUND_CAP}"
+            )
         n_steps = max(1, math.ceil(duration / dt))
         dt = duration / n_steps
         for _ in range(n_steps):

@@ -153,6 +153,12 @@ def test_ladder_outputs(tmp_path):
     assert summary["slack"] >= 0
 
 
+def test_ladder_has_no_tol_flag():
+    with pytest.raises(SystemExit) as exc:
+        run(["ladder", "--size", "8", "--start", "2,5", "--tol", "1e-30"])
+    assert exc.value.code == 2
+
+
 def test_odes_stationary_matches_exact(tmp_path):
     out = tmp_path / "od.csv"
     assert run(["odes", "--size", "4", "--deterministic", "--output", str(out)]) == 0
@@ -181,6 +187,28 @@ def test_odes_has_no_tol_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["odes", "--size", "4", "--tol", "1e-9"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra,code",
+    [
+        (["--time", "nan"], 2),
+        (["--time", "inf"], 2),
+        (["--rate", "inf", "--time", "1"], 2),
+        (["--rate", "nan"], 2),
+        (["--time", "1e12"], 4),
+        (["--rate", "1e300", "--time", "1"], 4),
+    ],
+    ids=["time-nan", "time-inf", "rate-inf", "rate-nan", "time-1e12", "rate-1e300"],
+)
+def test_odes_refuses_unusable_time_and_rate(extra, code, capsys):
+    assert run(["odes", "--size", "4"] + extra) == code
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exact_rejects_infinite_rate(capsys):
+    assert run(["exact", "--size", "4", "--rate", "inf"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_duality_check_json(tmp_path):
@@ -217,6 +245,18 @@ def test_duality_check_refuses_unusable_time(time, code, capsys):
         "duality-check", "--size", "10", "--points", "3,7", "--time", time,
         "--replicas", "10",
     ]) == code
+    assert "error:" in capsys.readouterr().err
+
+
+def test_duality_check_rejects_points_before_sampling(monkeypatch, capsys):
+    import sepsim.cli
+
+    def sampler(*args):
+        raise AssertionError("a sampler ran before the points were checked")
+
+    monkeypatch.setattr(sepsim.cli, "transient_moment", sampler)
+    monkeypatch.setattr(sepsim.cli, "transient_dual_moment", sampler)
+    assert run(["duality-check", "--size", "10", "--points", "0,7", "--time", "5"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -287,3 +327,38 @@ def test_stdout_mode(capsys):
     out = capsys.readouterr().out
     assert "# config:" in out
     assert "S,x1,x2,m2,target,abs_err" in out
+
+
+SMALL_RUNS = {
+    "exact": ["exact", "--size", "3"],
+    "simulate": ["simulate", "--size", "4", "--replicas", "4", "--samples", "5",
+                 "--threads", "1"],
+    "dual": ["dual", "--size", "5", "--points", "2,4", "--replicas", "100"],
+    "ladder": ["ladder", "--size", "8", "--start", "2,5", "--kmax", "3"],
+    "odes": ["odes", "--size", "4"],
+    "odes-size-1": ["odes", "--size", "1"],
+    "duality-check": ["duality-check", "--size", "4", "--points", "2", "--time", "0.5",
+                      "--replicas", "100"],
+    "aux": ["aux", "--size", "6", "--kmax", "2", "--replicas", "100"],
+    "sweep": ["sweep", "--grid", "8,16"],
+}
+CSV_FILES = {
+    "exact": {"run_m1.csv", "run_m2.csv", "run_pi.csv"},
+    "ladder": {"run.csv", "run_summary.json"},
+    "sweep": {"run.csv", "run_summary.json"},
+    "odes": {"run_m1.csv", "run_m2.csv"},
+    "odes-size-1": {"run_m1.csv"},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_files_written_per_command(name, fmt, tmp_path):
+    argv = SMALL_RUNS[name] + ["--deterministic", "--output", str(tmp_path / f"run.{fmt}")]
+    if name == "duality-check":  # no --format: always one JSON file at --output
+        want = {f"run.{fmt}"}
+    else:
+        argv += ["--format", fmt]
+        want = CSV_FILES.get(name, {"run.csv"}) if fmt == "csv" else {"run.json"}
+    assert run(argv) == 0
+    assert {p.name for p in tmp_path.iterdir()} == want

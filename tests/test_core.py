@@ -1,3 +1,6 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from sepsim.core import (
     cluster_decompose,
     default_initial_configuration,
     lockstep,
+    mean_stderr,
     validate_point_set,
 )
 import sepsim.core
@@ -23,8 +27,18 @@ def test_model_params_validation():
         ModelParams(size=0)
     with pytest.raises(ValidationError):
         ModelParams(size=3, rate=0.0)
-    with pytest.raises(ValidationError):
-        ModelParams(size=3, rate=-1.0)
+    for rate in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            ModelParams(size=3, rate=rate)
+
+
+def test_mean_stderr_matches_statistics():
+    values = np.random.default_rng(0).random(257)
+    est, se = mean_stderr(values)
+    assert est == pytest.approx(statistics.fmean(values), rel=0, abs=1e-15)
+    assert se == pytest.approx(statistics.stdev(values) / math.sqrt(257), rel=1e-12)
+    est, se = mean_stderr(np.array([0.25]))
+    assert est == 0.25 and math.isnan(se)
 
 
 def test_configuration_pins_boundaries():

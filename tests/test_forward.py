@@ -19,7 +19,6 @@ from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import build_generator, exact_moment, stationary_distribution
 from sepsim.forward import (
     MAX_FIRINGS,
-    EstimatorAccumulator,
     SimSchedule,
     _fire,
     _fire_bonds,
@@ -81,45 +80,6 @@ def test_default_schedule_scales_with_rate():
     fast = default_schedule(ModelParams(size=6, rate=2.0))
     assert fast.burn_in == slow.burn_in / 2
     assert fast.sample_interval == slow.sample_interval / 2
-
-
-def test_accumulator_matches_numpy():
-    rng = np.random.default_rng(0)
-    values = rng.random(257)
-    acc = EstimatorAccumulator()
-    for v in values:
-        acc.update(float(v))
-    assert acc.count == len(values)
-    assert np.isclose(acc.mean, values.mean(), rtol=0, atol=1e-13)
-    assert np.isclose(acc.variance, values.var(ddof=1), rtol=1e-12, atol=0)
-    assert np.isclose(
-        acc.stderr, values.std(ddof=1) / np.sqrt(len(values)), rtol=1e-12, atol=0
-    )
-
-
-def test_accumulator_merge_is_exact():
-    rng = np.random.default_rng(1)
-    values = rng.random(100)
-    whole = EstimatorAccumulator()
-    for v in values:
-        whole.update(float(v))
-    left, right = EstimatorAccumulator(), EstimatorAccumulator()
-    for v in values[:37]:
-        left.update(float(v))
-    for v in values[37:]:
-        right.update(float(v))
-    merged = left.merge(right)
-    assert merged.count == whole.count
-    assert np.isclose(merged.mean, whole.mean, rtol=0, atol=1e-14)
-    assert np.isclose(merged.sum_sq_dev, whole.sum_sq_dev, rtol=1e-12, atol=1e-14)
-
-
-def test_accumulator_merge_empty():
-    acc = EstimatorAccumulator()
-    acc.update(0.5)
-    assert acc.merge(EstimatorAccumulator()).mean == 0.5
-    assert EstimatorAccumulator().merge(acc).count == 1
-    assert np.isnan(EstimatorAccumulator().stderr)
 
 
 def test_step_ctmc_is_reproducible():

@@ -6,7 +6,7 @@ import pytest
 from bruteforce import mc_first_meeting, mc_repeat_meetings
 from sepsim.core import ModelParams
 from sepsim.dual import estimate_absorption
-from sepsim.errors import ResourceError, ValidationError
+from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
     MAX_KERNEL_ENTRIES,
     first_meeting_kernel,
@@ -170,6 +170,22 @@ def test_kernel_table_size_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before the dense tables exist
+
+
+def test_kernel_residual_check(monkeypatch):
+    import sepsim.ladder
+
+    class ZeroSolve:
+        def __init__(self, matrix):
+            pass
+
+        def solve(self, rhs):
+            return np.zeros_like(rhs)
+
+    monkeypatch.setattr(sepsim.ladder, "splu", ZeroSolve)
+    sepsim.ladder._kernel_table.cache_clear()
+    with pytest.raises(NumericError):
+        ladder_tables(ModelParams(size=6), 2, 5)
 
 
 def test_final_bound_holds_on_grid():

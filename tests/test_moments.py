@@ -228,3 +228,18 @@ def test_field_value_validation():
         f.value((0, 3))
     with pytest.raises(ValidationError):
         f.value((2,))
+
+
+def test_integration_step_cap(monkeypatch):
+    import sepsim.moments
+
+    p = ModelParams(size=4)
+    system = build_moment_system(p, 2)
+    start = field_from_configuration(system, default_initial_configuration(p))
+    # Two clusters at rate 1 give dt = 1/8, so t = 1 takes exactly 8 steps.
+    monkeypatch.setattr(sepsim.moments, "ROUND_CAP", 8)
+    integrate_moments(system, start, 1.0)
+    with pytest.raises(ResourceError):
+        integrate_moments(system, start, 1.125)
+    with pytest.raises(ValidationError):
+        integrate_moments(system, start, float("nan"))
