@@ -147,13 +147,12 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> No
 
 def cmd_exact(args: argparse.Namespace) -> int:
     params = _params(args)
-    tol = args.tol if args.tol is not None else 1e-13
-    pi = stationary_distribution(build_generator(params), tol=tol)
+    pi = stationary_distribution(build_generator(params))
     profile = occupation_profile(pi)
     s = params.size
     linear = np.arange(1, s + 1) / (s + 1)
     max_dev = float(np.abs(profile - linear).max())
-    print(f"max |m1(x) - x/(S+1)| = {max_dev:.3e}")
+    print(f"max |m1(x) - x/(S+1)| = {max_dev:.3e}", file=sys.stderr)
     m1_rows = [(x, float(profile[x - 1])) for x in range(1, s + 1)]
     m2_rows = [(x, y, val) for (x, y), val in sorted(pair_moments(pi).items())]
     pi_rows = [
@@ -172,7 +171,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         ("m2", ["x", "y", "m2"], m2_rows),
         ("pi", ["state", "probability"], pi_rows),
     ]
-    _emit(args, {"size": s, "rate": params.rate, "tol": tol}, payload, tables)
+    _emit(args, {"size": s, "rate": params.rate}, payload, tables)
     return 0
 
 
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact stationary distribution and moments")
     _add_model_flags(p)
-    p.add_argument("--tol", type=float, default=None)
     _add_output_flags(p)
     p.set_defaults(func=cmd_exact)
 

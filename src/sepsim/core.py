@@ -36,6 +36,9 @@ _MASK64 = (1 << 64) - 1
 # a moment integration takes.
 ROUND_CAP = 5_000_000
 
+# Largest accepted residual of a direct solve or a certified exact vector.
+MAX_RESIDUAL = 1e-10
+
 # A point set is a strictly increasing tuple of site indices; a cluster
 # decomposition is its split into maximal runs of consecutive sites.
 PointSet = tuple[int, ...]
@@ -87,6 +90,12 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return est, math.nan
     return est, float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def check_residual(what: str, residual: float, bound: float) -> None:
+    """Raise NumericError unless residual <= bound; a NaN residual fails too."""
+    if not residual <= bound:
+        raise NumericError(f"{what} residual {residual:.3e} exceeds {bound:.0e}")
 
 
 def poisson_quotas(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:

@@ -44,13 +44,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import ModelParams, RngStream, lockstep, mean_stderr
+from .core import MAX_RESIDUAL, ModelParams, RngStream, check_residual, lockstep, mean_stderr
 from .dual import _move_batch, pair_absorption_exact
-from .errors import NumericError, ResourceError, ValidationError
+from .errors import ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
-# Largest accepted max|system @ masses - rhs| after the kernel's direct solve.
-_MAX_RESIDUAL = 1e-10
 # 2**26 float64 entries is 512 MiB per dense table.
 MAX_KERNEL_ENTRIES = 2**26
 
@@ -135,10 +133,7 @@ class _KernelTable:
         lu = splu(system.tocsc())
         self.masses = lu.solve(rhs)
         residual = float(np.abs(system.tocsr() @ self.masses - rhs).max())
-        if not residual <= _MAX_RESIDUAL:  # also rejects NaN from a singular solve
-            raise NumericError(
-                f"meeting-kernel solve residual {residual:.3e} exceeds {_MAX_RESIDUAL:.0e}"
-            )
+        check_residual("meeting-kernel solve", residual, MAX_RESIDUAL)
 
     def kernel(self, a: int, b: int) -> MeetingKernel:
         row = self.masses[self.index[(a, b)]]

@@ -23,13 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .core import ROUND_CAP, Configuration, ModelParams, cluster_decompose
+from .core import (
+    MAX_RESIDUAL, ROUND_CAP, Configuration, ModelParams, check_residual, cluster_decompose,
+)
 from .errors import NumericError, ResourceError, ValidationError
 
 MAX_SUBSET_COUNT = 200_000
 _BOUNDS_SLACK = 1e-9
-# Largest accepted max|a m + source| after a level's direct solve.
-_MAX_RESIDUAL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,11 +202,7 @@ def stationary_moments(system: MomentSystem) -> MomentField:
         source = sys_l.b_matrix @ lower_vals
         m = spsolve(sys_l.a_matrix, -source)
         residual = float(np.abs(sys_l.a_matrix @ m + source).max())
-        if not residual <= _MAX_RESIDUAL:  # also rejects NaN from a singular solve
-            raise NumericError(
-                f"level-{sys_l.k} moment solve residual {residual:.3e} "
-                f"exceeds {_MAX_RESIDUAL:.0e}"
-            )
+        check_residual(f"level-{sys_l.k} moment solve", residual, MAX_RESIDUAL)
         field = MomentField(
             k=sys_l.k, time=None, values=m, system=sys_l, lower=field
         )

@@ -19,8 +19,7 @@ def read_config_line(path):
 def test_exact_writes_tables(tmp_path, capsys):
     out = tmp_path / "ex.csv"
     assert run(["exact", "--size", "2", "--deterministic", "--output", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "max |m1(x) - x/(S+1)|" in printed
+    assert "max |m1(x) - x/(S+1)|" in capsys.readouterr().err
     m2 = (tmp_path / "ex_m2.csv").read_text().splitlines()
     assert m2[1] == "x,y,m2"
     x, y, val = m2[2].split(",")
@@ -32,6 +31,10 @@ def test_exact_writes_tables(tmp_path, capsys):
     assert abs(probs["01"] - 1 / 2) < 1e-12
     assert abs(probs["10"] - 1 / 6) < 1e-12
     assert abs(probs["11"] - 1 / 6) < 1e-12
+    assert run(["exact", "--size", "2", "--format", "json", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["command"] == "exact"
+    assert run(["exact", "--size", "2", "--deterministic"]) == 0
+    assert capsys.readouterr().out.startswith("# config: ")
 
 
 def test_exact_size_cap_exit_code(capsys):
@@ -153,12 +156,6 @@ def test_ladder_outputs(tmp_path):
     assert summary["slack"] >= 0
 
 
-def test_ladder_has_no_tol_flag():
-    with pytest.raises(SystemExit) as exc:
-        run(["ladder", "--size", "8", "--start", "2,5", "--tol", "1e-30"])
-    assert exc.value.code == 2
-
-
 def test_odes_stationary_matches_exact(tmp_path):
     out = tmp_path / "od.csv"
     assert run(["odes", "--size", "4", "--deterministic", "--output", str(out)]) == 0
@@ -183,9 +180,18 @@ def test_odes_transient(tmp_path):
     assert all(-1e-9 <= v <= 1 + 1e-9 for v in vals)
 
 
-def test_odes_has_no_tol_flag(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["odes", "--size", "4"],
+        ["ladder", "--size", "8", "--start", "2,5"],
+        ["exact", "--size", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_has_no_tol_flag(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["odes", "--size", "4", "--tol", "1e-9"])
+        run([*argv, "--tol", "1e-9"])
     assert exc.value.code == 2
 
 

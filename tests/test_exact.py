@@ -1,9 +1,13 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from bruteforce import moment_from_distribution, stationary_null_space
 from sepsim.core import ModelParams
-from sepsim.errors import ResourceError, ValidationError
+from sepsim.cli import main
+from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.exact import (
     MAX_EXACT_SIZE,
     build_generator,
@@ -72,7 +76,7 @@ def test_stationary_matches_null_space_oracle(size):
 def test_stationary_rate_invariant():
     slow = stationary_distribution(build_generator(ModelParams(size=4, rate=0.25)))
     fast = stationary_distribution(build_generator(ModelParams(size=4, rate=4.0)))
-    assert np.abs(slow.probabilities - fast.probabilities).max() < 1e-12
+    assert np.array_equal(slow.probabilities, fast.probabilities)
 
 
 def test_exact_moment_boundary_conventions():
@@ -106,9 +110,47 @@ def test_profile_is_increasing():
     assert (np.diff(prof) > 0).all()
 
 
-def test_tol_validation():
-    gen = build_generator(ModelParams(size=2))
-    with pytest.raises(ValidationError):
-        stationary_distribution(gen, tol=0.0)
-    with pytest.raises(ValidationError):
-        stationary_distribution(gen, tol=2.0)
+@pytest.mark.parametrize("size", range(1, 18))
+def test_integer_weights_balance_exactly(size):
+    """(S+1)! pi is an integer vector that the rate-1 generator kills exactly.
+
+    (S+1)! < 2**53 up to S = 17, so float64 carries every weight exactly and
+    the balance check runs in int64, independent of how pi was computed.
+    """
+    total = math.factorial(size + 1)
+    gen = build_generator(ModelParams(size=size))
+    w = np.rint(stationary_distribution(gen).probabilities * total).astype(np.int64)
+    assert int(w.sum()) == total
+    assert not (gen.matrix.astype(np.int64).T @ w).any()
+
+
+def test_size_18_is_fast_and_certified():
+    gen = build_generator(ModelParams(size=18))
+    start = time.perf_counter()
+    pi = stationary_distribution(gen)
+    assert time.perf_counter() - start < 5.0
+    assert pi.residual <= 1e-15
+    assert pi.probabilities.min() > 0.0
+
+
+@pytest.mark.parametrize("corrupt", ["perturbed", "negative", "nan"])
+def test_certificate_rejects_corrupted_weights(monkeypatch, capsys, corrupt):
+    import sepsim.exact
+
+    good = sepsim.exact._matrix_product_weights
+
+    def corrupted(size):
+        w = good(size)
+        if corrupt == "perturbed":
+            w[1] += 1.0
+        elif corrupt == "negative":
+            w[1] = -w[1]
+        else:
+            w[1] = np.nan
+        return w
+
+    monkeypatch.setattr(sepsim.exact, "_matrix_product_weights", corrupted)
+    with pytest.raises(NumericError):
+        stationary_distribution(build_generator(ModelParams(size=4)))
+    assert main(["exact", "--size", "4"]) == 3
+    assert "error:" in capsys.readouterr().err
