@@ -83,6 +83,12 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + k)
 
 
+def site_dtype(top: int) -> type[np.signedinteger]:
+    """Narrowest signed integer dtype that holds every site index -1..top."""
+    widths = (np.int8, np.int16, np.int32, np.int64)
+    return next(t for t in widths if np.iinfo(t).max >= top)
+
+
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error; the error is NaN below two values."""
     n = len(vals)

@@ -25,6 +25,16 @@ estimate_absorption runs each family until it is absorbed;
 transient_dual_moment gives each family a Poisson number of moves. The
 ladder's hybrid pair uses the same kernel with exclusion switched off per
 family.
+
+The kernel works on an (n, k+2) array of the narrowest signed dtype that
+holds -1..S+2: column 0 is a -1 sentinel and column k+1 an S+2 sentinel, so
+the neighbour in the direction of travel is always one flat index away and
+never blocks by accident. One draw u in [0, 2k) per move picks walker u >> 1
+and direction u & 1. A hop is blocked only when the neighbour sits on the
+target and the target is a bulk site, so frozen walkers stop excluding. The
+move is one write of either the old or the new position, with no compaction
+of movers. A walker that dies is written to site 0; the start field is 0
+there, so the transient product needs no separate death flag.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .core import (
     lockstep,
     mean_stderr,
     poisson_quotas,
+    site_dtype,
     validate_point_set,
 )
 from .errors import ValidationError
@@ -54,33 +65,46 @@ def one_particle_success(params: ModelParams, x: int) -> float:
     return x / (params.size + 1)
 
 
+def _walkers(points: PointSet, n_replicas: int, size: int) -> np.ndarray:
+    """Padded walker array: n rows of [-1, *points, S+2] in the narrowest dtype.
+
+    The sentinels at columns 0 and k+1 are never a hop target, so the walker
+    kernel reads a neighbour on either side without a bounds case.
+    """
+    row = np.array([-1, *points, size + 2], dtype=site_dtype(size + 2))
+    return np.tile(row, (n_replicas, 1))
+
+
+def _draw_moves(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """One draw per move: walker u >> 1 steps right if u & 1, else left."""
+    return gen.integers(0, 2 * k, size=n, dtype=np.min_scalar_type(2 * k))
+
+
 def _move_batch(
-    positions: np.ndarray,
+    walkers: np.ndarray,
     rows: np.ndarray,
-    p: np.ndarray,
-    sign: np.ndarray,
+    u: np.ndarray,
     size: int,
     exclusive: np.ndarray | bool = True,
 ) -> np.ndarray:
     """Apply one uniformized move per row in place; returns the new-death mask.
 
-    Walker p[i] of row rows[i] steps by sign[i]. Frozen walkers (at S+1) and,
-    in rows where `exclusive` holds, hops onto an occupied neighbour are
-    no-ops, which keeps the total event rate state-independent.
+    Walker u[i] >> 1 of row rows[i] of a _walkers array steps right if
+    u[i] & 1, else left. Frozen walkers (at S+1) and, in rows where
+    `exclusive` holds, hops onto a walker at a bulk site are no-ops, which
+    keeps the total event rate state-independent. A walker that steps off
+    site 1 dies at site 0.
     """
-    k = positions.shape[1]
-    pos = positions[rows, p]
-    frozen = pos == size + 1
-    tgt = pos + sign
-    die = (~frozen) & (sign < 0) & (pos == 1)
-    left_nb = np.where(p > 0, positions[rows, np.clip(p - 1, 0, k - 1)], -5)
-    right_nb = np.where(p < k - 1, positions[rows, np.clip(p + 1, 0, k - 1)], -5)
-    blocked = exclusive & np.where(
-        sign < 0, left_nb == tgt, (tgt <= size) & (right_nb == tgt)
-    )
-    movers = (~frozen) & (~die) & (~blocked)
-    positions[rows[movers], p[movers]] = tgt[movers]
-    return die
+    width = walkers.shape[1]
+    flat = walkers.reshape(-1)
+    step = (u & 1).astype(walkers.dtype) * 2 - 1
+    i = rows * width + (u >> 1) + 1
+    pos = flat[i]
+    tgt = pos + step
+    blocked = (flat[i + step] == tgt) & (tgt <= size)
+    stay = (pos == size + 1) | (blocked & exclusive)
+    flat[i] = np.where(stay, pos, tgt)
+    return tgt == 0
 
 
 def estimate_absorption(
@@ -100,19 +124,15 @@ def estimate_absorption(
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     k = len(pts)
     gen = rng.generator()
-    positions = np.tile(np.array(pts, dtype=np.int64), (n_replicas, 1))
-    dead = np.zeros(n_replicas, dtype=bool)
+    walkers = _walkers(pts, n_replicas, s)
+    lowest = walkers[:, 1]  # frozen lowest walker: the whole family is frozen
 
     def step(rows: np.ndarray) -> np.ndarray:
-        p = gen.integers(0, k, size=rows.size)
-        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
-        die = _move_batch(positions, rows, p, sign, s)
-        dead[rows[die]] = True
-        return die | (positions[rows, 0] == s + 1)
+        die = _move_batch(walkers, rows, _draw_moves(gen, k, rows.size), s)
+        return die | (lowest[rows] == s + 1)
 
     lockstep(n_replicas, step)
-    success = (~dead) & (positions[:, 0] == s + 1)
-    return mean_stderr(success.astype(np.float64))
+    return mean_stderr((lowest == s + 1).astype(np.float64))
 
 
 def transient_dual_moment(
@@ -125,9 +145,10 @@ def transient_dual_moment(
 ) -> tuple[float, float]:
     """Expected product of the start field over walker positions at time t.
 
-    Dead families contribute 0, frozen walkers contribute the pinned value 1.
-    Matches the forward transient moment of initial_points when the forward
-    chain starts from initial_env.
+    Dead families contribute 0 (a dead walker sits at site 0, where the field
+    is 0), frozen walkers contribute the pinned value 1. Matches the forward
+    transient moment of initial_points when the forward chain starts from
+    initial_env.
     """
     s = params.size
     pts = validate_point_set(initial_points, s, interior_only=True)
@@ -144,18 +165,13 @@ def transient_dual_moment(
     k = len(pts)
     gen = rng.generator()
     quotas = poisson_quotas(gen, 2.0 * params.rate * k * t, n_replicas)
-    positions = np.tile(np.array(pts, dtype=np.int64), (n_replicas, 1))
-    dead = np.zeros(n_replicas, dtype=bool)
+    walkers = _walkers(pts, n_replicas, s)
 
     def step(rows: np.ndarray) -> np.ndarray:
-        p = gen.integers(0, k, size=rows.size)
-        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
-        die = _move_batch(positions, rows, p, sign, s)
-        dead[rows[die]] = True
-        return die
+        return _move_batch(walkers, rows, _draw_moves(gen, k, rows.size), s)
 
     lockstep(n_replicas, step, quotas)
-    return mean_stderr(np.where(dead, 0.0, env[positions].prod(axis=1)))
+    return mean_stderr(env[walkers[:, 1:-1]].prod(axis=1))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import MAX_RESIDUAL, ModelParams, check_residual, validate_point_set
-from .errors import NumericError, ResourceError
+from .errors import NumericError, ResourceError, ValidationError
 
 MAX_EXACT_SIZE = 20
 
@@ -55,6 +55,9 @@ def build_generator(params: ModelParams) -> GeneratorMatrix:
         raise ResourceError(
             f"exact solve limited to size <= {MAX_EXACT_SIZE}, got {s}"
         )
+    if not math.isfinite(params.rate * (s + 1)):
+        # the diagonal sums up to S+1 rates and would overflow to -inf
+        raise ValidationError(f"rate {params.rate} times {s + 1} bonds is not finite")
     dim = 1 << s
     states = np.arange(dim, dtype=np.int64)
     rows: list[np.ndarray] = []

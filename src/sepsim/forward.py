@@ -15,10 +15,11 @@ step.
   costs a handful of big-int operations. Round masks are built in numpy one
   chunk of rounds at a time, so memory stays bounded however long the run.
 * Transient moments run on core.lockstep over an (n, S+2) occupancy array:
-  each replica draws its Poisson quota up front and fires one uniform bond
-  per round until the quota is spent. A firing swaps the bond's two
-  endpoints through flat indices, and the reservoir columns are then
-  re-pinned, so the boundary bonds need no case of their own.
+  each replica draws its Poisson quota up front and fires one uniform bond,
+  drawn in the narrowest unsigned dtype, per round until the quota is
+  spent. A firing swaps the bond's two endpoints through flat indices, and
+  the reservoir columns of the fired rows are then re-pinned, so the
+  boundary bonds need no case of their own.
 
 Only state-changing firings are counted as events. Stationary estimates pool
 replica means and report the between-replica standard error, which stays
@@ -347,9 +348,10 @@ def transient_moment(
     gen = rng.generator()
     quotas = poisson_quotas(gen, params.rate * (s + 1) * t, n_replicas)
     occ = np.tile(initial.as_array(), (n_replicas, 1))
+    bond_dtype = np.min_scalar_type(s + 1)
 
     def step(rows: np.ndarray) -> None:
-        _fire_bonds(occ, rows, gen.integers(0, s + 1, size=rows.size))
+        _fire_bonds(occ, rows, gen.integers(0, s + 1, size=rows.size, dtype=bond_dtype))
 
     lockstep(n_replicas, step, quotas)
     return mean_stderr(occ[:, pts].min(axis=1).astype(np.float64))
@@ -358,15 +360,19 @@ def transient_moment(
 def _fire_bonds(occ: np.ndarray, rows: np.ndarray, bonds: np.ndarray) -> None:
     """Fire bonds[i] in replica rows[i] of an (n, S+2) occupancy array in place.
 
-    Rows must be distinct. Each firing swaps the bond's two endpoints; the
-    reservoir columns are then re-pinned, which turns a firing of bond 0 into
-    emptying site 1 and one of bond S into filling site S.
+    Rows must be ascending. Each firing swaps the bond's two endpoints; the
+    reservoir columns from the first fired row on are then re-pinned, which
+    turns a firing of bond 0 into emptying site 1 and one of bond S into
+    filling site S. The fired rows of a timed lockstep run are a suffix, so
+    no row is pinned that did not fire.
     """
     width = occ.shape[1]
     flat = occ.reshape(-1)
     i = rows * width + bonds
+    j = i + 1
     low = flat[i]
-    flat[i] = flat[i + 1]
-    flat[i + 1] = low
-    occ[:, 0] = 0
-    occ[:, -1] = 1
+    flat[i] = flat[j]
+    flat[j] = low
+    first = rows[0] if rows.size else len(occ)
+    occ[first:, 0] = 0
+    occ[first:, -1] = 1

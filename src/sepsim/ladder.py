@@ -31,8 +31,11 @@ allocated; the cap admits S <= 512.
 
 Two Monte Carlo samplers check the pieces, both on core.lockstep until every
 replica is absorbed: simulate_hybrid_pair moves the pair with the dual
-walker kernel, exclusion on until its k-th meeting episode ends and off
-after, and simulate_aux_walk runs the reflected walk behind gamma_k.
+walker kernel (padded walker rows, one narrow draw per move, death written
+to site 0), exclusion on until its k-th meeting episode ends and off after,
+and simulate_aux_walk runs the reflected walk behind gamma_k on narrow
+positions with one boolean coin per step. The pair's only episode state is
+one counter of distance-1 entries and exits per replica.
 """
 
 from __future__ import annotations
@@ -44,8 +47,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import MAX_RESIDUAL, ModelParams, RngStream, check_residual, lockstep, mean_stderr
-from .dual import _move_batch, pair_absorption_exact
+from .core import (
+    MAX_RESIDUAL,
+    ROUND_CAP,
+    ModelParams,
+    RngStream,
+    check_residual,
+    lockstep,
+    mean_stderr,
+    site_dtype,
+)
+from .dual import _draw_moves, _move_batch, _walkers, pair_absorption_exact
 from .errors import ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
@@ -267,33 +279,21 @@ def simulate_hybrid_pair(
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     gen = rng.generator()
-    positions = np.tile(np.array([x0, y0], dtype=np.int64), (n_replicas, 1))
-    meetings = np.zeros(n_replicas, dtype=np.int64)
-    in_episode = np.zeros(n_replicas, dtype=bool)
-    indep = np.full(n_replicas, k == 0)
-    success = np.zeros(n_replicas, dtype=bool)
+    walkers = _walkers((x0, y0), n_replicas, s)
+    # Distance-1 entries plus exits: odd inside an episode, and 2k once the
+    # k-th episode has ended. It never exceeds the round count.
+    toggles = np.zeros(n_replicas, dtype=np.int32)
 
     def step(rows: np.ndarray) -> np.ndarray:
-        pick = gen.integers(0, 2, size=rows.size)
-        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
-        exclusive = ~indep[rows]
-        die = _move_batch(positions, rows, pick, sign, s, exclusive)
-        won = (positions[rows] == s + 1).all(axis=1)
-        success[rows[won]] = True
-        # Episode bookkeeping of the exclusion phase; rows that just ended
-        # are dropped, so their counters are never read again.
-        er = rows[exclusive]
-        dist = positions[er, 1] - positions[er, 0]
-        entered = er[(~in_episode[er]) & (dist == 1)]
-        meetings[entered] += 1
-        in_episode[entered] = True
-        exited = er[in_episode[er] & (dist == 2)]
-        in_episode[exited] = False
-        indep[exited[meetings[exited] >= k]] = True
-        return die | won
+        c = toggles[rows]
+        die = _move_batch(walkers, rows, _draw_moves(gen, 2, rows.size), s, c < 2 * k)
+        pair = walkers.take(rows, axis=0)
+        lo, hi = pair[:, 1], pair[:, 2]
+        toggles[rows] = c + (hi - lo == (c & 1) + 1)
+        return die | ((lo == s + 1) & (hi == s + 1))
 
     lockstep(n_replicas, step)
-    return mean_stderr(success.astype(np.float64))
+    return mean_stderr((walkers[:, 1:-1] == s + 1).all(axis=1).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,8 @@ def simulate_aux_walk(
     """Empirical tail of the number of returns to 0 before reaching S.
 
     The walk starts at 1, steps symmetrically on [0, S], and leaves 0 to 1 on
-    the step after every return.
+    the step after every return. Its mean round count is S^2 - 1; a size
+    whose mean exceeds ROUND_CAP is refused before anything is drawn.
     """
     if size < 2:
         raise ValidationError(f"size must be >= 2, got {size}")
@@ -324,14 +325,18 @@ def simulate_aux_walk(
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    if size**2 - 1 > ROUND_CAP:
+        raise ResourceError(
+            f"{size**2 - 1} rounds per replica expected, cap is {ROUND_CAP} rounds"
+        )
     gen = rng.generator()
-    pos = np.ones(n_replicas, dtype=np.int64)
+    pos = np.ones(n_replicas, dtype=site_dtype(size))
     visits = np.zeros(n_replicas, dtype=np.int64)
 
     def step(rows: np.ndarray) -> np.ndarray:
-        sign = gen.integers(0, 2, size=rows.size) * 2 - 1
+        up = gen.integers(0, 2, size=rows.size, dtype=bool)
         pv = pos[rows]
-        new = np.where(pv == 0, 1, pv + sign)
+        new = np.where(pv == 0, 1, pv + up.astype(pos.dtype) * 2 - 1)
         visits[rows[new == 0]] += 1
         pos[rows] = new
         return new == size

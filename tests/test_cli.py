@@ -217,6 +217,15 @@ def test_exact_rejects_infinite_rate(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exact_rejects_rate_whose_bond_total_overflows(capsys):
+    # 1e308 is finite, but five bonds of it overflow the generator diagonal;
+    # 3e307 keeps the total finite and still certifies.
+    assert run(["exact", "--size", "4", "--rate", "1e308"]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert run(["exact", "--size", "4", "--rate", "3e307", "--format", "json",
+                "--deterministic"]) == 0
+
+
 def test_duality_check_json(tmp_path):
     out = tmp_path / "dc.json"
     code = run([
@@ -310,6 +319,12 @@ def test_aux_table(tmp_path):
     for k, row in zip((1, 2, 3), rows):
         assert abs(float(row[1]) - 0.9**k) < 1e-12
         assert abs(float(row[2]) - float(row[1])) < 4 * float(row[3])
+
+
+def test_aux_refuses_size_beyond_round_cap(capsys):
+    # The mean round count is S^2 - 1 = 4e8 at S = 20000, far above the cap.
+    assert run(["aux", "--size", "20000", "--replicas", "4"]) == 4
+    assert "rounds per replica expected" in capsys.readouterr().err
 
 
 def test_deterministic_reruns_are_byte_identical(tmp_path):

@@ -13,6 +13,7 @@ from sepsim.core import (
     default_initial_configuration,
     lockstep,
     mean_stderr,
+    site_dtype,
     validate_point_set,
 )
 import sepsim.core
@@ -235,3 +236,12 @@ def test_absorbing_samplers_respect_round_cap(monkeypatch, run):
     monkeypatch.setattr(sepsim.core, "ROUND_CAP", 10)
     with pytest.raises(NumericError):
         run()
+
+
+@pytest.mark.parametrize(
+    "top,dtype",
+    [(1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)],
+)
+def test_site_dtype_is_the_narrowest_that_holds_the_top_site(top, dtype):
+    assert site_dtype(top) is dtype
+    assert np.iinfo(dtype).min <= -1

@@ -9,9 +9,13 @@ from bruteforce import (
     moment_from_distribution,
     simulate_dual,
     stationary_null_space,
+    walker_move,
 )
 from sepsim.core import Configuration, ModelParams
 from sepsim.dual import (
+    _draw_moves,
+    _move_batch,
+    _walkers,
     estimate_absorption,
     one_particle_success,
     pair_absorption_exact,
@@ -214,3 +218,79 @@ def test_transient_dual_long_horizon_reaches_absorption():
     pa = pair_absorption_exact(p)
     # env is all ones, so the product is 1 unless the family died
     assert abs(est - pa.value(1, 3)) < 3.5 * se
+
+
+# Sizes on both sides of the int8 (S+2 <= 127) and int16 (S+2 <= 32767)
+# position limits; walker counts on both sides of 2k = 256, where the move
+# draw widens from uint8 to uint16.
+_KERNEL_SIZES = [1, 2, 3, 4, 7, 124, 125, 126, 32764, 32765, 32766]
+_KERNEL_KS = [1, 2, 3, 4, 5, 6, 127, 128, 129]
+
+
+@st.composite
+def _walker_family(draw, size, k):
+    """Positions of one family and whether its row is exclusive.
+
+    Exclusive rows hold increasing bulk sites followed by walkers frozen at
+    S+1, packed against either end or placed at random so that blocked hops,
+    deaths and freezes all come up. Other rows hold any sites in 1..S+1.
+    """
+    near = st.one_of(
+        st.integers(1, 3), st.integers(size - 1, size + 1), st.integers(1, size + 1)
+    ).map(lambda v: min(max(v, 1), size + 1))
+    if not draw(st.booleans()):
+        return tuple(draw(st.lists(near, min_size=k, max_size=k))), False
+    frozen = draw(st.integers(0, k))
+    live = k - frozen
+    gaps = draw(st.lists(st.integers(0, 2), min_size=live, max_size=live))
+    room = size - live - sum(gaps)
+    if room < 0:
+        gaps, room = [0] * live, size - live
+    start = draw(st.one_of(st.just(0), st.just(room), st.integers(0, room)))
+    pos, site = [], start
+    for g in gaps:
+        site += 1 + g
+        pos.append(site)
+    return tuple(pos) + (size + 1,) * frozen, True
+
+
+@st.composite
+def _kernel_case(draw):
+    size = draw(st.sampled_from(_KERNEL_SIZES))
+    k = draw(st.sampled_from([k for k in _KERNEL_KS if k <= size]))
+    n_rows = draw(st.integers(1, 5))
+    families = [draw(_walker_family(size, k)) for _ in range(n_rows)]
+    fired = [r for r in range(n_rows) if draw(st.booleans())]
+    us = [draw(st.integers(0, 2 * k - 1)) for _ in fired]
+    return size, k, families, fired, us
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_kernel_case())
+def test_walker_kernel_matches_scalar_move(case):
+    size, k, families, fired, us = case
+    walkers = _walkers(tuple(range(1, k + 1)), len(families), size)
+    assert walkers.dtype == (
+        np.int8 if size + 2 <= 127 else np.int16 if size + 2 <= 32767 else np.int32
+    )
+    for r, (pos, _) in enumerate(families):
+        walkers[r, 1:-1] = pos
+    u = np.array(us, dtype=_draw_moves(np.random.default_rng(0), k, 0).dtype)
+    rows = np.array(fired, dtype=np.int64)
+    exclusive = np.array([families[r][1] for r in fired], dtype=bool)
+    died = _move_batch(walkers, rows, u, size, exclusive)
+    want_died = []
+    for r, (pos, excl) in enumerate(families):
+        want = pos
+        if r in fired:
+            want, dead = walker_move(pos, us[fired.index(r)], size, excl)
+            want_died.append(dead)
+        assert tuple(int(v) for v in walkers[r]) == (-1, *want, size + 2)
+    assert died.tolist() == want_died
+
+
+@pytest.mark.parametrize("k,dtype", [(1, np.uint8), (127, np.uint8), (128, np.uint16)])
+def test_move_draw_covers_every_walker_and_direction(k, dtype):
+    u = _draw_moves(np.random.default_rng(5), k, 20_000)
+    assert u.dtype == dtype
+    assert u.min() == 0 and u.max() == 2 * k - 1

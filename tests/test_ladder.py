@@ -258,3 +258,20 @@ def test_aux_walk_validation():
         simulate_aux_walk(1, 2, 10, stream)
     with pytest.raises(ValidationError):
         simulate_aux_walk(5, 0, 10, stream)
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("the walk drew before refusing its size")
+
+
+def test_aux_walk_refuses_mean_round_count_above_cap(monkeypatch):
+    # The walk from 1 needs S^2 - 1 rounds on average: S = 2237 is the first
+    # size above ROUND_CAP, and the refusal comes before any draw.
+    with pytest.raises(ResourceError):
+        simulate_aux_walk(2237, 3, 4, _NoDraws())
+    monkeypatch.setattr("sepsim.ladder.ROUND_CAP", 15)
+    with pytest.raises(ResourceError):
+        simulate_aux_walk(5, 1, 4, _NoDraws())
+    r = simulate_aux_walk(4, 1, 4, ModelParams(size=4, seed=1).stream(0))
+    assert r.n_replicas == 4
