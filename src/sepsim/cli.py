@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Configuration, ModelParams, default_initial_configuration, validate_point_set
-from .dual import (
-    estimate_absorption,
-    one_particle_success,
-    pair_absorption_exact,
-    transient_dual_moment,
-)
+from .dual import estimate_absorption, stationary_moment, transient_dual_moment
 from .errors import SepsimError, ValidationError
 from .exact import (
     build_generator,
@@ -228,11 +223,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
     params = _params(args)
     pts = tuple(args.points)
     est, se = estimate_absorption(params, pts, args.replicas, params.stream(0))
-    exact_val: float | None = None
-    if len(pts) == 1:
-        exact_val = one_particle_success(params, pts[0])
-    elif len(pts) == 2:
-        exact_val = pair_absorption_exact(params).value(pts[0], pts[1])
+    exact_val = stationary_moment(params.size, pts)
     config = {
         "size": params.size,
         "rate": params.rate,
@@ -380,21 +371,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for s in args.grid:
         if s < 2:
             raise ValidationError(f"grid sizes must be >= 2, got {s}")
-        params = ModelParams(size=s, rate=args.rate, seed=args.seed)
         x1 = math.floor(a1 * (s + 1))
         x2 = math.floor(a2 * (s + 1))
         if not 1 <= x1 < x2 <= s:
             raise ValidationError(
                 f"fractions ({a1}, {a2}) give no ordered bulk pair at size {s}"
             )
-        m2 = pair_absorption_exact(params).value(x1, x2)
+        m2 = stationary_moment(s, (x1, x2))
         rows.append((s, x1, x2, m2, target, abs(m2 - target)))
     errors = np.array([r[5] for r in rows])
     sizes = np.array([float(r[0]) for r in rows])
     slope: float | None = None
     if len(rows) >= 2 and np.all(errors > 0):
         slope = float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
-    config = {"alphas": [a1, a2], "grid": args.grid, "rate": args.rate}
+    config = {"alphas": [a1, a2], "grid": args.grid}
     header = ["S", "x1", "x2", "m2", "target", "abs_err"]
     payload = {
         "rows": rows,
@@ -475,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[32, 64, 128, 256, 512],
         metavar="S1,S2,...",
     )
-    p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)

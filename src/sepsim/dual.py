@@ -8,14 +8,22 @@ family is eventually absorbed with every walker frozen (value 1) or dead
 (value 0), so the stationary moment of the starting sites is exactly the
 probability that all walkers freeze.
 
-For k = 2 that probability solves a harmonic system on the triangle
-x < y with the one-walker ruin line x/(S+1) as its boundary data. Its
-solution is the closed form (Spohn, J. Phys. A 16 (1983) 4275)
+That probability has one closed form for every k. The stationary weight of
+a configuration is <W| X_S ... X_1 |V>, X_i = D on an occupied site and E on
+an empty one, with DE - ED = D + E, <W|E = <W| and D|V> = |V> (Derrida,
+Evans, Hakim and Pasquier, J. Phys. A 26 (1993) 1493). The moment of
+x_1 < ... < x_k puts D at those sites and C = D + E elsewhere. As
+D C^n = C^n (D + n), the D of x_j passes the x_j - j factors C to its right
+and becomes the number x_j - j + 1 at |V>; what is left is
+<W| C^(S-k) |V> = (S-k+1)!, against the normalisation (S+1)!, so for
+0 <= x_1 < ... < x_k <= S+1
 
-    m2(x, y) = xy/(S+1)^2 - x(S+1-y)/(S(S+1)^2) = x(y-1)/(S(S+1)),
+    m_k(x_1, ..., x_k) = prod_{j=1..k} (x_j - j + 1) / (S + 2 - j).
 
-which also takes the boundary values m2(0, y) = 0 and m2(x, S+1) = x/(S+1),
-so the pair value costs O(1) at any size.
+A point at 0 gives 0 and a last point at S+1 gives a factor 1, the absorbed
+values. k = 1 is the ruin line x/(S+1); k = 2 is the pair form
+x(y-1)/(S(S+1)) (Spohn, J. Phys. A 16 (1983) 4275). Every value costs O(k)
+at any size.
 
 Both samplers run on core.lockstep with one walker kernel, _move_batch: in
 each round every open family moves one uniformly chosen walker one step left
@@ -58,11 +66,16 @@ from .core import (
 )
 from .errors import ValidationError
 
-def one_particle_success(params: ModelParams, x: int) -> float:
-    """Ruin probability of a single walker: reach S+1 before 0 from x."""
-    if not 0 <= x <= params.size + 1:
-        raise ValidationError(f"position must lie in [0, {params.size + 1}], got {x}")
-    return x / (params.size + 1)
+def stationary_moment(size: int, points: PointSet) -> float:
+    """Exact stationary moment of the point set, reservoir sites 0 and S+1 allowed."""
+    pts = validate_point_set(points, size)
+    if pts[0] == 0:
+        # the empty reservoir; the product would read 0/0 on all of 0..S+1
+        return 0.0
+    # integer numerator and denominator: one correctly rounded division
+    return math.prod(x - j for j, x in enumerate(pts)) / math.prod(
+        size + 1 - j for j in range(len(pts))
+    )
 
 
 def _walkers(points: PointSet, n_replicas: int, size: int) -> np.ndarray:
@@ -181,11 +194,7 @@ class PairAbsorption:
     size: int
 
     def value(self, x: int, y: int) -> float:
-        s = self.size
-        if not (0 <= x < y <= s + 1):
-            raise ValidationError(f"need 0 <= x < y <= {s + 1}, got ({x}, {y})")
-        # integer numerator and denominator: one correctly rounded division
-        return x * (y - 1) / (s * (s + 1))
+        return stationary_moment(self.size, (x, y))
 
     def pairs(self) -> Iterator[tuple[int, int, float]]:
         for x in range(1, self.size):

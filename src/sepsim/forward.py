@@ -296,29 +296,6 @@ def estimate_stationary_moments(
     )
 
 
-def estimate_stationary_moment(
-    params: ModelParams,
-    points: PointSet,
-    schedule: SimSchedule,
-    rng: RngStream,
-    n_workers: int = 1,
-) -> tuple[float, float]:
-    """Stationary moment of one point set, with between-replica stderr."""
-    est = estimate_stationary_moments(params, [tuple(points)], schedule, rng, n_workers)
-    return float(est.estimates[0]), float(est.stderrs[0])
-
-
-def estimate_stationary_profile(
-    params: ModelParams,
-    schedule: SimSchedule,
-    rng: RngStream,
-    n_workers: int = 1,
-) -> StationaryEstimate:
-    """All single-site moments estimated from shared trajectories."""
-    sets = [(x,) for x in range(1, params.size + 1)]
-    return estimate_stationary_moments(params, sets, schedule, rng, n_workers)
-
-
 def transient_moment(
     params: ModelParams,
     initial: Configuration,

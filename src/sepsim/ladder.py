@@ -57,7 +57,7 @@ from .core import (
     mean_stderr,
     site_dtype,
 )
-from .dual import _draw_moves, _move_batch, _walkers, pair_absorption_exact
+from .dual import _draw_moves, _move_batch, _walkers, stationary_moment
 from .errors import ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
@@ -250,7 +250,7 @@ def ladder_tables(
         k_max=eff_k,
         c_start=c_start,
         p=p,
-        p_inf=pair_absorption_exact(params).value(x0, y0),
+        p_inf=stationary_moment(s, (x0, y0)),
     )
 
 

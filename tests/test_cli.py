@@ -133,6 +133,16 @@ def test_dual_exact_column_at_large_size(tmp_path):
     assert exact == pytest.approx(3 * 1499 / (2000 * 2001), rel=1e-15)
 
 
+def test_dual_exact_for_three_points(capsys):
+    code = run([
+        "dual", "--size", "12", "--points", "2,5,9", "--replicas", "10",
+        "--format", "json", "--deterministic",
+    ])
+    assert code == 0
+    exact = json.loads(capsys.readouterr().out)["exact"]
+    assert abs(exact - 2 * 4 * 7 / (13 * 12 * 11)) < 1e-15
+
+
 def test_ladder_size_cap_exit_code(capsys):
     assert run(["ladder", "--size", "513", "--start", "2,5"]) == 4
     assert "error:" in capsys.readouterr().err
@@ -285,6 +295,7 @@ def test_sweep_outputs_and_slope(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "S,x1,x2,m2,target,abs_err"
     assert len(lines) == 5
+    assert "rate" not in read_config_line(out)
     summary = json.loads((tmp_path / "sw_summary.json").read_text())["summary"]
     assert summary["target"] == pytest.approx(0.21)
     assert summary["slope"] < 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,24 +19,54 @@ from sepsim.dual import (
     _move_batch,
     _walkers,
     estimate_absorption,
-    one_particle_success,
     pair_absorption_exact,
+    stationary_moment,
     transient_dual_moment,
 )
 from sepsim.errors import ValidationError
+from sepsim.exact import build_generator, exact_moment, stationary_distribution
+from sepsim.moments import build_moment_system, stationary_moments
 
 
-def test_one_particle_success_is_ruin_probability():
-    p = ModelParams(size=9)
-    assert one_particle_success(p, 1) == 0.1
-    assert one_particle_success(p, 9) == 0.9
+def test_stationary_moment_single_point_is_ruin_probability():
+    assert stationary_moment(9, (1,)) == 0.1
+    assert stationary_moment(9, (9,)) == 0.9
     # boundary positions carry their absorbed values
-    assert one_particle_success(p, 0) == 0.0
-    assert one_particle_success(p, 10) == 1.0
+    assert stationary_moment(9, (0,)) == 0.0
+    assert stationary_moment(9, (10,)) == 1.0
     with pytest.raises(ValidationError):
-        one_particle_success(p, 11)
+        stationary_moment(9, (11,))
     with pytest.raises(ValidationError):
-        one_particle_success(p, -1)
+        stationary_moment(9, (-1,))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10))
+def test_stationary_moment_matches_exact_vector_on_every_subset(size):
+    # Every nonempty subset of 0..S+1, so sets that start at the empty
+    # reservoir or end at the full one are covered too.
+    pi = stationary_distribution(build_generator(ModelParams(size=size)))
+    sites = range(size + 2)
+    for k in range(1, size + 3):
+        for pts in itertools.combinations(sites, k):
+            assert abs(stationary_moment(size, pts) - exact_moment(pi, pts)) < 1e-14
+
+
+@st.composite
+def _size_and_level(draw):
+    size = draw(st.integers(1, 40))
+    return size, draw(st.integers(1, min(3, size)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_size_and_level())
+def test_stationary_moment_matches_hierarchy(case):
+    size, k = case
+    field = stationary_moments(build_moment_system(ModelParams(size=size), k))
+    while field is not None:
+        want = np.array([stationary_moment(size, pts) for pts in field.system.subsets])
+        assert np.abs(field.values - want).max() < 1e-13
+        field = field.lower
 
 
 def test_simulate_dual_terminates_and_classifies():
@@ -87,13 +119,19 @@ def test_estimate_absorption_single_particle():
 
 def test_estimate_absorption_matches_stationary_moment():
     """Duality: the freeze-all probability equals the stationary moment."""
-    from sepsim.exact import build_generator, exact_moment, stationary_distribution
-
     p = ModelParams(size=5, seed=7)
     pi = stationary_distribution(build_generator(p))
     want = exact_moment(pi, (2, 3, 5))
     est, se = estimate_absorption(p, (2, 3, 5), 80_000, p.stream(0))
     assert abs(est - want) < 3.5 * se
+
+
+@pytest.mark.parametrize("points", [(10, 20, 30), (8, 16, 24, 32)])
+def test_estimate_absorption_beyond_exact_solver(points):
+    # S = 40 is far past the 2^S generator; only the closed form reaches it.
+    p = ModelParams(size=40, seed=11)
+    est, se = estimate_absorption(p, points, 20_000, p.stream(0))
+    assert abs(est - stationary_moment(40, points)) < 4 * se
 
 
 def test_pair_absorption_boundary_rows():

@@ -26,9 +26,7 @@ from sepsim.forward import (
     _pack,
     _unpack,
     default_schedule,
-    estimate_stationary_moment,
     estimate_stationary_moments,
-    estimate_stationary_profile,
     transient_moment,
 )
 
@@ -164,24 +162,24 @@ def test_stationary_estimate_matches_exact():
     p = ModelParams(size=3, seed=1)
     pi = stationary_distribution(build_generator(p))
     sched = default_schedule(p, n_replicas=24, n_samples=150)
-    est, se = estimate_stationary_moment(p, (2,), sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(2,)], sched, p.stream(0))
     want = exact_moment(pi, (2,))
-    assert abs(est - want) < max(0.02, 3.5 * se)
+    assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
 
 
 def test_stationary_pair_estimate_matches_exact():
     p = ModelParams(size=4, seed=8)
     pi = stationary_distribution(build_generator(p))
     sched = default_schedule(p, n_replicas=24, n_samples=150)
-    est, se = estimate_stationary_moment(p, (1, 3), sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(1, 3)], sched, p.stream(0))
     want = exact_moment(pi, (1, 3))
-    assert abs(est - want) < max(0.02, 3.5 * se)
+    assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
 
 
 def test_profile_shares_trajectories():
     p = ModelParams(size=4, seed=3)
     sched = default_schedule(p, n_replicas=6, n_samples=40)
-    prof = estimate_stationary_profile(p, sched, p.stream(0))
+    prof = estimate_stationary_moments(p, [(x,) for x in range(1, 5)], sched, p.stream(0))
     single = estimate_stationary_moments(p, [(2,)], sched, p.stream(0))
     # same stream, same replica count: site 2 must agree exactly
     assert prof.estimates[1] == single.estimates[0]
@@ -216,7 +214,7 @@ def test_stationary_single_site_matches_exact():
 def test_single_replica_has_nan_stderr():
     p = ModelParams(size=5, seed=4)
     sched = default_schedule(p, n_replicas=1, n_samples=50)
-    est = estimate_stationary_profile(p, sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], sched, p.stream(0))
     assert np.all((est.estimates >= 0) & (est.estimates <= 1))
     assert np.isnan(est.stderrs).all()
     assert 0 < est.total_events <= est.rounds
@@ -225,7 +223,7 @@ def test_single_replica_has_nan_stderr():
 def test_zero_burn_in_samples_the_start():
     p = ModelParams(size=5, seed=1)
     sched = SimSchedule(burn_in=0.0, n_samples=1, sample_interval=1.0, n_replicas=3)
-    est = estimate_stationary_profile(p, sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], sched, p.stream(0))
     assert est.estimates.tolist() == [1, 1, 1, 0, 0]
     assert est.total_events == 0 and est.rounds == 0
 
@@ -249,7 +247,7 @@ def test_estimate_validates_points():
     p = ModelParams(size=4, seed=1)
     sched = default_schedule(p, n_replicas=2, n_samples=5)
     with pytest.raises(ValidationError):
-        estimate_stationary_moment(p, (0, 2), sched, p.stream(0))
+        estimate_stationary_moments(p, [(0, 2)], sched, p.stream(0))
     with pytest.raises(ValidationError):
         estimate_stationary_moments(p, [], sched, p.stream(0))
 
