@@ -239,6 +239,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 def cmd_ladder(args: argparse.Namespace) -> int:
     params = _params(args)
+    if len(args.start) != 2:
+        raise ValidationError(f"--start takes two sites X,Y, got {len(args.start)}")
     x0, y0 = args.start
     table = ladder_tables(params, x0, y0, k_max=args.kmax)
     config = {

@@ -22,12 +22,16 @@ meetings. The pieces:
   bounds C[k] and gives the geometric tail estimate and the closing bound
   P[0] - P[inf] <= 1/(2(S+1)) - 1/(S+1)^2.
 
-The kernel is found by solving one linear first-passage system for all start
-states at once (shared sparse LU factorization, one right-hand side per
-meeting position), so ladder construction needs a single factorization. The
-right-hand sides and the solution are dense, n_states x (S+1) each, so sizes
-whose table would exceed MAX_KERNEL_ENTRIES are refused before any of it is
-allocated; the cap admits S <= 512.
+All of it comes from one sparse first-passage system A m = R over the
+n_states = S(S-1)/2 transient pair states, R holding one column per meeting
+position plus one for death. It is factored once per size (minimum-degree
+ordering on A + A^T) and the masses are never tabulated: a ladder rung
+needs only the S restart and start rows of A^-1 R applied to one vector, so
+it costs one solve, and one kernel row costs one transposed solve. Ladders
+deeper than S-2 rungs tabulate those S rows instead, with S-1 solves in
+column blocks and two more that refine the leading mode. No route takes more
+than S+1 solves. MAX_KERNEL_ENTRIES caps n_states x (S+1), the system size
+times the solve count, and admits S <= 512.
 
 Two Monte Carlo samplers check the pieces, both on core.lockstep until every
 replica is absorbed: simulate_hybrid_pair moves the pair with the dual
@@ -61,8 +65,10 @@ from .dual import _draw_moves, _move_batch, _walkers, stationary_moment
 from .errors import ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
-# 2**26 float64 entries is 512 MiB per dense table.
+# Caps n_states x (S+1): the system has n_states = S(S-1)/2 unknowns and a
+# ladder takes at most S+1 solves of it. 2**26 admits S <= 512.
 MAX_KERNEL_ENTRIES = 2**26
+_SOLVE_BLOCK = 64  # right-hand sides per solve when tabulating restart masses
 
 
 def p0_independent(params: ModelParams, x: int, y: int) -> float:
@@ -93,62 +99,61 @@ class MeetingKernel:
 
 
 class _KernelTable:
-    """First-meeting masses for every transient pair state of one size."""
+    """Sparse LU factor of the first-meeting system for one size.
+
+    The unknowns are the transient pair states; column n-1 of the right-hand
+    side matrix collects the one-step mass into a meeting at n (n = 1..S) and
+    column S the mass into the lower walker's death. Masses are never
+    tabulated: callers solve for the combinations they need.
+    """
 
     def __init__(self, size: int) -> None:
-        self.size = size
-        s = size
+        self.size = s = size
         n_states = s * (s - 1) // 2  # gap >= 2 pairs plus (a, S+1) states
         if n_states * (s + 1) > MAX_KERNEL_ENTRIES:
             raise ResourceError(
-                f"meeting-kernel table needs {n_states * (s + 1)} entries at size "
-                f"{s}, cap is {MAX_KERNEL_ENTRIES}"
+                f"meeting-kernel system needs {n_states} states x {s + 1} solves "
+                f"at size {s}, cap is {MAX_KERNEL_ENTRIES}"
             )
-        index: dict[tuple[int, int], int] = {}
-        for a in range(1, s - 1):
-            for b in range(a + 2, s + 1):
-                index[(a, b)] = len(index)
-        for a in range(1, s):
-            index[(a, s + 1)] = len(index)
-        self.index = index
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.zeros((n_states, s + 1))  # cols 0..s-1: meet at n=col+1; col s: no meet
-        for (a, b), i in index.items():
-            if b <= s:
-                w = 0.25
-                if a == 1:
-                    rhs[i, s] += w
-                else:
-                    rows.append(i), cols.append(index[(a - 1, b)]), vals.append(w)
-                if b - a == 2:
-                    rhs[i, a] += w  # lower hops up, meet at n = a+1
-                    rhs[i, a - 1] += w  # upper hops down, meet at n = a
-                else:
-                    rows.append(i), cols.append(index[(a + 1, b)]), vals.append(w)
-                    rows.append(i), cols.append(index[(a, b - 1)]), vals.append(w)
-                rows.append(i), cols.append(index[(a, b + 1)]), vals.append(w)
-            else:
-                w = 0.5
-                if a == 1:
-                    rhs[i, s] += w
-                else:
-                    rows.append(i), cols.append(index[(a - 1, s + 1)]), vals.append(w)
-                if a + 1 == s:
-                    rhs[i, s - 1] += w  # meet at (S, S+1), recorded as n = S
-                else:
-                    rows.append(i), cols.append(index[(a + 1, s + 1)]), vals.append(w)
-        system = sp.eye(n_states, format="coo") - sp.coo_matrix(
-            (vals, (rows, cols)), shape=(n_states, n_states)
+        a, b = np.triu_indices(s + 2, k=2)
+        a, b = a[a >= 1].astype(np.int16), b[a >= 1].astype(np.int16)
+        self.index = np.full((s + 2, s + 2), -1, dtype=np.int32)
+        self.index[a, b] = np.arange(n_states)
+        # Moves (a-1, b), (a+1, b) for every state, then (a, b-1), (a, b+1)
+        # while the upper walker is in the bulk; it is frozen at S+1.
+        bulk = np.flatnonzero(b <= s).astype(np.int32)
+        src = np.concatenate([np.arange(n_states, dtype=np.int32)] * 2 + [bulk] * 2)
+        to_a = np.concatenate([a - 1, a + 1, a[bulk], a[bulk]])
+        to_b = np.concatenate([b, b, b[bulk] - 1, b[bulk] + 1])
+        w = np.where(b <= s, 0.25, 0.5)[src]
+        hit = (to_a == 0) | (to_b - to_a == 1)  # death, or a meeting at (n, n+1)
+        col = np.where(to_a == 0, s, to_a - 1)
+        self.rhs = sp.csr_matrix((w[hit], (src[hit], col[hit])), shape=(n_states, s + 1))
+        step = ~hit
+        src, dst, w = src[step], self.index[to_a[step], to_b[step]], w[step]
+        del to_a, to_b, col, hit, step  # keeps the traced build peak low
+        diag = np.arange(n_states, dtype=np.int32)
+        self.system = sp.csc_matrix(
+            (
+                np.concatenate([np.ones(n_states), -w]),
+                (np.concatenate([diag, src]), np.concatenate([diag, dst])),
+            ),
+            shape=(n_states, n_states),
         )
-        lu = splu(system.tocsc())
-        self.masses = lu.solve(rhs)
-        residual = float(np.abs(system.tocsr() @ self.masses - rhs).max())
+        self.lu = splu(self.system, permc_spec="MMD_AT_PLUS_A")
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """One checked solve of the system (trans="T": its transpose)."""
+        x = self.lu.solve(rhs, trans=trans)
+        matrix = self.system if trans == "N" else self.system.T
+        residual = float(np.abs(matrix @ x - rhs).max())
         check_residual("meeting-kernel solve", residual, MAX_RESIDUAL)
+        return x
 
     def kernel(self, a: int, b: int) -> MeetingKernel:
-        row = self.masses[self.index[(a, b)]]
+        unit = np.zeros(self.system.shape[0])
+        unit[self.index[a, b]] = 1.0
+        row = self.rhs.T @ self.solve(unit, trans="T")
         mass = np.zeros(self.size + 1)
         mass[1:] = row[: self.size]
         return MeetingKernel(start=(a, b), mass=mass, no_meet_mass=float(row[self.size]))
@@ -199,6 +204,31 @@ class LadderTable:
         return gamma_closed_form(s, self.k_max + 1) * s / (2 * (s + 1) ** 2)
 
 
+def _pair_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the restart points (n-1, n+1) and (n, n+2) of a meeting at n."""
+    return v + np.concatenate(([0.0], v[:-1]))
+
+
+def _leading_correction(
+    table: _KernelTable, masses: np.ndarray, r_int: sp.csr_matrix, rows: np.ndarray
+) -> np.ndarray:
+    """Rank-one update that refines the restart masses along the leading mode.
+
+    Deep rungs scale like lambda^k, so a relative error e in the leading
+    eigenvalue of the restart recurrence grows to k*e in c_start[k]. LU
+    rounding leaves e at a few 1e-16, about 3e-12 by rung 7060 at S=256. One
+    solve along the leading restart vector, refined once on its residual,
+    removes most of it for two more solves.
+    """
+    pair = np.eye(masses.shape[1]) + np.eye(masses.shape[1], k=-1)
+    w, vecs = np.linalg.eig(masses[:-1] @ pair)
+    u = pair @ np.real(vecs[:, np.argmax(np.abs(w))])
+    b = r_int @ u
+    y = table.solve(b)
+    y += table.solve(b - table.system @ y)
+    return np.outer(y[rows] - masses @ u, u) / (u @ u)
+
+
 def ladder_tables(
     params: ModelParams,
     x0: int,
@@ -220,24 +250,39 @@ def ladder_tables(
         )
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    table = _kernel_table(s)
-    user = table.masses[table.index[(x0, y0)]]
-    gap2_rows = [table.index[(m, m + 2)] for m in range(1, s)]
-    interior = table.masses[gap2_rows][:, : s - 1]  # mass at n = 1..S-1 per start
-    user_int = user[: s - 1]
-
     eff_k = k_max
     for k in range(1, k_max + 1):
         if gamma_closed_form(s, k) < _EARLY_STOP_GAMMA:
             eff_k = k
             break
+    # The rows of A^-1 R_int the ladder reads: the restart points (m, m+2)
+    # for m = 1..S-1, then the user's start.
+    table = _kernel_table(s)
+    rows = np.append(table.index[np.arange(1, s), np.arange(3, s + 2)], table.index[x0, y0])
+    r_int = table.rhs[:, : s - 1]
+    if eff_k < s - 1:  # one solve per rung
+
+        def restart(combo: np.ndarray) -> np.ndarray:
+            return table.solve(r_int @ combo)[rows]
+
+    else:  # S-1 solves, in column blocks, tabulate the S rows once
+        masses = np.hstack(
+            [
+                table.solve(r_int[:, j : j + _SOLVE_BLOCK].toarray())[rows]
+                for j in range(0, s - 1, _SOLVE_BLOCK)
+            ]
+        )
+        masses += _leading_correction(table, masses, r_int, rows)
+
+        def restart(combo: np.ndarray) -> np.ndarray:
+            return masses @ combo
+
     c_start = np.full(eff_k + 1, np.nan)
-    cvec = interior.sum(axis=1)
-    c_start[1] = user_int.sum()
+    z = restart(np.ones(s - 1))
+    cvec, c_start[1] = z[:-1], z[-1]
     for k in range(2, eff_k + 1):
-        combo = cvec + np.concatenate(([0.0], cvec[:-1]))
-        cvec = 0.5 * (interior @ combo)
-        c_start[k] = 0.5 * float(user_int @ combo)
+        z = 0.5 * restart(_pair_sum(cvec))
+        cvec, c_start[k] = z[:-1], z[-1]
     p = np.zeros(eff_k + 1)
     p[0] = p0_independent(params, x0, y0)
     cost = 1.0 / (2 * (s + 1) ** 2)

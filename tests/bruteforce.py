@@ -157,6 +157,52 @@ def mc_repeat_meetings(size, x, y, k, rng, n_replicas):
     return hits / n_replicas
 
 
+def dense_meeting_table(size):
+    """First-meeting masses from every transient pair state, by one dense solve.
+
+    States are (a, b) with 1 <= a and b - a >= 2: both walkers in the bulk,
+    or the upper one frozen at size+1. Returns (index, masses) where row
+    index[(a, b)] of masses holds the mass of a first meeting at (n, n+1) in
+    column n-1 for n = 1..size, and the death mass of the lower walker in
+    column size.
+    """
+    assert 3 <= size <= 14, "dense oracle is for small sizes"
+    states = [(a, b) for a in range(1, size) for b in range(a + 2, size + 2)]
+    index = {state: i for i, state in enumerate(states)}
+    system = np.eye(len(states))
+    rhs = np.zeros((len(states), size + 1))
+    for (a, b), i in index.items():
+        moves = [(a - 1, b), (a + 1, b)]
+        if b <= size:
+            moves += [(a, b - 1), (a, b + 1)]
+        for na, nb in moves:
+            w = 1 / len(moves)
+            if na == 0:
+                rhs[i, size] += w
+            elif nb - na == 1:
+                rhs[i, na - 1] += w
+            else:
+                system[i, index[(na, nb)]] -= w
+    return index, np.linalg.solve(system, rhs)
+
+
+def dense_ladder(size, x0, y0, k_max):
+    """Meeting factors c[1..k_max] and ladder p[0..k_max] from the dense table."""
+    index, masses = dense_meeting_table(size)
+    user = masses[index[(x0, y0)], : size - 1]
+    interior = masses[[index[(m, m + 2)] for m in range(1, size)], : size - 1]
+    c = np.full(k_max + 1, np.nan)
+    cvec = interior.sum(axis=1)
+    c[1] = user.sum()
+    for k in range(2, k_max + 1):
+        combo = cvec + np.concatenate(([0.0], cvec[:-1]))
+        cvec = 0.5 * (interior @ combo)
+        c[k] = 0.5 * (user @ combo)
+    p = np.full(k_max + 1, x0 * y0 / (size + 1) ** 2)
+    p[1:] -= np.cumsum(c[1:]) / (2 * (size + 1) ** 2)
+    return c, p
+
+
 def apply_swap(config, bond):
     """Fire one bond of a Configuration and return the resulting one.
 

@@ -148,6 +148,14 @@ def test_ladder_size_cap_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["4", "2,5,7"])
+def test_ladder_start_needs_two_sites(start, capsys):
+    assert run(["ladder", "--size", "8", "--start", start]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --start takes two sites")
+    assert err.count("\n") == 1
+
+
 def test_ladder_outputs(tmp_path):
     out = tmp_path / "lad.csv"
     code = run([

@@ -2,8 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from bruteforce import mc_first_meeting, mc_repeat_meetings
+import sepsim.ladder
+from bruteforce import dense_ladder, dense_meeting_table, mc_first_meeting, mc_repeat_meetings
 from sepsim.core import ModelParams
 from sepsim.dual import estimate_absorption
 from sepsim.errors import NumericError, ResourceError, ValidationError
@@ -173,19 +177,94 @@ def test_kernel_table_size_cap():
 
 
 def test_kernel_residual_check(monkeypatch):
-    import sepsim.ladder
-
     class ZeroSolve:
-        def __init__(self, matrix):
+        def __init__(self, matrix, **options):
             pass
 
-        def solve(self, rhs):
+        def solve(self, rhs, trans="N"):
             return np.zeros_like(rhs)
 
     monkeypatch.setattr(sepsim.ladder, "splu", ZeroSolve)
     sepsim.ladder._kernel_table.cache_clear()
-    with pytest.raises(NumericError):
-        ladder_tables(ModelParams(size=6), 2, 5)
+    try:
+        for k_max in (3, 40):  # one solve per rung; tabulated restart rows
+            with pytest.raises(NumericError):
+                ladder_tables(ModelParams(size=6), 2, 5, k_max=k_max)
+        with pytest.raises(NumericError):
+            first_meeting_kernel(ModelParams(size=6), 2, 5)
+    finally:
+        sepsim.ladder._kernel_table.cache_clear()
+
+
+def test_solve_count_is_at_most_s_plus_1(monkeypatch):
+    solves = []
+
+    class CountingSolve:
+        def __init__(self, matrix, **options):
+            self.lu = splu(matrix, **options)
+
+        def solve(self, rhs, trans="N"):
+            solves.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return self.lu.solve(rhs, trans=trans)
+
+    monkeypatch.setattr(sepsim.ladder, "splu", CountingSolve)
+    sepsim.ladder._kernel_table.cache_clear()
+    size = 12
+    try:
+        for k_max, expected in ((5, 5), (size - 2, size - 2), (size - 1, size + 1), (40, size + 1)):
+            solves.clear()
+            ladder_tables(ModelParams(size=size), 3, 8, k_max=k_max)
+            assert sum(solves) == expected
+        solves.clear()
+        first_meeting_kernel(ModelParams(size=size), 3, 8)
+        assert solves == [1]
+    finally:
+        sepsim.ladder._kernel_table.cache_clear()
+
+
+def test_ladder_allocates_no_dense_table():
+    # tracemalloc sees numpy's buffers, not SuperLU's own allocations, so the
+    # factor is not counted. Everything else the ladder builds from a cold
+    # cache must stay far below one n_states x (S+1) float64 table.
+    size = 128
+    n_states = size * (size - 1) // 2
+    sepsim.ladder._kernel_table.cache_clear()
+    tracemalloc.start()
+    try:
+        ladder_tables(ModelParams(size=size), 32, 96, k_max=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_states * (size + 1) * 8 / 4
+
+
+@st.composite
+def _ladder_case(draw):
+    size = draw(st.integers(3, 14))
+    x = draw(st.integers(1, size - 2))
+    y = draw(st.integers(x + 2, size))
+    if size > 3 and draw(st.booleans()):
+        k_max = draw(st.integers(1, size - 2))  # one solve per rung
+    else:
+        k_max = draw(st.integers(size - 1, 3 * size))  # tabulated restart rows
+    return size, x, y, k_max
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_ladder_case())
+def test_ladder_and_kernel_match_dense_oracle(case):
+    size, x, y, k_max = case
+    params = ModelParams(size=size)
+    t = ladder_tables(params, x, y, k_max=k_max)
+    assert t.k_max == k_max  # no early stop below 3S rungs at S <= 14
+    c, p = dense_ladder(size, x, y, k_max)
+    assert np.allclose(t.c_start[1:], c[1:], rtol=1e-12, atol=0)
+    assert np.allclose(t.p, p, rtol=1e-12, atol=0)
+    index, masses = dense_meeting_table(size)
+    k = first_meeting_kernel(params, x, y)
+    row = masses[index[(x, y)]]
+    assert np.allclose(k.mass[1:], row[:size], rtol=0, atol=1e-12)
+    assert abs(k.no_meet_mass - row[size]) <= 1e-12
 
 
 def test_final_bound_holds_on_grid():
