@@ -27,12 +27,7 @@ import numpy as np
 from .core import Configuration, ModelParams, default_initial_configuration, validate_point_set
 from .dual import estimate_absorption, stationary_moment, transient_dual_moment
 from .errors import SepsimError, ValidationError
-from .exact import (
-    build_generator,
-    occupation_profile,
-    pair_moments,
-    stationary_distribution,
-)
+from .exact import occupation_profile, pair_moments, stationary_distribution
 from .forward import (
     default_schedule,
     estimate_stationary_moments,
@@ -125,7 +120,6 @@ def _params(args: argparse.Namespace) -> ModelParams:
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--size", type=int, required=True, help="number of bulk sites S")
-    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--seed", type=int, default=1, help="base RNG seed")
 
 
@@ -141,10 +135,9 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json")) -> No
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    params = _params(args)
-    pi = stationary_distribution(build_generator(params))
+    pi = stationary_distribution(args.size)
     profile = occupation_profile(pi)
-    s = params.size
+    s = args.size
     linear = np.arange(1, s + 1) / (s + 1)
     max_dev = float(np.abs(profile - linear).max())
     print(f"max |m1(x) - x/(S+1)| = {max_dev:.3e}", file=sys.stderr)
@@ -166,7 +159,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         ("m2", ["x", "y", "m2"], m2_rows),
         ("pi", ["state", "probability"], pi_rows),
     ]
-    _emit(args, {"size": s, "rate": params.rate}, payload, tables)
+    _emit(args, {"size": s}, payload, tables)
     return 0
 
 
@@ -238,17 +231,12 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
-    params = _params(args)
+    params = ModelParams(size=args.size)
     if len(args.start) != 2:
         raise ValidationError(f"--start takes two sites X,Y, got {len(args.start)}")
     x0, y0 = args.start
     table = ladder_tables(params, x0, y0, k_max=args.kmax)
-    config = {
-        "size": params.size,
-        "rate": params.rate,
-        "start": [x0, y0],
-        "kmax": args.kmax,
-    }
+    config = {"size": params.size, "start": [x0, y0], "kmax": args.kmax}
     rows = [
         (
             k,
@@ -411,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="stationary moments by forward Monte Carlo")
     _add_model_flags(p)
+    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--replicas", type=_count, default=32)
     p.add_argument("--samples", type=_count, default=200)
     p.add_argument("--burn-in", type=float, default=None, help="burn-in model time")
@@ -422,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="absorption probability of the dual walk")
     _add_model_flags(p)
+    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--points", type=_int_list, required=True)
     p.add_argument("--replicas", type=_count, default=100_000)
     _add_output_flags(p)
@@ -436,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odes", help="moment hierarchy: stationary solve or integration")
     _add_model_flags(p)
+    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--time", type=float, default=None, help="integrate to this time")
     _add_output_flags(p)
     p.set_defaults(func=cmd_odes)
@@ -444,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "duality-check", help="forward and dual transient estimates of one moment"
     )
     _add_model_flags(p)
+    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--points", type=_int_list, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--replicas", type=_count, default=1_000_000)

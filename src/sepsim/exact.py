@@ -6,11 +6,14 @@ product <W| X_S ... X_1 |V>, X_i = D where site i is occupied and E where it
 is empty, with DE - ED = D + E, <W|E = <W| and D|V> = |V> (Derrida, Evans,
 Hakim and Pasquier, J. Phys. A 26 (1993) 1493). One pass over the sites gives
 every weight, with no iteration. The normalised vector is then certified
-against the generator: it must sum to 1, be positive and have
-|Q^T pi| <= MAX_RESIDUAL * rate. The chain is irreducible, so a vector that
-passes is its stationary law whatever the algebra says. Occupation moments
-(the probability that a given set of sites is simultaneously occupied) are
-plain masked sums over the state space.
+against the balance equations, with every bond clock ringing once per unit
+time: it must sum to 1, be positive and have |Q^T pi| <= MAX_RESIDUAL.
+Q^T pi is summed bond by bond on reshaped views of pi, so no generator
+matrix is built. A common bond speed only scales Q, so the law does not
+depend on it. The chain is irreducible, so a vector that passes is its
+stationary law whatever the algebra says. Occupation moments (the
+probability that a given set of sites is simultaneously occupied) are plain
+masked sums over the state space.
 
 Memory grows as 2^S so the module enforces a size cap; this path is meant for
 desk-scale verification, not production sizes.
@@ -23,21 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import MAX_RESIDUAL, ModelParams, check_residual, validate_point_set
+from .core import MAX_RESIDUAL, check_residual, validate_point_set
 from .errors import NumericError, ResourceError, ValidationError
 
 MAX_EXACT_SIZE = 20
-
-
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Sparse generator: off-diagonal jump rates, diagonal minus row sums."""
-
-    size: int
-    rate: float
-    matrix: sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -47,45 +40,6 @@ class StationaryVector:
     size: int
     probabilities: np.ndarray
     residual: float
-
-
-def build_generator(params: ModelParams) -> GeneratorMatrix:
-    s = params.size
-    if s > MAX_EXACT_SIZE:
-        raise ResourceError(
-            f"exact solve limited to size <= {MAX_EXACT_SIZE}, got {s}"
-        )
-    if not math.isfinite(params.rate * (s + 1)):
-        # the diagonal sums up to S+1 rates and would overflow to -inf
-        raise ValidationError(f"rate {params.rate} times {s + 1} bonds is not finite")
-    dim = 1 << s
-    states = np.arange(dim, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for bond in range(s + 1):
-        if bond == 0:
-            # empties site 1: enabled where bit 0 is set
-            mask = (states & 1) == 1
-            targets = states[mask] & ~np.int64(1)
-        elif bond == s:
-            # fills site S: enabled where the top bulk bit is clear
-            top = np.int64(1 << (s - 1))
-            mask = (states & top) == 0
-            targets = states[mask] | top
-        else:
-            lo = np.int64(1 << (bond - 1))
-            hi = np.int64(1 << bond)
-            mask = ((states & lo) != 0) != ((states & hi) != 0)
-            targets = states[mask] ^ (lo | hi)
-        rows.append(states[mask])
-        cols.append(targets)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    data = np.full(r.shape, params.rate)
-    q = sp.coo_matrix((data, (r, c)), shape=(dim, dim)).tocsr()
-    out_rates = np.asarray(q.sum(axis=1)).ravel()
-    q = q + sp.diags(-out_rates, format="csr")
-    return GeneratorMatrix(size=s, rate=params.rate, matrix=q)
 
 
 def _matrix_product_weights(size: int) -> np.ndarray:
@@ -109,16 +63,45 @@ def _matrix_product_weights(size: int) -> np.ndarray:
     return table.sum(axis=1)
 
 
-def stationary_distribution(gen: GeneratorMatrix) -> StationaryVector:
-    """Matrix-product stationary vector, certified against the generator."""
-    weights = _matrix_product_weights(gen.size)
+def _balance(v: np.ndarray, size: int) -> np.ndarray:
+    """Q^T v with every bond clock ringing once per unit time, one pass per bond.
+
+    Each bond moves mass from the states where it is enabled to their images:
+    bond 0 clears bit 0, bond S sets the top bit, an interior bond b swaps
+    bits b-1 and b where they differ.
+    """
+    r = np.zeros_like(v)
+    out = v.reshape(-1, 2)[:, 1]  # bond 0 empties site 1
+    r.reshape(-1, 2)[:, 0] += out
+    r.reshape(-1, 2)[:, 1] -= out
+    into = v.reshape(2, -1)[0]  # bond S fills site S
+    r.reshape(2, -1)[1] += into
+    r.reshape(2, -1)[0] -= into
+    for b in range(1, size):  # axis 1 is bit b, axis 2 is bit b-1
+        shape = (-1, 2, 2, 1 << (b - 1))
+        vb, rb = v.reshape(shape), r.reshape(shape)
+        d = vb[:, 1, 0] - vb[:, 0, 1]
+        rb[:, 0, 1] += d
+        rb[:, 1, 0] -= d
+    return r
+
+
+def stationary_distribution(size: int) -> StationaryVector:
+    """Matrix-product stationary vector, certified by the balance equations."""
+    if size < 1:
+        raise ValidationError(f"size must be >= 1, got {size}")
+    if size > MAX_EXACT_SIZE:
+        raise ResourceError(
+            f"exact solve limited to size <= {MAX_EXACT_SIZE}, got {size}"
+        )
+    weights = _matrix_product_weights(size)
     pi = weights / weights.sum()
     check_residual("exact stationary mass", abs(float(pi.sum()) - 1.0), MAX_RESIDUAL)
     if not pi.min() > 0.0:
         raise NumericError(f"exact stationary vector has minimum {pi.min():.3e}")
-    residual = float(np.abs(gen.matrix.T @ pi).max())
-    check_residual("exact stationary balance", residual, MAX_RESIDUAL * gen.rate)
-    return StationaryVector(size=gen.size, probabilities=pi, residual=residual)
+    residual = float(np.abs(_balance(pi, size)).max())
+    check_residual("exact stationary balance", residual, MAX_RESIDUAL)
+    return StationaryVector(size=size, probabilities=pi, residual=residual)
 
 
 def exact_moment(pi: StationaryVector, points: Iterable[int]) -> float:

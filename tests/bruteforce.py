@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm, null_space
 
 from sepsim.core import Configuration, validate_point_set
@@ -61,6 +62,35 @@ def dense_generator(size, rate=1.0):
                 q[i, j] += rate
                 q[i, i] -= rate
     return q
+
+
+def sparse_generator(size, rate=1.0):
+    """Sparse rate matrix over the binary-counter state order.
+
+    States are integer codes with site 1 in bit 0. Each bond lists the codes
+    where it is enabled and where it sends them, so the matrix reaches the
+    sizes where the dense one no longer fits.
+    """
+    codes = np.arange(2**size, dtype=np.int64)
+    rows, cols = [], []
+    for bond in range(size + 1):
+        if bond == 0:  # empties site 1
+            src = codes[(codes & 1) == 1]
+            dst = src - 1
+        elif bond == size:  # fills site S
+            top = 1 << (size - 1)
+            src = codes[(codes & top) == 0]
+            dst = src + top
+        else:  # exchanges sites bond and bond+1 where they differ
+            lo, hi = 1 << (bond - 1), 1 << bond
+            src = codes[((codes & lo) == 0) != ((codes & hi) == 0)]
+            dst = src ^ (lo | hi)
+        rows.append(src)
+        cols.append(dst)
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    q = sp.csr_matrix((np.full(len(rows), rate), (rows, cols)), shape=(2**size, 2**size))
+    return q - sp.diags(np.asarray(q.sum(axis=1)).ravel(), format="csr")
 
 
 def stationary_null_space(size, rate=1.0):

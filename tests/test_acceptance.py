@@ -13,7 +13,6 @@ from sepsim.cli import main as cli_main
 from sepsim.core import ModelParams, default_initial_configuration
 from sepsim.dual import pair_absorption_exact, transient_dual_moment
 from sepsim.exact import (
-    build_generator,
     exact_moment,
     occupation_profile,
     stationary_distribution,
@@ -33,7 +32,7 @@ def test_criterion_01_linear_profile():
     t0 = time.perf_counter()
     worst = 0.0
     for size in range(1, 13):
-        pi = stationary_distribution(build_generator(ModelParams(size=size)))
+        pi = stationary_distribution(size)
         target = np.arange(1, size + 1) / (size + 1)
         worst = max(worst, float(np.abs(occupation_profile(pi) - target).max()))
     elapsed = time.perf_counter() - t0
@@ -50,7 +49,7 @@ def test_criterion_02_three_way_pair_moments():
     worst = 0.0
     for size in range(2, 9):
         p = ModelParams(size=size)
-        pi = stationary_distribution(build_generator(p))
+        pi = stationary_distribution(p.size)
         pa = pair_absorption_exact(p)
         field = stationary_moments(build_moment_system(p, 2))
         for x in range(1, size):
@@ -69,7 +68,7 @@ def test_criterion_02_three_way_pair_moments():
 
 
 def test_criterion_03_closed_s2_values():
-    pi = stationary_distribution(build_generator(ModelParams(size=2)))
+    pi = stationary_distribution(2)
     # label sites left to right: site 1 then site 2
     labels = ["00", "10", "01", "11"]
     got = dict(zip(labels, pi.probabilities))

@@ -31,6 +31,7 @@ def test_exact_writes_tables(tmp_path, capsys):
     assert abs(probs["01"] - 1 / 2) < 1e-12
     assert abs(probs["10"] - 1 / 6) < 1e-12
     assert abs(probs["11"] - 1 / 6) < 1e-12
+    assert "rate" not in read_config_line(tmp_path / "ex_m1.csv")
     assert run(["exact", "--size", "2", "--format", "json", "--deterministic"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["command"] == "exact"
     assert run(["exact", "--size", "2", "--deterministic"]) == 0
@@ -167,6 +168,7 @@ def test_ladder_outputs(tmp_path):
     assert lines[1] == "k,C_k,gamma_k,P_k"
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 10
+    assert "rate" not in read_config_line(out)
     for row in rows:
         assert float(row[1]) <= float(row[2])  # C_k <= gamma_k
     summary = json.loads((tmp_path / "lad_summary.json").read_text())["summary"]
@@ -230,18 +232,19 @@ def test_odes_refuses_unusable_time_and_rate(extra, code, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_exact_rejects_infinite_rate(capsys):
-    assert run(["exact", "--size", "4", "--rate", "inf"]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_exact_rejects_rate_whose_bond_total_overflows(capsys):
-    # 1e308 is finite, but five bonds of it overflow the generator diagonal;
-    # 3e307 keeps the total finite and still certifies.
-    assert run(["exact", "--size", "4", "--rate", "1e308"]) == 2
-    assert "not finite" in capsys.readouterr().err
-    assert run(["exact", "--size", "4", "--rate", "3e307", "--format", "json",
-                "--deterministic"]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--size", "4"],
+        ["ladder", "--size", "8", "--start", "2,5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_has_no_rate_flag(argv, capsys):
+    # neither output depends on the bond rate
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--rate", "2"])
+    assert exc.value.code == 2
 
 
 def test_duality_check_json(tmp_path):

@@ -24,7 +24,7 @@ from sepsim.dual import (
     transient_dual_moment,
 )
 from sepsim.errors import ValidationError
-from sepsim.exact import build_generator, exact_moment, stationary_distribution
+from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.moments import build_moment_system, stationary_moments
 
 
@@ -45,7 +45,7 @@ def test_stationary_moment_single_point_is_ruin_probability():
 def test_stationary_moment_matches_exact_vector_on_every_subset(size):
     # Every nonempty subset of 0..S+1, so sets that start at the empty
     # reservoir or end at the full one are covered too.
-    pi = stationary_distribution(build_generator(ModelParams(size=size)))
+    pi = stationary_distribution(size)
     sites = range(size + 2)
     for k in range(1, size + 3):
         for pts in itertools.combinations(sites, k):
@@ -120,7 +120,7 @@ def test_estimate_absorption_single_particle():
 def test_estimate_absorption_matches_stationary_moment():
     """Duality: the freeze-all probability equals the stationary moment."""
     p = ModelParams(size=5, seed=7)
-    pi = stationary_distribution(build_generator(p))
+    pi = stationary_distribution(p.size)
     want = exact_moment(pi, (2, 3, 5))
     est, se = estimate_absorption(p, (2, 3, 5), 80_000, p.stream(0))
     assert abs(est - want) < 3.5 * se

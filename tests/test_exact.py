@@ -3,14 +3,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bruteforce import moment_from_distribution, stationary_null_space
-from sepsim.core import ModelParams
+from bruteforce import (
+    dense_generator,
+    moment_from_distribution,
+    sparse_generator,
+    stationary_null_space,
+)
 from sepsim.cli import main
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.exact import (
     MAX_EXACT_SIZE,
-    build_generator,
+    _balance,
     exact_moment,
     occupation_profile,
     pair_moments,
@@ -20,7 +26,7 @@ from sepsim.exact import (
 
 def test_generator_rows_sum_to_zero():
     for size in (1, 2, 4, 6):
-        q = build_generator(ModelParams(size=size)).matrix.toarray()
+        q = sparse_generator(size).toarray()
         assert np.allclose(q.sum(axis=1), 0.0, atol=1e-14)
         off = q - np.diag(np.diag(q))
         assert (off >= 0).all()
@@ -30,7 +36,7 @@ def test_generator_rows_sum_to_zero():
 def test_generator_small_structure():
     # S=2, state 01 in binary-counter order is index 2 (site 2 occupied).
     # Its only state-changing event is the interior exchange to state 10.
-    q = build_generator(ModelParams(size=2)).matrix.toarray()
+    q = sparse_generator(2).toarray()
     row = q[2].copy()
     assert row[1] == 1.0
     assert row[2] == -1.0
@@ -39,19 +45,35 @@ def test_generator_small_structure():
 
 
 def test_generator_scales_with_rate():
-    a = build_generator(ModelParams(size=3, rate=1.0)).matrix.toarray()
-    b = build_generator(ModelParams(size=3, rate=2.5)).matrix.toarray()
+    a = sparse_generator(3, rate=1.0).toarray()
+    b = sparse_generator(3, rate=2.5).toarray()
     assert np.allclose(b, 2.5 * a)
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_sparse_oracle_matches_dense_oracle(size):
+    assert np.array_equal(sparse_generator(size).toarray(), dense_generator(size))
 
 
 def test_size_cap():
     with pytest.raises(ResourceError):
-        build_generator(ModelParams(size=MAX_EXACT_SIZE + 1))
+        stationary_distribution(MAX_EXACT_SIZE + 1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_balance_matches_sparse_oracle(size, seed):
+    # Any positive vector, not only pi, so every bond's term is exercised.
+    # Entries are multiples of 2**-20, so both summation orders are exact and
+    # a difference can only be a wrong term, never rounding.
+    v = np.random.default_rng(seed).integers(1, 2**20, 2**size, endpoint=True) / 2**20
+    want = sparse_generator(size).T @ v
+    assert np.abs(_balance(v, size) - want).max() <= 1e-15 * v.max()
 
 
 def test_stationary_closed_values_s2():
     """4-state chain has stationary weights (1/6, 1/6, 1/2, 1/6)."""
-    pi = stationary_distribution(build_generator(ModelParams(size=2)))
+    pi = stationary_distribution(2)
     assert np.allclose(
         pi.probabilities, [1 / 6, 1 / 6, 1 / 2, 1 / 6], rtol=0, atol=1e-12
     )
@@ -61,26 +83,26 @@ def test_stationary_closed_values_s2():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
 def test_profile_is_linear(size):
-    pi = stationary_distribution(build_generator(ModelParams(size=size)))
+    pi = stationary_distribution(size)
     target = np.arange(1, size + 1) / (size + 1)
     assert np.abs(occupation_profile(pi) - target).max() < 1e-10
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_stationary_matches_null_space_oracle(size):
-    pi = stationary_distribution(build_generator(ModelParams(size=size)))
+    pi = stationary_distribution(size)
     oracle = stationary_null_space(size)
     assert np.abs(pi.probabilities - oracle).max() < 1e-11
 
 
 def test_stationary_rate_invariant():
-    slow = stationary_distribution(build_generator(ModelParams(size=4, rate=0.25)))
-    fast = stationary_distribution(build_generator(ModelParams(size=4, rate=4.0)))
-    assert np.array_equal(slow.probabilities, fast.probabilities)
+    pi = stationary_distribution(4).probabilities
+    for rate in (0.25, 4.0):
+        assert np.abs(sparse_generator(4, rate).T @ pi).max() < 1e-15 * rate
 
 
 def test_exact_moment_boundary_conventions():
-    pi = stationary_distribution(build_generator(ModelParams(size=3)))
+    pi = stationary_distribution(3)
     assert exact_moment(pi, (0, 2)) == 0.0
     assert exact_moment(pi, ()) == 1.0
     # the full right reservoir drops out of the product
@@ -88,7 +110,7 @@ def test_exact_moment_boundary_conventions():
 
 
 def test_exact_moment_validates_points():
-    pi = stationary_distribution(build_generator(ModelParams(size=3)))
+    pi = stationary_distribution(3)
     with pytest.raises(ValidationError):
         exact_moment(pi, (3, 1))
     with pytest.raises(ValidationError):
@@ -97,7 +119,7 @@ def test_exact_moment_validates_points():
 
 @pytest.mark.parametrize("size", [3, 4, 5])
 def test_pair_moments_match_oracle(size):
-    pi = stationary_distribution(build_generator(ModelParams(size=size)))
+    pi = stationary_distribution(size)
     oracle = stationary_null_space(size)
     for (x, y), val in pair_moments(pi).items():
         want = moment_from_distribution(oracle, (x, y), size)
@@ -105,7 +127,7 @@ def test_pair_moments_match_oracle(size):
 
 
 def test_profile_is_increasing():
-    pi = stationary_distribution(build_generator(ModelParams(size=7)))
+    pi = stationary_distribution(7)
     prof = occupation_profile(pi)
     assert (np.diff(prof) > 0).all()
 
@@ -118,16 +140,14 @@ def test_integer_weights_balance_exactly(size):
     the balance check runs in int64, independent of how pi was computed.
     """
     total = math.factorial(size + 1)
-    gen = build_generator(ModelParams(size=size))
-    w = np.rint(stationary_distribution(gen).probabilities * total).astype(np.int64)
+    w = np.rint(stationary_distribution(size).probabilities * total).astype(np.int64)
     assert int(w.sum()) == total
-    assert not (gen.matrix.astype(np.int64).T @ w).any()
+    assert not (sparse_generator(size).astype(np.int64).T @ w).any()
 
 
 def test_size_18_is_fast_and_certified():
-    gen = build_generator(ModelParams(size=18))
     start = time.perf_counter()
-    pi = stationary_distribution(gen)
+    pi = stationary_distribution(18)
     assert time.perf_counter() - start < 5.0
     assert pi.residual <= 1e-15
     assert pi.probabilities.min() > 0.0
@@ -151,6 +171,18 @@ def test_certificate_rejects_corrupted_weights(monkeypatch, capsys, corrupt):
 
     monkeypatch.setattr(sepsim.exact, "_matrix_product_weights", corrupted)
     with pytest.raises(NumericError):
-        stationary_distribution(build_generator(ModelParams(size=4)))
+        stationary_distribution(4)
     assert main(["exact", "--size", "4"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size,code", [(0, 2), (MAX_EXACT_SIZE + 1, 4)])
+def test_exact_refuses_size_before_allocating(monkeypatch, capsys, size, code):
+    import sepsim.exact
+
+    def unreachable(size):
+        raise AssertionError(f"weights built for refused size {size}")
+
+    monkeypatch.setattr(sepsim.exact, "_matrix_product_weights", unreachable)
+    assert main(["exact", "--size", str(size)]) == code
     assert "error:" in capsys.readouterr().err

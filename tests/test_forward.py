@@ -16,7 +16,7 @@ from bruteforce import (
 from sepsim.core import Configuration, ModelParams
 import sepsim.forward
 from sepsim.errors import ResourceError, ValidationError
-from sepsim.exact import build_generator, exact_moment, stationary_distribution
+from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.forward import (
     MAX_FIRINGS,
     SimSchedule,
@@ -160,7 +160,7 @@ def test_round_kernel_matches_scalar_replay(size, width, n_rounds, seed):
 
 def test_stationary_estimate_matches_exact():
     p = ModelParams(size=3, seed=1)
-    pi = stationary_distribution(build_generator(p))
+    pi = stationary_distribution(p.size)
     sched = default_schedule(p, n_replicas=24, n_samples=150)
     est = estimate_stationary_moments(p, [(2,)], sched, p.stream(0))
     want = exact_moment(pi, (2,))
@@ -169,7 +169,7 @@ def test_stationary_estimate_matches_exact():
 
 def test_stationary_pair_estimate_matches_exact():
     p = ModelParams(size=4, seed=8)
-    pi = stationary_distribution(build_generator(p))
+    pi = stationary_distribution(p.size)
     sched = default_schedule(p, n_replicas=24, n_samples=150)
     est = estimate_stationary_moments(p, [(1, 3)], sched, p.stream(0))
     want = exact_moment(pi, (1, 3))
@@ -204,7 +204,7 @@ def test_stationary_single_site_matches_exact():
     # S=1: both bonds are boundary bonds and the only bulk field is pinned
     # on both sides.
     p = ModelParams(size=1, seed=2)
-    want = exact_moment(stationary_distribution(build_generator(p)), (1,))
+    want = exact_moment(stationary_distribution(p.size), (1,))
     sched = default_schedule(p, n_replicas=24, n_samples=200)
     est = estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
