@@ -46,7 +46,7 @@ def _count(text: str) -> int:
     """Positive count, scientific notation accepted ("1e6")."""
     try:
         value = int(float(text))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a count: {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
@@ -115,7 +115,7 @@ def _emit(args: argparse.Namespace, config: dict, payload: dict, tables=()) -> N
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(size=args.size, rate=args.rate, seed=args.seed)
+    return ModelParams(size=args.size, seed=args.seed)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -188,7 +188,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     config = {
         "size": params.size,
-        "rate": params.rate,
         "seed": params.seed,
         "replicas": schedule.n_replicas,
         "samples": schedule.n_samples,
@@ -219,7 +218,6 @@ def cmd_dual(args: argparse.Namespace) -> int:
     exact_val = stationary_moment(params.size, pts)
     config = {
         "size": params.size,
-        "rate": params.rate,
         "seed": params.seed,
         "points": pts,
         "replicas": args.replicas,
@@ -280,7 +278,7 @@ def cmd_odes(args: argparse.Namespace) -> int:
     tables = [("m1", ["x", "m1"], m1_rows), ("m2", ["x", "y", "m2"], m2_rows)]
     _emit(
         args,
-        {"size": s, "rate": params.rate, "time": args.time},
+        {"size": s, "time": args.time},
         {"m1": m1_rows, "m2": m2_rows, "time": args.time},
         tables if m2_rows else tables[:1],
     )
@@ -311,7 +309,6 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
         z = 0.0 if lhs == rhs else math.inf
     config = {
         "size": params.size,
-        "rate": params.rate,
         "seed": params.seed,
         "points": pts,
         "time": args.time,
@@ -343,7 +340,7 @@ def cmd_aux(args: argparse.Namespace) -> int:
             float(result.gamma_mc[k]),
             float(result.gamma_stderr[k]),
         )
-        for k in range(1, args.kmax + 1)
+        for k in range(1, len(result.gamma))
     ]
     header = ["k", "gamma_k", "estimate", "stderr"]
     _emit(args, config, {"rows": rows, "columns": header}, [(None, header, rows)])
@@ -399,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="stationary moments by forward Monte Carlo")
     _add_model_flags(p)
-    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--replicas", type=_count, default=32)
     p.add_argument("--samples", type=_count, default=200)
     p.add_argument("--burn-in", type=float, default=None, help="burn-in model time")
@@ -411,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual", help="absorption probability of the dual walk")
     _add_model_flags(p)
-    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--points", type=_int_list, required=True)
     p.add_argument("--replicas", type=_count, default=100_000)
     _add_output_flags(p)
@@ -426,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odes", help="moment hierarchy: stationary solve or integration")
     _add_model_flags(p)
-    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--time", type=float, default=None, help="integrate to this time")
     _add_output_flags(p)
     p.set_defaults(func=cmd_odes)
@@ -435,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         "duality-check", help="forward and dual transient estimates of one moment"
     )
     _add_model_flags(p)
-    p.add_argument("--rate", type=float, default=1.0, help="swap rate per bond")
     p.add_argument("--points", type=_int_list, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--replicas", type=_count, default=1_000_000)

@@ -6,7 +6,8 @@ is always empty, site S+1 always occupied. Bond s joins sites s and s+1 for
 s = 0..S. Firing an interior bond exchanges the two endpoint occupancies;
 firing bond 0 empties site 1 (a particle leaves through the empty reservoir),
 firing bond S fills site S (a particle enters from the full reservoir). Every
-bond carries the same rate.
+bond rings at rate 1, which is the unit of time: the stationary law does not
+depend on a common bond rate, and a transient law depends only on rate * t.
 
 This module also owns the reproducible-randomness contract: an RngStream is a
 value keyed by (seed, stream_id), and two streams with the same key always
@@ -47,19 +48,14 @@ ClusterDecomposition = list[tuple[int, ...]]
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Global model parameters: bulk size, bond rate, base RNG seed."""
+    """Global model parameters: bulk size and base RNG seed."""
 
     size: int
-    rate: float = 1.0
     seed: int = 1
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValidationError(f"size must be >= 1, got {self.size}")
-        if not self.rate > 0.0:
-            raise ValidationError(f"rate must be positive, got {self.rate}")
-        if not math.isfinite(self.rate):
-            raise ValidationError(f"rate must be finite, got {self.rate}")
 
     def stream(self, stream_id: int = 0) -> "RngStream":
         return RngStream(self.seed, stream_id)
@@ -176,6 +172,8 @@ class Configuration:
     @classmethod
     def from_interior_string(cls, bits: str) -> "Configuration":
         """Bulk occupancies written left to right, site 1 first."""
+        if not set(bits) <= {"0", "1"}:
+            raise ValidationError(f"occupancy string must be 0s and 1s, got {bits!r}")
         return cls.from_interior([int(c) for c in bits])
 
     def interior(self) -> tuple[int, ...]:

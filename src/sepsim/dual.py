@@ -177,7 +177,7 @@ def transient_dual_moment(
         return value, 0.0
     k = len(pts)
     gen = rng.generator()
-    quotas = poisson_quotas(gen, 2.0 * params.rate * k * t, n_replicas)
+    quotas = poisson_quotas(gen, 2.0 * k * t, n_replicas)
     walkers = _walkers(pts, n_replicas, s)
 
     def step(rows: np.ndarray) -> np.ndarray:

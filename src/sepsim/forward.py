@@ -1,10 +1,10 @@
 """Monte Carlo simulation of the forward chain.
 
 Both engines use the full bond clock: events arrive at the constant total rate
-rate * (S+1), each event fires a uniformly random bond, and firings of
-balanced bonds do nothing. Over a time interval a replica therefore fires a
-Poisson number of independent uniform bonds, so replicas can advance in lock
-step.
+S+1 (every bond rings at rate 1, the time unit), each event fires a uniformly
+random bond, and firings of balanced bonds do nothing. Over a time interval a
+replica therefore fires a Poisson number of independent uniform bonds, so
+replicas can advance in lock step.
 
 * Stationary sampling is bit-sliced. A block of up to BLOCK_WIDTH replicas is
   one Python int with one W-bit field per site 0..S+1; bit r of field k is
@@ -50,7 +50,7 @@ from .core import (
 )
 from .errors import ResourceError, ValidationError
 
-DEFAULT_BURN_IN_FACTOR = 10.0  # multiples of size^2 / rate, the diffusive relaxation scale
+DEFAULT_BURN_IN_FACTOR = 10.0  # multiples of size^2, the diffusive relaxation scale
 DEFAULT_INTERVAL_DIVISOR = 25.0  # sample every size^2 / 25 time units
 
 # Replicas per lockstep block. Blocks are fixed and workers take whole blocks,
@@ -89,7 +89,7 @@ class SimSchedule:
 
 
 def default_burn_in(params: ModelParams) -> float:
-    return DEFAULT_BURN_IN_FACTOR * params.size**2 / params.rate
+    return DEFAULT_BURN_IN_FACTOR * params.size**2
 
 
 def default_schedule(
@@ -102,7 +102,7 @@ def default_schedule(
     if burn_in is None:
         burn_in = default_burn_in(params)
     if sample_interval is None:
-        sample_interval = max(1.0, params.size**2 / DEFAULT_INTERVAL_DIVISOR) / params.rate
+        sample_interval = max(1.0, params.size**2 / DEFAULT_INTERVAL_DIVISOR)
     return SimSchedule(
         burn_in=burn_in,
         n_samples=n_samples,
@@ -208,7 +208,7 @@ def _run_block(
     index = np.array([pts + pts[-1:] * (longest - len(pts)) for pts in point_lists])
     hits = np.zeros((len(point_lists), width), dtype=np.int64)
     chunk = max(1, _CHUNK_BYTES // (width * (s + 1 + _ROUND_WORK_BYTES)))
-    quotas = _interval_quotas(gens, params.rate * (s + 1), schedule)
+    quotas = _interval_quotas(gens, s + 1, schedule)
     events = rounds = 0
     for pieces in _round_chunks(quotas, chunk):
         lengths = [length for _, _, length, _ in pieces]
@@ -269,7 +269,7 @@ def estimate_stationary_moments(
     if not sets:
         raise ValidationError("need at least one point set")
     span = schedule.burn_in + (schedule.n_samples - 1) * schedule.sample_interval
-    firings = params.rate * (params.size + 1) * span
+    firings = (params.size + 1) * span
     if firings > MAX_FIRINGS:
         raise ResourceError(
             f"schedule expects {firings:.3g} firings per replica, cap is {MAX_FIRINGS:.0e}"
@@ -323,7 +323,7 @@ def transient_moment(
             value *= initial.occupancy[p]
         return value, 0.0
     gen = rng.generator()
-    quotas = poisson_quotas(gen, params.rate * (s + 1) * t, n_replicas)
+    quotas = poisson_quotas(gen, (s + 1) * t, n_replicas)
     occ = np.tile(initial.as_array(), (n_replicas, 1))
     bond_dtype = np.min_scalar_type(s + 1)
 

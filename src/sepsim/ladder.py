@@ -45,6 +45,7 @@ one counter of distance-1 entries and exits per replica.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,15 +165,28 @@ def _kernel_table(size: int) -> _KernelTable:
     return _KernelTable(size)
 
 
+def _check_start(size: int, x: int, y: int) -> None:
+    """Refuse a pair start that is not 1 <= x < y <= S with a gap of at least 2."""
+    if not (1 <= x < y <= size and y - x >= 2):
+        raise ValidationError(
+            f"start must satisfy 1 <= x < y <= {size} with y - x >= 2, got ({x}, {y})"
+        )
+
+
+def _early_stop(size: int, k_max: int) -> int:
+    """k_max, or the first k <= k_max whose gamma_k falls below _EARLY_STOP_GAMMA."""
+    for k in range(1, k_max + 1):
+        if gamma_closed_form(size, k) < _EARLY_STOP_GAMMA:
+            return k
+    return k_max
+
+
 def first_meeting_kernel(params: ModelParams, x: int, y: int) -> MeetingKernel:
     """Distribution of the lower position at the pair's first distance-1 state."""
     s = params.size
     if s < 3:
         raise ValidationError("meeting kernel needs size >= 3")
-    if not (1 <= x < y <= s and y - x >= 2):
-        raise ValidationError(
-            f"start must satisfy 1 <= x < y <= {s} with y - x >= 2, got ({x}, {y})"
-        )
+    _check_start(s, x, y)
     return _kernel_table(s).kernel(x, y)
 
 
@@ -244,17 +258,10 @@ def ladder_tables(
     s = params.size
     if s < 3:
         raise ValidationError("ladder needs size >= 3")
-    if not (1 <= x0 < y0 <= s and y0 - x0 >= 2):
-        raise ValidationError(
-            f"start must satisfy 1 <= x0 < y0 <= {s} with gap >= 2, got ({x0}, {y0})"
-        )
+    _check_start(s, x0, y0)
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    eff_k = k_max
-    for k in range(1, k_max + 1):
-        if gamma_closed_form(s, k) < _EARLY_STOP_GAMMA:
-            eff_k = k
-            break
+    eff_k = _early_stop(s, k_max)
     # The rows of A^-1 R_int the ladder reads: the restart points (m, m+2)
     # for m = 1..S-1, then the user's start.
     table = _kernel_table(s)
@@ -315,10 +322,7 @@ def simulate_hybrid_pair(
     pair. Vectorized over replicas on the uniformized clock.
     """
     s = params.size
-    if not (1 <= x0 < y0 <= s and y0 - x0 >= 2):
-        raise ValidationError(
-            f"start must satisfy 1 <= x0 < y0 <= {s} with gap >= 2, got ({x0}, {y0})"
-        )
+    _check_start(s, x0, y0)
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     if n_replicas < 1:
@@ -362,7 +366,10 @@ def simulate_aux_walk(
 
     The walk starts at 1, steps symmetrically on [0, S], and leaves 0 to 1 on
     the step after every return. Its mean round count is S^2 - 1; a size
-    whose mean exceeds ROUND_CAP is refused before anything is drawn.
+    whose mean exceeds ROUND_CAP is refused before anything is drawn. The
+    table ends where ladder_tables ends its own, at the first k whose gamma_k
+    falls below _EARLY_STOP_GAMMA, and the tail is exactly 0 past the most
+    returns any replica made.
     """
     if size < 2:
         raise ValidationError(f"size must be >= 2, got {size}")
@@ -387,11 +394,14 @@ def simulate_aux_walk(
         return new == size
 
     lockstep(n_replicas, step)
+    k_max = _early_stop(size, k_max)
     gamma = np.array([gamma_closed_form(size, j) for j in range(k_max + 1)])
     gamma_mc = np.zeros(k_max + 1)
     gamma_se = np.zeros(k_max + 1)
     gamma_mc[0] = 1.0
-    for j in range(1, k_max + 1):
+    if n_replicas < 2:
+        gamma_se[1:] = math.nan  # mean_stderr's value below two samples
+    for j in range(1, min(k_max, int(visits.max())) + 1):
         gamma_mc[j], gamma_se[j] = mean_stderr((visits >= j).astype(np.float64))
     return AuxWalkResult(
         size=size,

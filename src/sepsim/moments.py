@@ -38,9 +38,9 @@ class MomentSystem:
 
     a_matrix holds the closed part (off-diagonal +1 shifts, diagonal -2 per
     cluster); b_matrix maps the level-(k-1) moment vector to the source terms
-    created by right shifts onto S+1. Both are unscaled; the jump rate enters
-    only when time derivatives are formed. lower chains down to level 1,
-    whose source level has the single state m_0 = 1.
+    created by right shifts onto S+1. Time is in units of the bond rate, so
+    a m + b m_lower is the time derivative itself. lower chains down to level
+    1, whose source level has the single state m_0 = 1.
     """
 
     params: ModelParams
@@ -193,8 +193,7 @@ def stationary_moments(system: MomentSystem) -> MomentField:
     """Stationary moment field of the system's level, solved bottom-up.
 
     Each level solves a m + b m_lower = 0 with one sparse direct solve and
-    checks the residual. The jump rate scales out of the balance equations,
-    so the result depends only on the lattice size.
+    checks the residual. The result depends only on the lattice size.
     """
     lower_vals = np.ones(1)
     field: MomentField | None = None
@@ -219,10 +218,10 @@ def integrate_moments(
 ) -> MomentField:
     """Advance the coupled hierarchy to time t by explicit Euler steps.
 
-    The step size is capped at 1/(2 max|diagonal|) of the rate-scaled
-    operator, which keeps the explicit scheme stable; each level's source
-    uses the lower level's value from the start of the step. A run needing
-    more than core.ROUND_CAP steps is refused before the first one.
+    The step size is capped at 1/(2 max|diagonal|) of the operator, which
+    keeps the explicit scheme stable; each level's source uses the lower
+    level's value from the start of the step. A run needing more than
+    core.ROUND_CAP steps is refused before the first one.
     """
     if initial.k != system.k or initial.system.params.size != system.params.size:
         raise ValidationError("initial field does not match the system")
@@ -243,24 +242,20 @@ def integrate_moments(
     vals.reverse()
     if len(vals) != len(systems):
         raise ValidationError("initial field chain does not reach level 1")
-    rate = system.params.rate
     duration = t - t0
     if duration > 0:
-        max_diag = 2.0 * rate * max(s.max_clusters for s in systems)
-        dt = min(dt_max, 1.0 / (2.0 * max_diag))
-        # duration / dt, without dividing by a dt that underflowed to 0
-        steps = max(duration / dt_max, 2.0 * max_diag * duration)
+        max_diag = 2.0 * max(s.max_clusters for s in systems)
+        steps = duration / min(dt_max, 1.0 / (2.0 * max_diag))
         if steps > ROUND_CAP:
             raise ResourceError(
                 f"integration to t={t} needs {steps:.3g} steps, cap is {ROUND_CAP}"
             )
-        n_steps = max(1, math.ceil(duration / dt))
+        n_steps = max(1, math.ceil(steps))
         dt = duration / n_steps
         for _ in range(n_steps):
             lowers = [np.ones(1)] + vals[:-1]
             derivs = [
-                rate * (s.a_matrix @ v + s.b_matrix @ w)
-                for s, v, w in zip(systems, vals, lowers)
+                s.a_matrix @ v + s.b_matrix @ w for s, v, w in zip(systems, vals, lowers)
             ]
             for v, dv in zip(vals, derivs):
                 v += dt * dv

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from sepsim.cli import main
+from sepsim.cli import build_parser, main
 
 
 def run(args):
@@ -220,31 +221,14 @@ def test_command_has_no_tol_flag(argv, capsys):
     [
         (["--time", "nan"], 2),
         (["--time", "inf"], 2),
-        (["--rate", "inf", "--time", "1"], 2),
-        (["--rate", "nan"], 2),
         (["--time", "1e12"], 4),
-        (["--rate", "1e300", "--time", "1"], 4),
+        (["--time", "1e300"], 4),
     ],
-    ids=["time-nan", "time-inf", "rate-inf", "rate-nan", "time-1e12", "rate-1e300"],
+    ids=["time-nan", "time-inf", "time-1e12", "time-1e300"],
 )
 def test_odes_refuses_unusable_time_and_rate(extra, code, capsys):
     assert run(["odes", "--size", "4"] + extra) == code
     assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["exact", "--size", "4"],
-        ["ladder", "--size", "8", "--start", "2,5"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_command_has_no_rate_flag(argv, capsys):
-    # neither output depends on the bond rate
-    with pytest.raises(SystemExit) as exc:
-        run([*argv, "--rate", "2"])
-    assert exc.value.code == 2
 
 
 def test_duality_check_json(tmp_path):
@@ -260,6 +244,15 @@ def test_duality_check_json(tmp_path):
     assert abs(doc["z"] - z) < 1e-12
 
 
+@pytest.mark.parametrize("replicas", ["inf", "-inf", "1e400", "nan"])
+def test_replica_count_refuses_non_finite(replicas, capsys):
+    with pytest.raises(SystemExit) as exc:
+        # "=" so that argparse hands "-inf" to the count parser
+        run(["dual", "--size", "10", "--points", "3,7", f"--replicas={replicas}"])
+    assert exc.value.code == 2
+    assert "not a count" in capsys.readouterr().err
+
+
 def test_duality_check_custom_initial(tmp_path):
     out = tmp_path / "dc.json"
     code = run([
@@ -273,6 +266,15 @@ def test_duality_check_custom_initial(tmp_path):
         "duality-check", "--size", "4", "--points", "2", "--time", "1.0",
         "--replicas", "1e3", "--initial", "01",
     ]) == 2
+
+
+def test_duality_check_refuses_non_binary_initial(capsys):
+    assert run([
+        "duality-check", "--size", "4", "--points", "2,3", "--time", "1",
+        "--initial", "1a01",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'1a01'" in err
 
 
 @pytest.mark.parametrize("time,code", [("1e19", 4), ("1e9", 4), ("inf", 2)])
@@ -405,3 +407,23 @@ def test_files_written_per_command(name, fmt, tmp_path):
         want = CSV_FILES.get(name, {"run.csv"}) if fmt == "csv" else {"run.json"}
     assert run(argv) == 0
     assert {p.name for p in tmp_path.iterdir()} == want
+
+
+def _subcommands():
+    actions = build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("name", _subcommands())
+def test_command_has_no_rate_flag(name, tmp_path):
+    # Time is in units of the bond rate, so no command takes or echoes a rate.
+    with pytest.raises(SystemExit) as exc:
+        run([*SMALL_RUNS[name], "--rate", "2"])
+    assert exc.value.code == 2
+    out = tmp_path / "run.json"
+    argv = SMALL_RUNS[name] + ["--deterministic", "--output", str(out)]
+    if name != "duality-check":  # always JSON, and has no --format
+        argv += ["--format", "json"]
+    assert run(argv) == 0
+    assert "rate" not in json.loads(out.read_text())["config"]

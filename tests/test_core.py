@@ -27,10 +27,9 @@ def test_model_params_validation():
     with pytest.raises(ValidationError):
         ModelParams(size=0)
     with pytest.raises(ValidationError):
-        ModelParams(size=3, rate=0.0)
-    for rate in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
-            ModelParams(size=3, rate=rate)
+        ModelParams(size=-3)
+    with pytest.raises(TypeError):
+        ModelParams(size=3, rate=1.0)  # the bond rate is the time unit
 
 
 def test_mean_stderr_matches_statistics():
@@ -52,6 +51,12 @@ def test_configuration_pins_boundaries():
         Configuration(occupancy=(1, 0, 0, 1))
     with pytest.raises(ValidationError):
         Configuration(occupancy=(0, 2, 1))
+
+
+@pytest.mark.parametrize("bits", ["1a01", "012", " 101", "1-1"])
+def test_configuration_string_refuses_non_binary(bits):
+    with pytest.raises(ValidationError, match=repr(bits)):
+        Configuration.from_interior_string(bits)
 
 
 def test_configuration_round_trips():

@@ -339,6 +339,41 @@ def test_aux_walk_validation():
         simulate_aux_walk(5, 0, 10, stream)
 
 
+def test_aux_walk_table_ends_at_the_ladder_early_stop(monkeypatch):
+    # 0.9**263 < 1e-12 <= 0.9**262, so at S=10 both tables end at k = 263.
+    stream = ModelParams(size=10, seed=3).stream(0)
+    short = simulate_aux_walk(10, 3, 2000, stream)
+    real = sepsim.ladder.mean_stderr
+    calls = []
+
+    def counted(vals):
+        calls.append(len(vals))
+        return real(vals)
+
+    monkeypatch.setattr(sepsim.ladder, "mean_stderr", counted)
+    counts = []
+    for k_max in (300, 3000):
+        calls.clear()
+        r = simulate_aux_walk(10, k_max, 2000, stream)
+        counts.append(len(calls))
+        assert len(r.gamma) == len(r.gamma_mc) == len(r.gamma_stderr) == 264
+        assert ladder_tables(ModelParams(size=10), 2, 5, k_max).k_max == 263
+        # the first rows are those of a short table on the same stream
+        assert np.array_equal(r.gamma_mc[:4], short.gamma_mc)
+        assert np.array_equal(r.gamma_stderr[:4], short.gamma_stderr)
+        # past the most returns any replica made the tail is exactly (0, 0)
+        top = counts[-1]
+        assert r.gamma_mc[top] > 0
+        assert not r.gamma_mc[top + 1 :].any() and not r.gamma_stderr[top + 1 :].any()
+    # one tail evaluation per k up to the most returns, whatever k_max
+    assert counts[0] == counts[1] < 263
+
+
+def test_aux_walk_single_replica_has_no_stderr():
+    r = simulate_aux_walk(4, 50, 1, ModelParams(size=4, seed=2).stream(0))
+    assert np.isnan(r.gamma_stderr[1:]).all()
+
+
 class _NoDraws:
     def generator(self):
         raise AssertionError("the walk drew before refusing its size")

@@ -187,16 +187,6 @@ def test_integrate_matches_forward_mc():
         assert abs(out.value((3, 7)) - est) < 3.5 * se
 
 
-def test_integrate_respects_rate():
-    # Doubling the rate halves the time needed to reach the same field.
-    c0 = Configuration.from_interior_string("1100")
-    slow = build_moment_system(ModelParams(size=4, rate=1.0), 2)
-    fast = build_moment_system(ModelParams(size=4, rate=2.0), 2)
-    a = integrate_moments(slow, field_from_configuration(slow, c0), 3.0, dt_max=1e-3)
-    b = integrate_moments(fast, field_from_configuration(fast, c0), 1.5, dt_max=5e-4)
-    assert np.abs(a.values - b.values).max() < 1e-6
-
-
 def test_integrate_keeps_bounds():
     p = ModelParams(size=6)
     sys2 = build_moment_system(p, 2)
@@ -236,7 +226,7 @@ def test_integration_step_cap(monkeypatch):
     p = ModelParams(size=4)
     system = build_moment_system(p, 2)
     start = field_from_configuration(system, default_initial_configuration(p))
-    # Two clusters at rate 1 give dt = 1/8, so t = 1 takes exactly 8 steps.
+    # Two clusters give dt = 1/8, so t = 1 takes exactly 8 steps.
     monkeypatch.setattr(sepsim.moments, "ROUND_CAP", 8)
     integrate_moments(system, start, 1.0)
     with pytest.raises(ResourceError):
