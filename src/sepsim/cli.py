@@ -43,11 +43,14 @@ from .moments import (
 
 
 def _count(text: str) -> int:
-    """Positive count, scientific notation accepted ("1e6")."""
+    """Positive whole count, scientific notation accepted ("1e6")."""
     try:
-        value = int(float(text))
+        number = float(text)
+        value = int(number)
     except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a count: {text!r}") from exc
+    if value != number:
+        raise argparse.ArgumentTypeError(f"count must be a whole number, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"count must be >= 1, got {text!r}")
     return value

@@ -107,7 +107,7 @@ def poisson_quotas(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
     """
     if mean > ROUND_CAP:
         raise ResourceError(
-            f"{mean:.3g} firings per replica expected, cap is {ROUND_CAP} rounds"
+            f"{mean:.3g} rounds per replica expected, cap is {ROUND_CAP} rounds"
         )
     return np.sort(gen.poisson(mean, size=n))
 

@@ -1,25 +1,25 @@
 """Monte Carlo simulation of the forward chain.
 
-Both engines use the full bond clock: events arrive at the constant total rate
-S+1 (every bond rings at rate 1, the time unit), each event fires a uniformly
-random bond, and firings of balanced bonds do nothing. Over a time interval a
-replica therefore fires a Poisson number of independent uniform bonds, so
-replicas can advance in lock step.
+Both engines use a uniformized bond clock: events arrive at a constant total
+rate of at least S+1, each event fires a uniformly random bond or idles, every
+bond rings at rate 1 (the time unit), and firings of balanced bonds do
+nothing. Over a time interval a replica therefore takes a Poisson number of
+independent uniform draws, so replicas can advance in lock step.
 
 * Stationary sampling is bit-sliced. A block of up to BLOCK_WIDTH replicas is
   one Python int with one W-bit field per site 0..S+1; bit r of field k is
   replica r's occupancy of site k. In each interval (the burn-in, then each
-  sample interval) replica r draws its Poisson quota and its bonds from its
-  own stream, and the block runs as many rounds as the largest quota. In one
-  round every replica still inside its quota fires one bond; the whole round
-  costs a handful of big-int operations. Round masks are built in numpy one
-  chunk of rounds at a time, so memory stays bounded however long the run.
-* Transient moments run on core.lockstep over an (n, S+2) occupancy array:
-  each replica draws its Poisson quota up front and fires one uniform bond,
-  drawn in the narrowest unsigned dtype, per round until the quota is
-  spent. A firing swaps the bond's two endpoints through flat indices, and
-  the reservoir columns of the fired rows are then re-pinned, so the
-  boundary bonds need no case of their own.
+  sample interval) replica r draws its Poisson quota at rate S+1 and its bonds
+  from its own stream, and the block runs as many rounds as the largest quota.
+  In one round every replica still inside its quota fires one bond; the whole
+  round costs a handful of big-int operations. Round masks are built in numpy
+  one chunk of rounds at a time, so memory stays bounded however long the run.
+* Transient moments are bit-sliced in numpy words: bit r of word w in row k
+  is site k of replica 64w+r. On core.lockstep the clock runs at 2^L >= S+1,
+  L = S.bit_length(); per round, L random bit planes spell a value per lane,
+  which fires that bond if it is at most S and idles otherwise. Against a
+  sampler moving one byte row per replica it is no slower up to S = 511, and
+  1.5-2 times slower at S = 512 (whose clock idles half the time) to 1000.
 
 Only state-changing firings are counted as events. Stationary estimates pool
 replica means and report the between-replica standard error, which stays
@@ -64,6 +64,7 @@ MAX_FIRINGS = 10**11
 _CHUNK_BYTES = 1 << 20  # working memory for the round masks of one chunk
 _ROUND_WORK_BYTES = 40  # scratch per replica-round beside its S+1 mask bytes
 _QUOTA_BATCH = 256  # sample intervals whose firing counts are drawn at once
+_ALL_LANES = np.uint64(2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -323,33 +324,47 @@ def transient_moment(
             value *= initial.occupancy[p]
         return value, 0.0
     gen = rng.generator()
-    quotas = poisson_quotas(gen, (s + 1) * t, n_replicas)
-    occ = np.tile(initial.as_array(), (n_replicas, 1))
-    bond_dtype = np.min_scalar_type(s + 1)
+    n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
+    quotas = poisson_quotas(gen, (1 << n_planes) * t, n_replicas)
+    words = np.where(initial.as_array() == 1, _ALL_LANES, np.uint64(0))
+    occ = np.repeat(words[:, None], -(-n_replicas // 64), axis=1)
+    scratch = np.empty((2, s + 1, occ.shape[1]), dtype=np.uint64)
 
     def step(rows: np.ndarray) -> None:
-        _fire_bonds(occ, rows, gen.integers(0, s + 1, size=rows.size, dtype=bond_dtype))
+        first = int(rows[0])
+        planes = gen.bit_generator.random_raw((n_planes, occ.shape[1] - (first >> 6)))
+        _fire_round(occ, first, planes, scratch)
 
     lockstep(n_replicas, step, quotas)
-    return mean_stderr(occ[:, pts].min(axis=1).astype(np.float64))
+    hits = np.bitwise_and.reduce(occ[list(pts)], axis=0).astype("<u8")
+    bits = np.unpackbits(hits.view(np.uint8), count=n_replicas, bitorder="little")
+    return mean_stderr(bits.astype(np.float64))
 
 
-def _fire_bonds(occ: np.ndarray, rows: np.ndarray, bonds: np.ndarray) -> None:
-    """Fire bonds[i] in replica rows[i] of an (n, S+2) occupancy array in place.
+def _fire_round(
+    occ: np.ndarray, first: int, planes: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Fire one round in lanes first.. of an (S+2, W) uint64 occupancy array.
 
-    Rows must be ascending. Each firing swaps the bond's two endpoints; the
-    reservoir columns from the first fired row on are then re-pinned, which
-    turns a firing of bond 0 into emptying site 1 and one of bond S into
-    filling site S. The fired rows of a timed lockstep run are a suffix, so
-    no row is pinned that did not fire.
+    Plane l holds bit l of each lane's value in 0..2^L-1, from first's word on;
+    a lane fires the bond its value names and idles past S. Splitting the open
+    lanes by each plane in turn leaves disjoint masks for bonds 0..S. A fired
+    bond whose endpoints differ flips both. The reservoir rows are never
+    written, which turns bond 0 into emptying site 1 and bond S into filling
+    site S. The (2, S+1, W) scratch array spares each round large allocations.
     """
-    width = occ.shape[1]
-    flat = occ.reshape(-1)
-    i = rows * width + bonds
-    j = i + 1
-    low = flat[i]
-    flat[i] = flat[j]
-    flat[j] = low
-    first = rows[0] if rows.size else len(occ)
-    occ[first:, 0] = 0
-    occ[first:, -1] = 1
+    s = occ.shape[0] - 2
+    live = occ[:, first >> 6 :]
+    masks, flips = scratch[:, :, first >> 6 :]
+    masks[0] = _ALL_LANES
+    masks[0, 0] <<= np.uint64(first & 63)
+    filled = 1
+    for plane in planes:  # rows past S are only cut at the last plane
+        cut = min(filled, s + 1 - filled)
+        np.bitwise_and(masks[:cut], plane, out=masks[filled : filled + cut])
+        masks[:filled] &= ~plane
+        filled += cut
+    np.bitwise_xor(live[:-1], live[1:], out=flips)
+    flips &= masks
+    live[1:-1] ^= flips[:-1]
+    live[1:-1] ^= flips[1:]

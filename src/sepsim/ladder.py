@@ -399,10 +399,15 @@ def simulate_aux_walk(
     gamma_mc = np.zeros(k_max + 1)
     gamma_se = np.zeros(k_max + 1)
     gamma_mc[0] = 1.0
-    if n_replicas < 2:
+    top = min(k_max, int(visits.max()))
+    # c_j, the replicas with at least j returns, for j = 1..top from one histogram
+    c = np.cumsum(np.bincount(visits)[::-1])[::-1][1 : top + 1].astype(np.float64)
+    n = n_replicas
+    gamma_mc[1 : top + 1] = c / n
+    if n < 2:
         gamma_se[1:] = math.nan  # mean_stderr's value below two samples
-    for j in range(1, min(k_max, int(visits.max())) + 1):
-        gamma_mc[j], gamma_se[j] = mean_stderr((visits >= j).astype(np.float64))
+    else:  # mean_stderr of c_j ones and n - c_j zeros
+        gamma_se[1 : top + 1] = np.sqrt(c * (n - c) / (n - 1)) / n
     return AuxWalkResult(
         size=size,
         n_replicas=n_replicas,

@@ -253,6 +253,20 @@ def test_replica_count_refuses_non_finite(replicas, capsys):
     assert "not a count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replicas", ["2.7", "1.9", "0.5", "1e-1", "1000.5"])
+def test_replica_count_refuses_fractions(replicas, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["dual", "--size", "10", "--points", "3,7", "--replicas", replicas])
+    assert exc.value.code == 2
+    assert "whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,count", [("1e6", 10**6), ("2.0", 2), ("7", 7), ("2.5e3", 2500)])
+def test_replica_count_accepts_whole_numbers(text, count):
+    argv = ["dual", "--size", "10", "--points", "3,7", "--replicas", text]
+    assert build_parser().parse_args(argv).replicas == count
+
+
 def test_duality_check_custom_initial(tmp_path):
     out = tmp_path / "dc.json"
     code = run([

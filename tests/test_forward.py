@@ -21,7 +21,7 @@ from sepsim.forward import (
     MAX_FIRINGS,
     SimSchedule,
     _fire,
-    _fire_bonds,
+    _fire_round,
     _masks,
     _pack,
     _unpack,
@@ -271,27 +271,100 @@ def test_transient_moment_matches_expm_oracle(t, points):
     assert abs(est - want) < max(3.5 * se, 1e-3)
 
 
+# S+1 = 2, 8 and 64 fill the bond clock exactly; S+1 = 3, 5, 9, 17, 33 and 65
+# leave the most idle values.
+_CLOCK_EDGE_SIZES = (1, 7, 63, 2, 4, 8, 16, 32, 64)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    size=st.integers(1, 30),
-    n_rows=st.integers(1, 40),
+    size=st.one_of(st.sampled_from(_CLOCK_EDGE_SIZES), st.integers(1, 70)),
+    n_lanes=st.integers(1, 200),
+    data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_bond_kernel_matches_scalar_swap(size, n_rows, seed):
-    # Random states, a random subset of rows, a random bond per fired row.
+def test_bond_kernel_matches_scalar_swap(size, n_lanes, data, seed):
+    # One round of the word kernel on random states and random bit planes,
+    # from a random first open lane. Each lane replayed alone must match.
     rng = np.random.default_rng(seed)
-    interior = rng.integers(0, 2, size=(n_rows, size), dtype=np.uint8)
-    occ = np.hstack(
-        [np.zeros((n_rows, 1), np.uint8), interior, np.ones((n_rows, 1), np.uint8)]
+    first = data.draw(st.integers(0, n_lanes - 1), label="first")
+    n_words = -(-n_lanes // 64)
+    n_planes = size.bit_length()
+    interior = rng.integers(0, 2, size=(size, 64 * n_words), dtype=np.uint8)
+    occ = np.vstack(
+        [
+            np.zeros(n_words, np.uint64),
+            np.packbits(interior, axis=1, bitorder="little").view("<u8"),
+            np.full(n_words, 2**64 - 1, np.uint64),
+        ]
     )
-    rows = np.flatnonzero(rng.random(n_rows) < 0.7)
-    bonds = rng.integers(0, size + 1, size=rows.size)
-    _fire_bonds(occ, rows, bonds)
-    want = [tuple(int(v) for v in row) for row in interior]
-    for r, b in zip(rows, bonds):
-        want[r] = swap_result(want[r], int(b), size)
-    assert not occ[:, 0].any() and occ[:, -1].all()
-    assert [tuple(int(v) for v in row[1:-1]) for row in occ] == want
+    planes = rng.integers(0, 2**64, size=(n_planes, n_words - first // 64), dtype=np.uint64)
+    _fire_round(occ, first, planes, np.full((2, size + 1, n_words), 12345, np.uint64))
+    after = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not after[0].any() and after[-1].all()
+    plane_bits = np.unpackbits(planes.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    for lane in range(n_lanes):
+        state = tuple(int(v) for v in interior[:, lane])
+        if lane >= first:
+            col = lane - 64 * (first // 64)
+            value = sum(int(plane_bits[b, col]) << b for b in range(n_planes))
+            if value <= size:
+                state = swap_result(state, value, size)
+        assert tuple(int(v) for v in after[1:-1, lane]) == state
+
+
+def test_transient_moment_law_over_seeds():
+    # z-scores of 40 seeded runs against the expm oracle, at sizes whose
+    # bond clock is exact (S+1 = 2, 8) or has idle values, with replica
+    # counts that leave a partial last word.
+    cases = [
+        (1, "1", 0.7, (1,)),
+        (3, "101", 1.1, (1, 3)),
+        (5, "11100", 1.5, (2, 4)),
+        (7, "1010101", 0.9, (3,)),
+        (8, "11110000", 2.0, (4, 5)),
+    ]
+    want = [
+        moment_from_distribution(
+            expm_state_distribution(s, Configuration.from_interior_string(c).interior(), t),
+            pts,
+            s,
+        )
+        for s, c, t, pts in cases
+    ]
+    z = []
+    for seed in range(8):
+        for (s, c, t, pts), w in zip(cases, want):
+            p = ModelParams(size=s, seed=seed)
+            c0 = Configuration.from_interior_string(c)
+            est, se = transient_moment(p, c0, t, pts, 4000 + 37 * seed, p.stream(3))
+            z.append((est - w) / se)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.5
+    assert 0.7 <= z.std(ddof=1) <= 1.3
+
+
+def test_transient_moment_reads_replicas_in_lane_order(monkeypatch):
+    # Replicas 0..65 get no round and keep site 1 full; the other four get one
+    # round that empties every open lane. A lane read out of order, or a
+    # padding lane read in place of a replica, moves the mean off 66/70.
+    n, kept = 70, 66
+    monkeypatch.setattr(
+        sepsim.forward,
+        "poisson_quotas",
+        lambda gen, mean, n: np.repeat([0, 1], [kept, n - kept]),
+    )
+
+    def empty_open_lanes(occ, first, planes, scratch):
+        bits = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        bits[1:-1, first:] = 0
+        occ[:] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+    monkeypatch.setattr(sepsim.forward, "_fire_round", empty_open_lanes)
+    p = ModelParams(size=1)
+    c0 = Configuration.from_interior_string("1")
+    est, _ = transient_moment(p, c0, 1.0, (1,), n, p.stream(0))
+    assert est == kept / n
 
 
 def test_transient_moment_with_boundary_points():

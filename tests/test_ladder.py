@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 import sepsim.ladder
 from bruteforce import dense_ladder, dense_meeting_table, mc_first_meeting, mc_repeat_meetings
-from sepsim.core import ModelParams
+from sepsim.core import ModelParams, lockstep, mean_stderr
 from sepsim.dual import estimate_absorption
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
@@ -339,34 +339,45 @@ def test_aux_walk_validation():
         simulate_aux_walk(5, 0, 10, stream)
 
 
-def test_aux_walk_table_ends_at_the_ladder_early_stop(monkeypatch):
+def test_aux_walk_table_ends_at_the_ladder_early_stop():
     # 0.9**263 < 1e-12 <= 0.9**262, so at S=10 both tables end at k = 263.
     stream = ModelParams(size=10, seed=3).stream(0)
     short = simulate_aux_walk(10, 3, 2000, stream)
-    real = sepsim.ladder.mean_stderr
-    calls = []
-
-    def counted(vals):
-        calls.append(len(vals))
-        return real(vals)
-
-    monkeypatch.setattr(sepsim.ladder, "mean_stderr", counted)
-    counts = []
+    tops = []
     for k_max in (300, 3000):
-        calls.clear()
         r = simulate_aux_walk(10, k_max, 2000, stream)
-        counts.append(len(calls))
         assert len(r.gamma) == len(r.gamma_mc) == len(r.gamma_stderr) == 264
         assert ladder_tables(ModelParams(size=10), 2, 5, k_max).k_max == 263
         # the first rows are those of a short table on the same stream
         assert np.array_equal(r.gamma_mc[:4], short.gamma_mc)
         assert np.array_equal(r.gamma_stderr[:4], short.gamma_stderr)
         # past the most returns any replica made the tail is exactly (0, 0)
-        top = counts[-1]
-        assert r.gamma_mc[top] > 0
+        top = int(np.flatnonzero(r.gamma_mc)[-1])
+        tops.append(top)
+        assert r.gamma_stderr[top] > 0
         assert not r.gamma_mc[top + 1 :].any() and not r.gamma_stderr[top + 1 :].any()
-    # one tail evaluation per k up to the most returns, whatever k_max
-    assert counts[0] == counts[1] < 263
+    assert tops[0] == tops[1] < 263
+
+
+@pytest.mark.parametrize("size,n_replicas", [(2, 2), (4, 3), (10, 2000), (6, 40_000)])
+def test_aux_walk_tail_matches_per_k_loop(size, n_replicas, monkeypatch):
+    # The one-histogram tail against one mean_stderr pass per k over the
+    # walk's own return counts, read from the step closure after the run.
+    seen = {}
+
+    def spy(n, step, quotas=None):
+        lockstep(n, step, quotas)
+        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
+        seen["visits"] = cells["visits"].cell_contents
+
+    monkeypatch.setattr(sepsim.ladder, "lockstep", spy)
+    r = simulate_aux_walk(size, 10_000, n_replicas, ModelParams(size=size, seed=5).stream(0))
+    visits = seen["visits"]
+    assert int(visits.max()) == int(np.flatnonzero(r.gamma_mc)[-1])
+    for j in range(1, int(visits.max()) + 1):
+        mc, se = mean_stderr((visits >= j).astype(np.float64))
+        assert r.gamma_mc[j] == mc
+        assert abs(r.gamma_stderr[j] - se) <= 1e-12 * se
 
 
 def test_aux_walk_single_replica_has_no_stderr():

@@ -1,0 +1,74 @@
+"""The limits README states must be the limits the code enforces."""
+
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import sepsim.core
+import sepsim.moments
+from sepsim.cli import main
+from sepsim.core import ROUND_CAP, Configuration, ModelParams
+from sepsim.errors import ResourceError
+from sepsim.forward import transient_moment
+from sepsim.ladder import MAX_KERNEL_ENTRIES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def text():
+    """README with every line break and indent read as one space."""
+    return " ".join(README.read_text().split())
+
+
+def stated(pattern):
+    """Groups of the one match of pattern in README."""
+    found = re.findall(pattern, text())
+    assert len(found) == 1, f"README states {pattern!r} {len(found)} times"
+    return found[0]
+
+
+def test_round_cap():
+    # the round caps of the absorbing and timed samplers and the Euler step cap
+    caps = re.findall(r"\b\d,\d{3},\d{3}\b", text())
+    assert len(caps) == 3
+    assert {int(cap.replace(",", "")) for cap in caps} == {ROUND_CAP}
+
+
+def test_duality_check_time_cap(monkeypatch):
+    # At S=10 the clock runs 2**4 = 16 rounds per unit time.
+    time = float(stated(r"at `S = 10`, about `--time ([\d.e]+)`"))
+    assert time == float(f"{ROUND_CAP / 2 ** (10).bit_length():.2g}")
+    # The same bound at a cap of 160 rounds is t = 10.
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", 160)
+    p = ModelParams(size=10)
+    c0 = Configuration.from_interior_string("1111100000")
+    transient_moment(p, c0, 10.0, (3,), 4, p.stream(0))
+    with pytest.raises(ResourceError):
+        transient_moment(p, c0, 10.001, (3,), 4, p.stream(0))
+
+
+def test_aux_size_cap():
+    size = int(stated(r"`S\^2 - 1` steps on average, so sizes above `S = (\d+)`"))
+    assert size**2 - 1 <= ROUND_CAP < (size + 1) ** 2 - 1
+
+
+def test_ladder_size_cap():
+    size = int(stated(r"so sizes above `S = (\d+)` are refused with exit code 4\. \* `odes`"))
+    # transient pair states times the most solves a ladder takes
+    entries = [s * (s - 1) // 2 * (s + 1) for s in (size, size + 1)]
+    assert entries[0] <= MAX_KERNEL_ENTRIES < entries[1]
+
+
+def test_odes_euler_step_cap(monkeypatch, tmp_path):
+    step, time = stated(r"at `S >= 3` the step is (1/\d+), so about `--time ([\d.e]+)`")
+    assert float(time) == ROUND_CAP * Fraction(step)
+    # The same bound at a cap of 80 steps is t = 80 * step.
+    monkeypatch.setattr(sepsim.moments, "ROUND_CAP", 80)
+    limit = 80 * Fraction(step)
+    out = str(tmp_path / "m.json")
+    for size in ("3", "30"):
+        argv = ["odes", "--size", size, "--format", "json", "--output", out, "--time"]
+        assert main([*argv, str(float(limit))]) == 0
+        assert main([*argv, str(float(limit) * 1.001)]) == 4
