@@ -16,8 +16,8 @@ sequences.
 
 The numpy samplers share one driver, lockstep, on a uniformized clock (Bortz,
 Kalos and Lebowitz, J. Comput. Phys. 17 (1975) 10): every open replica takes
-one move per round, moves that change nothing included, so all replicas
-advance together and a round is a handful of array operations.
+one move or one chunk of moves per round, moves that change nothing included,
+so all replicas advance together and a round is a handful of array operations.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .errors import NumericError, ResourceError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 
-# Most rounds any clocked loop may run: the cap of an absorbing lockstep run,
-# the largest mean quota a timed lockstep run accepts, and the most Euler steps
-# a moment integration takes.
+# Most rounds any clocked loop may run: the cap of an absorbing lockstep run
+# (on moves where a round takes several), the largest mean quota a timed
+# lockstep run accepts, and the most Euler steps a moment integration takes.
 ROUND_CAP = 5_000_000
 
 # Largest accepted residual of a direct solve or a certified exact vector.
@@ -103,13 +103,20 @@ def check_residual(what: str, residual: float, bound: float) -> None:
 def poisson_quotas(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
     """Sorted Poisson(mean) round counts of n replicas for a timed lockstep run.
 
-    A mean above ROUND_CAP is refused before anything is drawn.
+    One multinomial draw over mean +- (40 sqrt(mean) + 40), past which every
+    weight underflows; a mean above ROUND_CAP is refused before any draw.
     """
     if mean > ROUND_CAP:
         raise ResourceError(
             f"{mean:.3g} rounds per replica expected, cap is {ROUND_CAP} rounds"
         )
-    return np.sort(gen.poisson(mean, size=n))
+    if mean == 0:
+        return np.zeros(n, dtype=np.int64)
+    half = 40 * math.sqrt(mean) + 40
+    values = np.arange(max(0, math.floor(mean - half)), math.ceil(mean + half) + 1)
+    logw = np.cumsum(np.log(mean / np.maximum(values, 1)))  # log p(v) + constant
+    w = np.exp(logw - logw.max())
+    return np.repeat(values, gen.multinomial(n, w / w.sum()))
 
 
 def lockstep(
@@ -120,8 +127,8 @@ def lockstep(
     """Advance replicas 0..n_replicas-1 round by round until none is open.
 
     Each round calls step(rows) with the open rows in ascending order; step
-    moves every one of them once and returns a mask over rows marking those it
-    absorbed (None when it absorbs none). Absorbed rows never reopen.
+    moves every one of them once or more and returns a mask over rows marking
+    those it absorbed (None when it absorbs none). Absorbed rows never reopen.
 
     With quotas (sorted, one per replica) row r is open for quotas[r] rounds,
     so the open rows are a suffix of the unabsorbed ones. Without quotas a row

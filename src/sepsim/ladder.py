@@ -38,8 +38,8 @@ replica is absorbed: simulate_hybrid_pair moves the pair with the dual
 walker kernel (padded walker rows, one narrow draw per move, death written
 to site 0), exclusion on until its k-th meeting episode ends and off after,
 and simulate_aux_walk runs the reflected walk behind gamma_k on narrow
-positions with one boolean coin per step. The pair's only episode state is
-one counter of distance-1 entries and exits per replica.
+positions, _CHUNK moves a round, each a bit of a random word. The pair's
+only episode state is one counter of distance-1 entries and exits per replica.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import core
 from .core import (
     MAX_RESIDUAL,
     ROUND_CAP,
@@ -63,13 +64,14 @@ from .core import (
     site_dtype,
 )
 from .dual import _draw_moves, _move_batch, _walkers, stationary_moment
-from .errors import ResourceError, ValidationError
+from .errors import NumericError, ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
 # Caps n_states x (S+1): the system has n_states = S(S-1)/2 unknowns and a
 # ladder takes at most S+1 solves of it. 2**26 admits S <= 512.
 MAX_KERNEL_ENTRIES = 2**26
 _SOLVE_BLOCK = 64  # right-hand sides per solve when tabulating restart masses
+_CHUNK = 32  # reflected-walk moves per open walker and lockstep round
 
 
 def p0_independent(params: ModelParams, x: int, y: int) -> float:
@@ -356,6 +358,21 @@ class AuxWalkResult:
     gamma_stderr: np.ndarray
 
 
+def _walk_chunk(p: np.ndarray, coins: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Move walkers n times in place, p <- |p + 2 coin - 1|; count their returns to 0.
+
+    Coin j is bit j of a walker's words, low first; one reaching S parks at S + n + 1.
+    """
+    octets = np.ascontiguousarray(coins.astype("<u8", copy=False).view(np.int8).T)
+    returns = np.zeros(p.size, dtype=np.int8)
+    for j in range(n):
+        p += 2 * (octets[j >> 3] >> (j & 7) & 1) - 1
+        np.abs(p, out=p)
+        returns += p == 0
+        np.putmask(p, p == size, size + n + 1)
+    return returns
+
+
 def simulate_aux_walk(
     size: int,
     k_max: int,
@@ -365,11 +382,11 @@ def simulate_aux_walk(
     """Empirical tail of the number of returns to 0 before reaching S.
 
     The walk starts at 1, steps symmetrically on [0, S], and leaves 0 to 1 on
-    the step after every return. Its mean round count is S^2 - 1; a size
-    whose mean exceeds ROUND_CAP is refused before anything is drawn. The
-    table ends where ladder_tables ends its own, at the first k whose gamma_k
-    falls below _EARLY_STOP_GAMMA, and the tail is exactly 0 past the most
-    returns any replica made.
+    the move after every return, _CHUNK moves a round. Its mean move count is
+    S^2 - 1: a larger one than ROUND_CAP is refused before any draw, and walks
+    open after core.ROUND_CAP moves raise NumericError. The table ends where
+    ladder_tables ends its own, at the first k whose gamma_k falls below
+    _EARLY_STOP_GAMMA, and the tail is exactly 0 past the most returns made.
     """
     if size < 2:
         raise ValidationError(f"size must be >= 2, got {size}")
@@ -379,19 +396,20 @@ def simulate_aux_walk(
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     if size**2 - 1 > ROUND_CAP:
         raise ResourceError(
-            f"{size**2 - 1} rounds per replica expected, cap is {ROUND_CAP} rounds"
+            f"{size**2 - 1} moves per replica expected, cap is {ROUND_CAP} moves"
         )
     gen = rng.generator()
-    pos = np.ones(n_replicas, dtype=site_dtype(size))
-    visits = np.zeros(n_replicas, dtype=np.int64)
+    pos = np.ones(n_replicas, dtype=site_dtype(size + 2 * _CHUNK + 1))
+    visits = np.zeros(n_replicas, dtype=np.int32)  # returns <= moves <= ROUND_CAP
+    left = iter(range(core.ROUND_CAP, 0, -_CHUNK))  # moves left before each round
 
     def step(rows: np.ndarray) -> np.ndarray:
-        up = gen.integers(0, 2, size=rows.size, dtype=bool)
-        pv = pos[rows]
-        new = np.where(pv == 0, 1, pv + up.astype(pos.dtype) * 2 - 1)
-        visits[rows[new == 0]] += 1
-        pos[rows] = new
-        return new == size
+        if not (n := min(_CHUNK, next(left, 0))):
+            raise NumericError(f"{rows.size} walks open after {core.ROUND_CAP} moves")
+        p, coins = pos[rows], gen.bit_generator.random_raw((rows.size, -(-n // 64)))
+        visits[rows] += _walk_chunk(p, coins, n, size)
+        pos[rows] = p
+        return p > size
 
     lockstep(n_replicas, step)
     k_max = _early_stop(size, k_max)

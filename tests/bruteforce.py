@@ -353,3 +353,20 @@ def walker_move(positions, u, size, exclusive=True):
         return tuple(pos), False
     pos[walker] = there
     return tuple(pos), there == 0
+
+
+def reflected_walk_reference(size, coins):
+    """The reflected walk behind gamma_k, one coin at a time.
+
+    The walk starts at 1 on {0..S}: coin 1 steps up, coin 0 steps down, and
+    from 0 the step goes to 1 whatever the coin. It stops at S, and coins
+    after that are ignored. Returns (position, returns to 0, moves made).
+    """
+    pos, returns, moves = 1, 0, 0
+    for coin in coins:
+        if pos == size:
+            break
+        pos = 1 if pos == 0 else pos + (1 if coin else -1)
+        returns += pos == 0
+        moves += 1
+    return pos, returns, moves

@@ -360,9 +360,20 @@ def test_aux_table(tmp_path):
 
 
 def test_aux_refuses_size_beyond_round_cap(capsys):
-    # The mean round count is S^2 - 1 = 4e8 at S = 20000, far above the cap.
+    # The mean move count is S^2 - 1 = 4e8 at S = 20000, far above the cap.
     assert run(["aux", "--size", "20000", "--replicas", "4"]) == 4
-    assert "rounds per replica expected" in capsys.readouterr().err
+    assert "moves per replica expected" in capsys.readouterr().err
+
+
+def test_aux_exits_3_when_walks_outlast_the_move_cap(monkeypatch, capsys):
+    # 45 moves is not a whole number of chunks. Walks at S = 10 take 99 moves
+    # on average, so some of 2000 need more than 45; a cap of 45 chunks
+    # would let every one of them finish.
+    import sepsim.core
+
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", 45)
+    assert run(["aux", "--size", "10", "--replicas", "2000"]) == 3
+    assert "walks open after 45 moves" in capsys.readouterr().err
 
 
 def test_deterministic_reruns_are_byte_identical(tmp_path):

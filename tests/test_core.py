@@ -3,6 +3,7 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bruteforce import apply_swap, enabled_bonds
 from sepsim.core import (
@@ -11,14 +12,16 @@ from sepsim.core import (
     RngStream,
     cluster_decompose,
     default_initial_configuration,
+    ROUND_CAP,
     lockstep,
     mean_stderr,
+    poisson_quotas,
     site_dtype,
     validate_point_set,
 )
 import sepsim.core
 from sepsim.dual import estimate_absorption
-from sepsim.errors import NumericError, ValidationError
+from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import simulate_aux_walk, simulate_hybrid_pair
 
 
@@ -250,3 +253,26 @@ def test_absorbing_samplers_respect_round_cap(monkeypatch, run):
 def test_site_dtype_is_the_narrowest_that_holds_the_top_site(top, dtype):
     assert site_dtype(top) is dtype
     assert np.iinfo(dtype).min <= -1
+
+
+@pytest.mark.parametrize("mean,seed", [(0.5, 1), (20.0, 2), (80.0, 3), (1e5, 4)])
+def test_poisson_quotas_follow_the_poisson_law(mean, seed):
+    n = 200_000
+    quotas = poisson_quotas(np.random.default_rng(seed), mean, n)
+    assert quotas.size == n and (np.diff(quotas) >= 0).all()
+    # Chi-square over the values expected at least 5 times, each tail pooled
+    # into the bin at its end.
+    law = stats.poisson(mean)
+    ks = np.flatnonzero(n * law.pmf(np.arange(int(mean + 10 * mean**0.5 + 20))) >= 5)
+    lo, hi = ks[0], ks[-1]
+    want = n * np.concatenate(([law.cdf(lo)], law.pmf(ks[1:-1]), [law.sf(hi - 1)]))
+    got = np.bincount(np.clip(quotas, lo, hi) - lo, minlength=hi - lo + 1)
+    chi2 = float(((got - want) ** 2 / want).sum())
+    assert stats.chi2.sf(chi2, len(want) - 1) > 1e-4
+
+
+def test_poisson_quotas_edge_means_draw_nothing():
+    # No generator is touched for a zero mean or before a refusal.
+    assert poisson_quotas(None, 0.0, 5).tolist() == [0] * 5
+    with pytest.raises(ResourceError):
+        poisson_quotas(None, ROUND_CAP * 1.01, 5)

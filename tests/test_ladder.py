@@ -7,12 +7,21 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 import sepsim.ladder
-from bruteforce import dense_ladder, dense_meeting_table, mc_first_meeting, mc_repeat_meetings
-from sepsim.core import ModelParams, lockstep, mean_stderr
+import sepsim.core
+from bruteforce import (
+    dense_ladder,
+    dense_meeting_table,
+    mc_first_meeting,
+    mc_repeat_meetings,
+    reflected_walk_reference,
+)
+from sepsim.core import ModelParams, lockstep, mean_stderr, site_dtype
 from sepsim.dual import estimate_absorption
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
+    _CHUNK,
     MAX_KERNEL_ENTRIES,
+    _walk_chunk,
     first_meeting_kernel,
     gamma_closed_form,
     ladder_tables,
@@ -400,3 +409,59 @@ def test_aux_walk_refuses_mean_round_count_above_cap(monkeypatch):
         simulate_aux_walk(5, 1, 4, _NoDraws())
     r = simulate_aux_walk(4, 1, 4, ModelParams(size=4, seed=1).stream(0))
     assert r.n_replicas == 4
+
+
+def _coins(words, n):
+    """The first n coins of each row of a (walkers, words) uint64 array."""
+    return [[(int(row[j // 64]) >> (j % 64)) & 1 for j in range(n)] for row in words]
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 17])
+def test_walk_chunk_matches_scalar_reference(size):
+    # 100 walkers, not a multiple of 64, on two words of coins each, checked
+    # after every move count n = 1..70: each walker is absorbed on the last
+    # move of one chunk length and in the middle of every longer one.
+    words = np.random.default_rng(size).integers(0, 2**64, size=(100, 2), dtype=np.uint64)
+    # Straight up to S, then straight down: absorbed mid-chunk, and a walker
+    # that went on would return to 0 within 2S moves.
+    words[0] = [(1 << (size - 1)) - 1, 0]
+    if size % 2:  # r (down, forced) pairs then S-1 ups: absorbed on move 32
+        words[1] = [((1 << (size - 1)) - 1) << (32 - size + 1), 0]
+        assert reflected_walk_reference(size, _coins(words[1:2], 32)[0]) == (
+            size, (32 - size + 1) // 2, 32
+        )
+    assert reflected_walk_reference(size, _coins(words[:1], 70)[0])[2] == size - 1
+    coins = _coins(words, 70)
+    for n in range(1, 71):
+        p = np.ones(len(words), dtype=site_dtype(size + 2 * n + 1))
+        returns = _walk_chunk(p, words.copy(), n, size)
+        want = [reflected_walk_reference(size, c[:n]) for c in coins]
+        absorbed = np.array([w[0] == size for w in want])
+        assert ((p > size) == absorbed).all()
+        assert (p[~absorbed] == [w[0] for w in want if w[0] != size]).all()
+        assert (p >= 0).all()
+        assert returns.tolist() == [w[1] for w in want]
+
+
+def test_aux_walk_caps_moves_not_chunks(monkeypatch):
+    # One walker at S = 6 reads 32 coins from each word its stream draws;
+    # with seed 5 it is absorbed on a move that ends no chunk.
+    stream = ModelParams(size=6, seed=5).stream(0)
+    words = stream.generator().bit_generator.random_raw((4, 1))
+    coins = [c for w in _coins(words, _CHUNK) for c in w]
+    end, returns, moves = reflected_walk_reference(6, coins)
+    assert end == 6 and moves > _CHUNK and moves % _CHUNK
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", moves)
+    r = simulate_aux_walk(6, 40, 1, stream)
+    assert r.gamma_mc[returns] == 1 and not r.gamma_mc[returns + 1 :].any()
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", moves - 1)
+    with pytest.raises(NumericError):
+        simulate_aux_walk(6, 40, 1, stream)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(2, 40), seed=st.integers(0, 2**16))
+def test_aux_walk_law_at_random_sizes(size, seed):
+    r = simulate_aux_walk(size, 3, 20_000, ModelParams(size=size, seed=seed).stream(0))
+    for k in (1, 2, 3):
+        assert abs(r.gamma_mc[k] - r.gamma[k]) < 4 * r.gamma_stderr[k]
