@@ -128,11 +128,13 @@ def lockstep(
 
     Each round calls step(rows) with the open rows in ascending order; step
     moves every one of them once or more and returns a mask over rows marking
-    those it absorbed (None when it absorbs none). Absorbed rows never reopen.
+    those it closed (None when it closes none): rows absorbed, or rows whose
+    remaining success the caller scores in closed form. Closed rows never
+    reopen.
 
     With quotas (sorted, one per replica) row r is open for quotas[r] rounds,
-    so the open rows are a suffix of the unabsorbed ones. Without quotas a row
-    stays open until absorbed; rows still open after ROUND_CAP rounds raise
+    so the open rows are a suffix of the unclosed ones. Without quotas a row
+    stays open until closed; rows still open after ROUND_CAP rounds raise
     NumericError.
     """
     idx = np.arange(n_replicas)

@@ -29,10 +29,12 @@ Both samplers run on core.lockstep with one walker kernel, _move_batch: in
 each round every open family moves one uniformly chosen walker one step left
 or right. Moves that change nothing (a frozen walker, a hop onto an occupied
 site) are kept as no-ops, so the event rate does not depend on the state.
-estimate_absorption runs each family until it is absorbed;
+estimate_absorption runs each family until at most one walker is left in
+the bulk and then scores that walker's ruin line x/(S+1), its exact success
+probability given the path so far; by the tower rule the estimate stays
+unbiased, and a one-point family still walks until it is absorbed.
 transient_dual_moment gives each family a Poisson number of moves. The
-ladder's hybrid pair uses the same kernel with exclusion switched off per
-family.
+ladder's hybrid pair uses the same kernel until its walkers are independent.
 
 The kernel works on an (n, k+2) array of the narrowest signed dtype that
 holds -1..S+2: column 0 is a -1 sentinel and column k+1 an S+2 sentinel, so
@@ -129,7 +131,12 @@ def estimate_absorption(
     """Monte Carlo probability that a family freezes completely.
 
     Vectorized over replicas on the uniformized clock (no-op events included;
-    the absorbed-state law is unchanged by that choice).
+    the absorbed-state law is unchanged by that choice). A family closes once
+    at most one walker is left in the bulk and scores its lowest walker's
+    ruin line x/(S+1): 0 when dead, 1 when fully frozen, and for a lone bulk
+    walker its exact chance to freeze, since frozen walkers stop excluding.
+    By the tower rule the mean is unbiased. A one-point family still walks
+    until it is absorbed, so the ruin line itself stays sampled.
     """
     s = params.size
     pts = validate_point_set(initial, s, interior_only=True)
@@ -138,14 +145,16 @@ def estimate_absorption(
     k = len(pts)
     gen = rng.generator()
     walkers = _walkers(pts, n_replicas, s)
-    lowest = walkers[:, 1]  # frozen lowest walker: the whole family is frozen
+    # Walkers stay in order, so the second one frozen leaves only the lowest
+    # in the bulk; with k = 1 this is the lowest frozen.
+    second = walkers[:, min(k, 2)]
 
     def step(rows: np.ndarray) -> np.ndarray:
         die = _move_batch(walkers, rows, _draw_moves(gen, k, rows.size), s)
-        return die | (lowest[rows] == s + 1)
+        return die | (second[rows] == s + 1)
 
     lockstep(n_replicas, step)
-    return mean_stderr((lowest == s + 1).astype(np.float64))
+    return mean_stderr(walkers[:, 1] / (s + 1))
 
 
 def transient_dual_moment(

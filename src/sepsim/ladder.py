@@ -34,12 +34,16 @@ than S+1 solves. MAX_KERNEL_ENTRIES caps n_states x (S+1), the system size
 times the solve count, and admits S <= 512.
 
 Two Monte Carlo samplers check the pieces, both on core.lockstep until every
-replica is absorbed: simulate_hybrid_pair moves the pair with the dual
-walker kernel (padded walker rows, one narrow draw per move, death written
-to site 0), exclusion on until its k-th meeting episode ends and off after,
-and simulate_aux_walk runs the reflected walk behind gamma_k on narrow
-positions, _CHUNK moves a round, each a bit of a random word. The pair's
-only episode state is one counter of distance-1 entries and exits per replica.
+replica is closed. simulate_hybrid_pair moves the pair with the dual walker
+kernel (padded walker rows, one narrow draw per move, death written to site
+0) as an exclusion pair until its walkers are independent (its k-th meeting
+episode over, or the upper walker frozen); the row then closes and scores
+the independent pair's success lo*hi/(S+1)^2, which keeps the estimate
+unbiased by the tower rule. The pair's only
+episode state is one counter of distance-1 entries and exits per replica.
+simulate_aux_walk runs the reflected walk behind gamma_k on narrow
+positions, _CHUNK moves a round, each a bit of a random word, until every
+walk is absorbed.
 """
 
 from __future__ import annotations
@@ -320,8 +324,14 @@ def simulate_hybrid_pair(
 
     The pair follows exclusion dynamics until its k-th distance-1 episode
     ends at distance 2, then the walkers move independently; the estimate is
-    the probability that both end at S+1. k = 0 is the fully independent
-    pair. Vectorized over replicas on the uniformized clock.
+    the probability that both end at S+1. Vectorized over replicas on the
+    uniformized clock. A row closes as soon as its walkers are independent:
+    its k-th episode has ended, or its upper walker has frozen at S+1 and
+    stopped excluding. It then scores the independent pair's success
+    lo*hi/(S+1)^2 (0 once the lower walker is dead), its exact success given
+    the path so far, so by the tower rule the mean stays unbiased. k = 0 is
+    the independent pair from the start: it returns P0 with stderr 0 and
+    draws nothing.
     """
     s = params.size
     _check_start(s, x0, y0)
@@ -329,22 +339,28 @@ def simulate_hybrid_pair(
         raise ValidationError(f"k must be >= 0, got {k}")
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    if k == 0:  # independent from the start
+        return p0_independent(params, x0, y0), 0.0
     gen = rng.generator()
     walkers = _walkers((x0, y0), n_replicas, s)
     # Distance-1 entries plus exits: odd inside an episode, and 2k once the
-    # k-th episode has ended. It never exceeds the round count.
+    # k-th episode has ended, which closes the row, so every open row is an
+    # exclusion pair. It never exceeds the round count.
     toggles = np.zeros(n_replicas, dtype=np.int32)
 
     def step(rows: np.ndarray) -> np.ndarray:
         c = toggles[rows]
-        die = _move_batch(walkers, rows, _draw_moves(gen, 2, rows.size), s, c < 2 * k)
+        die = _move_batch(walkers, rows, _draw_moves(gen, 2, rows.size), s)
         pair = walkers.take(rows, axis=0)
         lo, hi = pair[:, 1], pair[:, 2]
-        toggles[rows] = c + (hi - lo == (c & 1) + 1)
-        return die | ((lo == s + 1) & (hi == s + 1))
+        c += hi - lo == (c & 1) + 1
+        toggles[rows] = c
+        return die | (c >= 2 * k) | (hi == s + 1)
 
     lockstep(n_replicas, step)
-    return mean_stderr((walkers[:, 1:-1] == s + 1).all(axis=1).astype(np.float64))
+    # float64 first: the product of two int8 sites overflows from S = 11 on
+    lo, hi = walkers[:, 1].astype(np.float64), walkers[:, 2]
+    return mean_stderr(lo * hi / (s + 1) ** 2)
 
 
 @dataclass(frozen=True)

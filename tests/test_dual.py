@@ -126,6 +126,49 @@ def test_estimate_absorption_matches_stationary_moment():
     assert abs(est - want) < 3.5 * se
 
 
+def test_estimate_absorption_law_over_seeds():
+    # z-scores of 40 seeded runs against the closed form, for pairs and
+    # triples, with adjacent starts and points at S among them.
+    cases = [(10, (3, 7)), (12, (5, 6)), (8, (2, 8)), (11, (2, 5, 9)), (9, (4, 5, 9))]
+    z = []
+    for seed in range(8):
+        for s, pts in cases:
+            p = ModelParams(size=s, seed=seed)
+            est, se = estimate_absorption(p, pts, 3000 + 37 * seed, p.stream(2))
+            z.append((est - stationary_moment(s, pts)) / se)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.5
+    assert 0.7 <= z.std(ddof=1) <= 1.3
+
+
+def test_estimate_absorption_matches_unscored_scalar_walk():
+    # The scalar walk runs every family to absorption and scores 0 or 1.
+    p = ModelParams(size=5, seed=29)
+    pts, n = (1, 3, 4), 4000
+    wins = [
+        simulate_dual(p, pts, p.stream(rep).generator()).result is DualResult.ALL_STUCK
+        for rep in range(n)
+    ]
+    ref, ref_se = float(np.mean(wins)), float(np.std(wins, ddof=1) / np.sqrt(n))
+    est, se = estimate_absorption(p, pts, 40_000, p.stream(n))
+    assert abs(est - ref) < 4 * np.hypot(se, ref_se)
+
+
+def test_estimate_absorption_scores_below_the_bernoulli_stderr():
+    # Unscored, every family is a 0/1 outcome; scoring the last bulk walker's
+    # ruin line must take a quarter or more off that stderr.
+    p, pts, n = ModelParams(size=10, seed=5), (3, 7), 100_000
+    m = stationary_moment(10, pts)
+    _, se = estimate_absorption(p, pts, n, p.stream(0))
+    assert se < 0.75 * np.sqrt(m * (1 - m) / (n - 1))
+    # a one-point family is still walked to absorption: every row is 0 or 1
+    n = 5000
+    est, se = estimate_absorption(p, (3,), n, p.stream(0))
+    wins = round(est * n)
+    assert est == wins / n and 0 < wins < n
+    assert se == pytest.approx(np.sqrt(est * (1 - est) / (n - 1)), rel=1e-9)
+
+
 @pytest.mark.parametrize("points", [(10, 20, 30), (8, 16, 24, 32)])
 def test_estimate_absorption_beyond_exact_solver(points):
     # S = 40 is far past the 2^S generator; only the closed form reaches it.

@@ -295,7 +295,50 @@ def test_hybrid_pair_matches_ladder(k):
     p = ModelParams(size=4, seed=14)
     t = ladder_tables(p, 1, 3, k_max=max(k, 1))
     est, se = simulate_hybrid_pair(p, 1, 3, k, 150_000, p.stream(40 + k))
-    assert abs(est - t.p[k]) < 3.5 * se
+    if k == 0:  # the independent pair is scored at its start
+        assert est == t.p[0] and se == 0.0
+    else:
+        assert abs(est - t.p[k]) < 3.5 * se
+
+
+def test_hybrid_pair_law_over_seeds():
+    # z-scores of 40 seeded runs against the ladder rung; at S = 16 the
+    # product of two int8 sites overflows unless it is taken in float64.
+    cases = [(6, 1, 3, 1), (9, 2, 7, 2), (16, 4, 9, 2), (12, 3, 10, 3), (16, 5, 14, 1)]
+    want = [ladder_tables(ModelParams(size=s), x, y, k_max=k).p[k] for s, x, y, k in cases]
+    z = []
+    for seed in range(8):
+        for (s, x, y, k), w in zip(cases, want):
+            p = ModelParams(size=s, seed=seed)
+            est, se = simulate_hybrid_pair(p, x, y, k, 3000 + 37 * seed, p.stream(5))
+            z.append((est - w) / se)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.5
+    assert 0.7 <= z.std(ddof=1) <= 1.3
+
+
+def test_hybrid_pair_matches_unscored_meeting_walk():
+    # Rung k is P0 minus the cost of each of the first k interior meetings,
+    # whose probabilities the scalar walk counts one replica at a time.
+    size, x, y, k, n = 4, 1, 3, 2, 20_000
+    p = ModelParams(size=size, seed=31)
+    cost = 1 / (2 * (size + 1) ** 2)
+    ref, ref_var = p0_independent(p, x, y), 0.0
+    for j in range(1, k + 1):
+        c = mc_repeat_meetings(size, x, y, j, np.random.default_rng(700 + j), n)
+        ref -= cost * c
+        ref_var += cost**2 * c * (1 - c) / (n - 1)
+    est, se = simulate_hybrid_pair(p, x, y, k, 100_000, p.stream(0))
+    assert abs(est - ref) < 4 * np.sqrt(se**2 + ref_var)
+
+
+def test_hybrid_pair_scores_below_the_bernoulli_stderr():
+    # Unscored, every replica is a 0/1 outcome; scoring the independent pair
+    # must take 40% or more off that stderr.
+    p, n = ModelParams(size=16, seed=9), 100_000
+    m = ladder_tables(p, 4, 9, k_max=2).p[2]
+    _, se = simulate_hybrid_pair(p, 4, 9, 2, n, p.stream(0))
+    assert se < 0.6 * np.sqrt(m * (1 - m) / (n - 1))
 
 
 def test_hybrid_pair_large_k_approaches_exclusion_value():
