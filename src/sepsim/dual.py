@@ -100,15 +100,13 @@ def _move_batch(
     rows: np.ndarray,
     u: np.ndarray,
     size: int,
-    exclusive: np.ndarray | bool = True,
 ) -> np.ndarray:
     """Apply one uniformized move per row in place; returns the new-death mask.
 
     Walker u[i] >> 1 of row rows[i] of a _walkers array steps right if
-    u[i] & 1, else left. Frozen walkers (at S+1) and, in rows where
-    `exclusive` holds, hops onto a walker at a bulk site are no-ops, which
-    keeps the total event rate state-independent. A walker that steps off
-    site 1 dies at site 0.
+    u[i] & 1, else left. Frozen walkers (at S+1) and hops onto a walker at a
+    bulk site are no-ops, which keeps the total event rate state-independent.
+    A walker that steps off site 1 dies at site 0.
     """
     width = walkers.shape[1]
     flat = walkers.reshape(-1)
@@ -117,7 +115,7 @@ def _move_batch(
     pos = flat[i]
     tgt = pos + step
     blocked = (flat[i + step] == tgt) & (tgt <= size)
-    stay = (pos == size + 1) | (blocked & exclusive)
+    stay = (pos == size + 1) | blocked
     flat[i] = np.where(stay, pos, tgt)
     return tgt == 0
 

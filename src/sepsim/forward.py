@@ -8,12 +8,12 @@ independent uniform draws, so replicas can advance in lock step.
 
 * Stationary sampling is bit-sliced. A block of up to BLOCK_WIDTH replicas is
   one Python int with one W-bit field per site 0..S+1; bit r of field k is
-  replica r's occupancy of site k. In each interval (the burn-in, then each
-  sample interval) replica r draws its Poisson quota at rate S+1 and its bonds
-  from its own stream, and the block runs as many rounds as the largest quota.
-  In one round every replica still inside its quota fires one bond; the whole
-  round costs a handful of big-int operations. Round masks are built in numpy
-  one chunk of rounds at a time, so memory stays bounded however long the run.
+  replica r's occupancy of site k. Every replica fires one uniform bond in
+  every round, a handful of big-int operations for the whole block, and is
+  sampled at its own rounds: after Poisson((S+1) burn_in) firings, then after
+  Poisson((S+1) sample_interval) more each time. Nothing pads a block to its
+  slowest replica. Bonds, round masks and sample rounds are drawn one chunk
+  of rounds at a time, so memory stays bounded however long the run.
 * Transient moments are bit-sliced in numpy words: bit r of word w in row k
   is site k of replica 64w+r. On core.lockstep the clock runs at 2^L >= S+1,
   L = S.bit_length(); per round, L random bit planes spell a value per lane,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import repeat
 
 import numpy as np
 
@@ -63,7 +63,7 @@ MAX_FIRINGS = 10**11
 
 _CHUNK_BYTES = 1 << 20  # working memory for the round masks of one chunk
 _ROUND_WORK_BYTES = 40  # scratch per replica-round beside its S+1 mask bytes
-_QUOTA_BATCH = 256  # sample intervals whose firing counts are drawn at once
+_QUOTA_BATCH = 256  # sample rounds a lane draws at once
 _ALL_LANES = np.uint64(2**64 - 1)
 
 
@@ -118,129 +118,129 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(raw.tobytes(), "little")
 
 
-def _unpack(occ: int, n_sites: int, width: int) -> np.ndarray:
-    """Inverse of _pack: the (n_sites, W) 0/1 array of a block state."""
-    n_bits = n_sites * width
-    raw = np.frombuffer(occ.to_bytes((n_bits + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n_bits, bitorder="little").reshape(n_sites, width)
+def _unpack(states: list[int], n_sites: int, width: int) -> np.ndarray:
+    """Inverse of _pack for many states at once: an (n, n_sites, W) 0/1 array."""
+    n, size = len(states), (n_sites * width + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in states), np.uint8)
+    bits = np.unpackbits(raw.reshape(n, size), axis=1, bitorder="little")
+    return bits[:, : n_sites * width].reshape(n, n_sites, width)
 
 
-def _masks(bonds: np.ndarray, size: int) -> list[int]:
-    """Round masks from an (n_rounds, W) array of fired bonds.
+def _masks(bonds: np.ndarray, scratch: np.ndarray, live: np.ndarray | None) -> list[int]:
+    """Round masks from an (n_rounds, W) array of fired bonds in 0..S.
 
-    Mask bit b*W + r is set when replica r fires bond b in that round; a value
-    outside 0..S leaves the replica idle for the round.
+    Mask bit b*W + r is set when replica r fires bond b in that round, unless
+    live[round, r] is False and the replica idles. Each round is a one-hot
+    scatter of W bits into `scratch`, a zeroed bool array with a row of whole
+    bytes per round, which is zeroed again so that chunks can share it.
     """
     n, width = bonds.shape
-    hit = bonds[:, None, :] == np.arange(size + 1, dtype=bonds.dtype)[None, :, None]
-    packed = np.packbits(hit.reshape(n, (size + 1) * width), axis=1, bitorder="little")
-    row = packed.shape[1]
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[i : i + row], "little") for i in range(0, n * row, row)]
+    flat, bits = scratch.reshape(-1), scratch.shape[1]
+    at = np.multiply(bonds, width, dtype=np.intp)
+    at += np.arange(width)
+    at += np.arange(0, n * bits, bits)[:, None]
+    flat[at] = True if live is None else live
+    rows = np.packbits(flat[: n * bits], bitorder="little").view(f"V{bits // 8}").tolist()
+    flat[at] = False
+    return list(map(int.from_bytes, rows, repeat("little")))
 
 
-def _fire(occ: int, masks: list[int], width: int, bulk: int) -> tuple[int, int]:
-    """Apply rounds of firings to a block state; also count state changes.
+def _fire(
+    occ: int, masks: list[int], at: list[int], width: int, bulk: int
+) -> tuple[int, int, list[int]]:
+    """Apply rounds of firings to a block state; count state changes, keep snapshots.
 
     A fired bond whose endpoints differ flips both endpoint fields. Each
     replica fires at most one bond per round, so the flips of one round touch
     disjoint bits and apply at once; `bulk` keeps the reservoir fields pinned.
+    The state before masks[p] is kept for each p in the ascending, distinct
+    `at`, and p = len(masks) keeps the final state.
     """
-    events = 0
-    for m in masks:
-        t = (occ ^ (occ >> width)) & m
-        events += t.bit_count()
-        occ ^= (t ^ (t << width)) & bulk
-    return occ, events
-
-
-def _interval_quotas(
-    gens: list[np.random.Generator], total_rate: float, schedule: SimSchedule
-) -> Iterator[np.ndarray]:
-    """Per-replica firing counts of the burn-in, then of each sample interval."""
-    yield np.array([g.poisson(total_rate * schedule.burn_in) for g in gens])
-    lam = total_rate * schedule.sample_interval
-    left = schedule.n_samples - 1
-    while left:
-        k = min(left, _QUOTA_BATCH)
-        yield from np.stack([g.poisson(lam, size=k) for g in gens], axis=1)
-        left -= k
-
-
-def _round_chunks(
-    quotas: Iterator[np.ndarray], chunk: int
-) -> Iterator[list[tuple[np.ndarray, int, int, bool]]]:
-    """Group the intervals' rounds into chunks of at most `chunk` rounds.
-
-    An interval lasts as many rounds as its largest quota. Each piece is
-    (quotas, first round within the interval, rounds, ends the interval).
-    """
-    pieces: list[tuple[np.ndarray, int, int, bool]] = []
-    n = 0
-    for q in quotas:
-        total = int(q.max())
-        first = 0
-        while True:
-            length = min(total - first, chunk - n)
-            pieces.append((q, first, length, first + length == total))
-            first += length
-            n += length
-            if n == chunk:
-                yield pieces
-                pieces, n = [], 0
-            if first == total:
-                break
-    if pieces:
-        yield pieces
+    events = done = 0
+    snaps = []
+    for p in [*at, len(masks)]:
+        for m in masks[done:p]:
+            t = (occ ^ (occ >> width)) & m
+            events += t.bit_count()
+            occ ^= (t ^ (t << width)) & bulk
+        snaps.append(occ)
+        done = p
+    return occ, events, snaps[:-1]
 
 
 def _run_block(
     args: tuple[ModelParams, tuple[PointSet, ...], SimSchedule, RngStream, int, int],
 ) -> tuple[np.ndarray, int, int]:
-    """Run replicas lo..hi-1 in lockstep; per-replica set means, events, rounds."""
+    """Run replicas lo..hi-1 in lockstep; per-replica set means, events, rounds.
+
+    Lane r fires one bond per round up to its last sample; its k-th sample is
+    its state after c[r, k] rounds, a sum of k+1 Poisson counts. It draws its
+    next _QUOTA_BATCH sample rounds once a chunk reaches its latest one, so
+    few samples wait, keyed round*W + lane with a count (two samples at one
+    round count twice). Bonds and sample rounds come from rng.offset(lo).
+    """
     params, point_lists, schedule, base, lo, hi = args
-    s, width = params.size, hi - lo
-    gens = [base.offset(r).generator() for r in range(lo, hi)]
+    s, width, n_samples = params.size, hi - lo, schedule.n_samples
+    gen = base.offset(lo).generator()
     start = default_initial_configuration(params).as_array()
     occ = _pack(np.repeat(start[:, None], width, axis=1))
     bulk = ((1 << (s * width)) - 1) << width
     longest = max(len(pts) for pts in point_lists)
     # Pad each set with its last point; the AND over a set ignores repeats.
     index = np.array([pts + pts[-1:] * (longest - len(pts)) for pts in point_lists])
-    hits = np.zeros((len(point_lists), width), dtype=np.int64)
+    hits = np.zeros((width, len(point_lists)), dtype=np.int64)
     chunk = max(1, _CHUNK_BYTES // (width * (s + 1 + _ROUND_WORK_BYTES)))
-    quotas = _interval_quotas(gens, s + 1, schedule)
-    events = rounds = 0
-    for pieces in _round_chunks(quotas, chunk):
-        lengths = [length for _, _, length, _ in pieces]
-        step = np.concatenate([np.arange(f, f + n) for _, f, n, _ in pieces])
-        quota = np.repeat(np.array([q for q, _, _, _ in pieces]), lengths, axis=0)
-        fires = step[:, None] < quota
-        # Narrow and round-major, so that _masks compares contiguous rows.
-        bonds = np.full((len(step), width), s + 1, dtype=np.min_scalar_type(s + 1))
-        bonds.T[fires.T] = np.concatenate(
-            [g.integers(0, s + 1, size=k) for g, k in zip(gens, fires.sum(axis=0))]
-        )
-        masks = _masks(bonds, s)
-        done = 0
-        for _, _, length, ends in pieces:
-            occ, changed = _fire(occ, masks[done : done + length], width, bulk)
-            events += changed
-            done += length
-            if ends:
-                hits += _unpack(occ, s + 2, width)[index].all(axis=1)
-        rounds += len(step)
-    return hits.T / schedule.n_samples, events, rounds
+    scratch = np.zeros((chunk, -(-(s + 1) * width // 8) * 8), dtype=bool)
+    ahead = gen.poisson((s + 1) * schedule.burn_in, size=width)  # latest drawn round
+    left = np.full(width, n_samples - 1)  # sample rounds each lane has yet to draw
+    keys, mult = ahead * width + np.arange(width), np.ones(width, dtype=np.int64)
+    events = first = 0
+    while True:
+        stop = first + chunk
+        while True:  # a lane may add samples at its latest round: draw past stop
+            lag = np.flatnonzero((ahead <= stop) & (left > 0))
+            if not lag.size:
+                break
+            steps = gen.poisson((s + 1) * schedule.sample_interval, (_QUOTA_BATCH, lag.size))
+            rounds = ahead[lag] + np.cumsum(steps, axis=0)
+            took = np.minimum(left[lag], _QUOTA_BATCH)
+            # Lane by lane the new keys ascend; merge each run of equal ones.
+            new = (rounds * width + lag).T[np.arange(_QUOTA_BATCH) < took[:, None]]
+            run = np.flatnonzero(np.diff(new, prepend=-1))
+            keys = np.concatenate([keys, new[run]])
+            mult = np.concatenate([mult, np.diff(run, append=new.size)])
+            ahead[lag] = rounds[took - 1, np.arange(lag.size)]
+            left[lag] -= took
+        done = not left.any()
+        if done:
+            stop = min(stop, int(ahead.max()))
+        n = stop - first
+        due = keys <= stop * width + width - 1
+        pos, lane = np.divmod(keys[due] - first * width, width)
+        weight, keys, mult = mult[due, None], keys[~due], mult[~due]
+        at = np.flatnonzero(np.bincount(pos, minlength=n + 1))
+        # A lane past its last sample idles.
+        live = first + np.arange(n)[:, None] < ahead if ahead.min() < stop else None
+        bonds = gen.integers(0, s + 1, size=(n, width), dtype=np.min_scalar_type(s))
+        masks = _masks(bonds, scratch, live)
+        occ, changed, snaps = _fire(occ, masks, at.tolist(), width, bulk)
+        events += changed
+        if snaps:
+            seen = _unpack(snaps, s + 2, width)[np.searchsorted(at, pos), :, lane]
+            np.add.at(hits, lane, seen[:, index].all(axis=2) * weight)
+        if done and stop == ahead.max():
+            return hits / n_samples, events, stop
+        first = stop
 
 
 @dataclass(frozen=True)
 class StationaryEstimate:
     """Pooled moment estimates with their between-replica standard errors.
 
-    total_events counts state-changing firings. rounds counts lockstep rounds
-    summed over blocks, idle padding included; with one block (n_replicas <=
-    BLOCK_WIDTH), total_events / (rounds * n_replicas) is the share of
-    replica-rounds that changed the state.
+    total_events counts state-changing firings. rounds sums over blocks the
+    rounds each block ran, which is its last sample round. A replica fires in
+    every round up to its own last sample and idles after it, so total_events
+    is at most rounds * n_replicas.
     """
 
     point_sets: tuple[PointSet, ...]

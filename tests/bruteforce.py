@@ -333,14 +333,14 @@ def simulate_dual(params, initial, rng):
     )
 
 
-def walker_move(positions, u, size, exclusive=True):
+def walker_move(positions, u, size):
     """One uniformized move of a dual walker family, by direct case analysis.
 
     Draw u picks walker u // 2, which steps right if u is odd and left if it
-    is even. A walker at S+1 is frozen and stays. With exclusion, a hop onto
-    a bulk site held by another walker is refused; frozen walkers at S+1 do
-    not exclude. A walker stepping from 1 to 0 dies there, and with it the
-    family. Returns the new positions and whether the family died.
+    is even. A walker at S+1 is frozen and stays. A hop onto a bulk site held
+    by another walker is refused; frozen walkers at S+1 do not exclude. A
+    walker stepping from 1 to 0 dies there, and with it the family. Returns
+    the new positions and whether the family died.
     """
     walker, right = divmod(u, 2)
     pos = list(positions)
@@ -349,7 +349,7 @@ def walker_move(positions, u, size, exclusive=True):
         return tuple(pos), False
     there = here + 1 if right else here - 1
     others = pos[:walker] + pos[walker + 1 :]
-    if exclusive and 1 <= there <= size and there in others:
+    if 1 <= there <= size and there in others:
         return tuple(pos), False
     pos[walker] = there
     return tuple(pos), there == 0

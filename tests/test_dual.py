@@ -310,17 +310,11 @@ _KERNEL_KS = [1, 2, 3, 4, 5, 6, 127, 128, 129]
 
 @st.composite
 def _walker_family(draw, size, k):
-    """Positions of one family and whether its row is exclusive.
+    """Positions of one family: increasing bulk sites, then walkers frozen at S+1.
 
-    Exclusive rows hold increasing bulk sites followed by walkers frozen at
-    S+1, packed against either end or placed at random so that blocked hops,
-    deaths and freezes all come up. Other rows hold any sites in 1..S+1.
+    The bulk walkers are packed against either end or placed at random, so
+    that blocked hops, deaths and freezes all come up.
     """
-    near = st.one_of(
-        st.integers(1, 3), st.integers(size - 1, size + 1), st.integers(1, size + 1)
-    ).map(lambda v: min(max(v, 1), size + 1))
-    if not draw(st.booleans()):
-        return tuple(draw(st.lists(near, min_size=k, max_size=k))), False
     frozen = draw(st.integers(0, k))
     live = k - frozen
     gaps = draw(st.lists(st.integers(0, 2), min_size=live, max_size=live))
@@ -332,7 +326,7 @@ def _walker_family(draw, size, k):
     for g in gaps:
         site += 1 + g
         pos.append(site)
-    return tuple(pos) + (size + 1,) * frozen, True
+    return tuple(pos) + (size + 1,) * frozen
 
 
 @st.composite
@@ -354,17 +348,15 @@ def test_walker_kernel_matches_scalar_move(case):
     assert walkers.dtype == (
         np.int8 if size + 2 <= 127 else np.int16 if size + 2 <= 32767 else np.int32
     )
-    for r, (pos, _) in enumerate(families):
+    for r, pos in enumerate(families):
         walkers[r, 1:-1] = pos
     u = np.array(us, dtype=_draw_moves(np.random.default_rng(0), k, 0).dtype)
-    rows = np.array(fired, dtype=np.int64)
-    exclusive = np.array([families[r][1] for r in fired], dtype=bool)
-    died = _move_batch(walkers, rows, u, size, exclusive)
+    died = _move_batch(walkers, np.array(fired, dtype=np.int64), u, size)
     want_died = []
-    for r, (pos, excl) in enumerate(families):
+    for r, pos in enumerate(families):
         want = pos
         if r in fired:
-            want, dead = walker_move(pos, us[fired.index(r)], size, excl)
+            want, dead = walker_move(pos, us[fired.index(r)], size)
             want_died.append(dead)
         assert tuple(int(v) for v in walkers[r]) == (-1, *want, size + 2)
     assert died.tolist() == want_died

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    all_states,
     enabled_bonds,
     expm_state_distribution,
     moment_from_distribution,
     step_ctmc,
     swap_result,
 )
-from sepsim.core import Configuration, ModelParams
+from sepsim.core import Configuration, ModelParams, default_initial_configuration
 import sepsim.forward
 from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
@@ -135,25 +136,42 @@ def test_step_ctmc_holding_time_scales():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_round_kernel_matches_scalar_replay(size, width, n_rounds, seed):
-    # Random starts and random per-replica bond sequences; -1 is an idle
-    # round. Each replica replayed alone must match its bit field exactly.
+    # Random starts, bonds and per-lane sample rounds, repeats included. A lane
+    # idles after its last sample and, in a fifth of the lanes, at random
+    # rounds before it. Each replica replayed alone must match every snapshot
+    # taken of it, and the block must count its state changes exactly.
     rng = np.random.default_rng(seed)
     interior = rng.integers(0, 2, size=(size, width))
-    bonds = rng.integers(-1, size + 1, size=(n_rounds, width))
-    bonds[:, rng.random(width) < 0.2] = -1
+    bonds = rng.integers(0, size + 1, size=(n_rounds, width))
+    samples = [
+        np.sort(rng.integers(0, n_rounds + 1, size=rng.integers(1, 5))) for _ in range(width)
+    ]
+    live = np.arange(n_rounds)[:, None] < [c[-1] for c in samples]
+    live[:, rng.random(width) < 0.2] &= rng.random((n_rounds, 1)) < 0.5
+    at = sorted({int(j) for c in samples for j in c})
     start = np.vstack([np.zeros(width, int), interior, np.ones(width, int)])
     bulk = ((1 << (size * width)) - 1) << width
-    occ, events = _fire(_pack(start), _masks(bonds, size), width, bulk)
-    final = _unpack(occ, size + 2, width)
+    scratch = np.zeros((n_rounds, -(-(size + 1) * width // 8) * 8), dtype=bool)
+    masks = _masks(bonds, scratch, live)
+    assert not scratch.any()
+    occ, events, snaps = _fire(_pack(start), masks, at, width, bulk)
+    final = _unpack([occ], size + 2, width)[0]
+    shots = _unpack(snaps, size + 2, width)
+    assert len(snaps) == len(at)
     assert not final[0].any() and final[-1].all()
+    assert not shots[:, 0].any() and shots[:, -1].all()
     changes = 0
     for r in range(width):
         state = tuple(int(v) for v in interior[:, r])
-        for b in bonds[:, r]:
-            if b >= 0:
+        path = [state]
+        for b, fires in zip(bonds[:, r], live[:, r]):
+            if fires:
                 new = swap_result(state, int(b), size)
                 changes += new != state
                 state = new
+            path.append(state)
+        for j in samples[r]:
+            assert tuple(int(v) for v in shots[at.index(j), 1:-1, r]) == path[j]
         assert tuple(int(v) for v in final[1:-1, r]) == state
     assert events == changes
 
@@ -240,6 +258,62 @@ def test_burn_in_and_masks_are_streamed():
     finally:
         tracemalloc.stop()
     assert est.rounds > 65 * 2000
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_short_run_matches_expm_oracle_at_both_sample_times():
+    # At S=3 the first sample falls after Poisson(4 t) rounds and the second
+    # Poisson(1) rounds later, at the same round in 37% of the replicas. The
+    # pooled estimates must match the mean of the moments at t and t + dt;
+    # capturing one round late or early, or a clock at rate S+2, moves some
+    # estimate by 6 sigma or more. A replica fires only up to its last
+    # sample, so its expected events are the integral over [0, t + dt] of the
+    # expected number of unbalanced bonds.
+    p = ModelParams(size=3, seed=4)
+    c0 = default_initial_configuration(p).interior()
+    sets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    t, dt, reps = 0.3, 0.25, 3200
+    dists = [expm_state_distribution(3, c0, u) for u in (t, t + dt)]
+    want = [np.mean([moment_from_distribution(d, pts, 3) for d in dists]) for pts in sets]
+    sched = SimSchedule(burn_in=t, n_samples=2, sample_interval=dt, n_replicas=reps)
+    est = estimate_stationary_moments(p, sets, sched, p.stream(0))
+    assert np.all(np.abs(est.estimates - want) < 4 * est.stderrs)
+    full = np.array([(0, *c, 1) for c in all_states(3)])
+    unbalanced = (full[:, 1:] != full[:, :-1]).sum(axis=1)
+    grid = np.linspace(0.0, t + dt, 201)
+    rate = np.array([expm_state_distribution(3, c0, u) @ unbalanced for u in grid])
+    mean_events = np.sum((rate[1:] + rate[:-1]) / 2 * np.diff(grid))
+    lam = 4 * (t + dt)  # a replica's events are at most its Poisson(lam) firings
+    spread = math.sqrt(reps * (lam + lam**2))
+    assert abs(est.total_events - reps * mean_events) < 4 * spread
+
+
+def test_samples_at_one_round_each_count():
+    # Three samples 1e-12 apart share a round in every lane, so each replica's
+    # mean is 0 or 1 and the stderr is that of a coin; counting a repeated
+    # sample once would leave means of 0 or 2/3.
+    p = ModelParams(size=3, seed=2)
+    reps = 40
+    sched = SimSchedule(burn_in=0.7, n_samples=3, sample_interval=1e-12, n_replicas=reps)
+    est = estimate_stationary_moments(p, [(1,), (3,)], sched, p.stream(0))
+    m = est.estimates
+    assert np.all((0 < m) & (m < 1))
+    assert np.allclose(m * reps, np.round(m * reps))
+    assert np.allclose(est.stderrs, np.sqrt(m * (1 - m) / (reps - 1)))
+
+
+def test_sample_rounds_are_streamed():
+    # 2e5 samples per replica, most of them at the same round as the one
+    # before: their rounds alone would take 6.4 MB as int64.
+    p = ModelParams(size=4, seed=5)
+    sched = SimSchedule(burn_in=1.0, n_samples=200_000, sample_interval=0.01, n_replicas=4)
+    tracemalloc.start()
+    try:
+        est = estimate_stationary_moments(p, [(1,), (2, 4)], sched, p.stream(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.rounds > 5 * 0.01 * 200_000 * 0.9
     assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
