@@ -306,7 +306,9 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
         params, pts, config0, args.time, args.replicas, params.stream(2)
     )
     denom = math.hypot(lhs_se, rhs_se)
-    if denom > 0:
+    if math.isnan(lhs_se) or math.isnan(rhs_se):  # one replica has no stderr
+        z = math.nan
+    elif denom > 0:
         z = (lhs - rhs) / denom
     else:
         z = 0.0 if lhs == rhs else math.inf

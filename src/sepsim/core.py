@@ -40,6 +40,10 @@ ROUND_CAP = 5_000_000
 # Largest accepted residual of a direct solve or a certified exact vector.
 MAX_RESIDUAL = 1e-10
 
+# A word of the bit-sliced samplers with every lane set: bit r of word w is
+# replica 64w+r.
+ALL_LANES = np.uint64(2**64 - 1)
+
 # A point set is a strictly increasing tuple of site indices; a cluster
 # decomposition is its split into maximal runs of consecutive sites.
 PointSet = tuple[int, ...]
@@ -92,6 +96,12 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return est, math.nan
     return est, float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def lane_mean_stderr(words: np.ndarray, n: int) -> tuple[float, float]:
+    """mean_stderr of the 0/1 values of replicas 0..n-1 held in uint64 words."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), count=n, bitorder="little")
+    return mean_stderr(bits.astype(np.float64))
 
 
 def check_residual(what: str, residual: float, bound: float) -> None:

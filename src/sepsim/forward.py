@@ -38,11 +38,13 @@ from itertools import repeat
 import numpy as np
 
 from .core import (
+    ALL_LANES,
     Configuration,
     ModelParams,
     PointSet,
     RngStream,
     default_initial_configuration,
+    lane_mean_stderr,
     lockstep,
     mean_stderr,
     poisson_quotas,
@@ -64,7 +66,6 @@ MAX_FIRINGS = 10**11
 _CHUNK_BYTES = 1 << 20  # working memory for the round masks of one chunk
 _ROUND_WORK_BYTES = 40  # scratch per replica-round beside its S+1 mask bytes
 _QUOTA_BATCH = 256  # sample rounds a lane draws at once
-_ALL_LANES = np.uint64(2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ def transient_moment(
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
     quotas = poisson_quotas(gen, (1 << n_planes) * t, n_replicas)
-    words = np.where(initial.as_array() == 1, _ALL_LANES, np.uint64(0))
+    words = np.where(initial.as_array() == 1, ALL_LANES, np.uint64(0))
     occ = np.repeat(words[:, None], -(-n_replicas // 64), axis=1)
     scratch = np.empty((2, s + 1, occ.shape[1]), dtype=np.uint64)
 
@@ -336,9 +337,7 @@ def transient_moment(
         _fire_round(occ, first, planes, scratch)
 
     lockstep(n_replicas, step, quotas)
-    hits = np.bitwise_and.reduce(occ[list(pts)], axis=0).astype("<u8")
-    bits = np.unpackbits(hits.view(np.uint8), count=n_replicas, bitorder="little")
-    return mean_stderr(bits.astype(np.float64))
+    return lane_mean_stderr(np.bitwise_and.reduce(occ[list(pts)], axis=0), n_replicas)
 
 
 def _fire_round(
@@ -356,7 +355,7 @@ def _fire_round(
     s = occ.shape[0] - 2
     live = occ[:, first >> 6 :]
     masks, flips = scratch[:, :, first >> 6 :]
-    masks[0] = _ALL_LANES
+    masks[0] = ALL_LANES
     masks[0, 0] <<= np.uint64(first & 63)
     filled = 1
     for plane in planes:  # rows past S are only cut at the last plane

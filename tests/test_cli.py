@@ -244,6 +244,19 @@ def test_duality_check_json(tmp_path):
     assert abs(doc["z"] - z) < 1e-12
 
 
+def test_duality_check_z_is_nan_without_a_stderr(tmp_path):
+    # One replica gives NaN standard errors, so the discrepancy has no scale.
+    out = tmp_path / "dc.json"
+    code = run([
+        "duality-check", "--size", "4", "--points", "2", "--time", "1",
+        "--replicas", "1", "--deterministic", "--output", str(out),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert np.isnan(doc["lhs_se"]) and np.isnan(doc["rhs_se"])
+    assert np.isnan(doc["z"])
+
+
 @pytest.mark.parametrize("replicas", ["inf", "-inf", "1e400", "nan"])
 def test_replica_count_refuses_non_finite(replicas, capsys):
     with pytest.raises(SystemExit) as exc:

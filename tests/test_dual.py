@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepsim.dual
 from bruteforce import (
     DualResult,
     expm_state_distribution,
@@ -16,6 +17,7 @@ from bruteforce import (
 from sepsim.core import Configuration, ModelParams
 from sepsim.dual import (
     _draw_moves,
+    _hop_round,
     _move_batch,
     _walkers,
     estimate_absorption,
@@ -290,6 +292,60 @@ def test_transient_dual_matches_forward_oracle(t, points):
     assert abs(est - want) < max(3.5 * se, 1e-3)
 
 
+def test_transient_dual_moment_law_over_seeds():
+    # z-scores of 40 seeded runs against the expm oracle, for one to four
+    # walkers (three idles one index value), at sizes with S+1 a power of two
+    # or not, with replica counts that leave a partial last word.
+    cases = [
+        (1, "1", 0.7, (1,)),
+        (3, "101", 1.1, (1, 3)),
+        (5, "11100", 1.5, (2, 3, 5)),
+        (7, "1101101", 0.9, (1, 2, 4, 5)),
+        (6, "111101", 0.8, (1, 2, 3, 6)),
+    ]
+    want = [
+        moment_from_distribution(
+            expm_state_distribution(s, Configuration.from_interior_string(c).interior(), t),
+            pts,
+            s,
+        )
+        for s, c, t, pts in cases
+    ]
+    z = []
+    for seed in range(8):
+        for (s, c, t, pts), w in zip(cases, want):
+            p = ModelParams(size=s, seed=seed)
+            env = Configuration.from_interior_string(c)
+            est, se = transient_dual_moment(p, pts, env, t, 4000 + 37 * seed, p.stream(3))
+            z.append((est - w) / se)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.5
+    assert 0.7 <= z.std(ddof=1) <= 1.3
+
+
+def test_transient_dual_moment_reads_replicas_in_lane_order(monkeypatch):
+    # Replicas 0..65 get no round and keep their walker on site 1; the other
+    # four get one round that kills every open lane. A lane read out of order,
+    # or a padding lane read in place of a replica, moves the mean off 66/70.
+    n, kept = 70, 66
+    monkeypatch.setattr(
+        sepsim.dual,
+        "poisson_quotas",
+        lambda gen, mean, n: np.repeat([0, 1], [kept, n - kept]),
+    )
+
+    def kill_open_lanes(pos, first, planes, size):
+        bits = np.unpackbits(pos.astype("<u8").view(np.uint8), axis=2, bitorder="little")
+        bits[1, :, first:] = 0
+        pos[:] = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+
+    monkeypatch.setattr(sepsim.dual, "_hop_round", kill_open_lanes)
+    p = ModelParams(size=1)
+    env = Configuration.from_interior_string("1")
+    est, _ = transient_dual_moment(p, (1,), env, 1.0, n, p.stream(0))
+    assert est == kept / n
+
+
 def test_transient_dual_long_horizon_reaches_absorption():
     # For large t the transient value approaches the absorption probability
     # when the environment is the step profile with full right half.
@@ -367,3 +423,67 @@ def test_move_draw_covers_every_walker_and_direction(k, dtype):
     u = _draw_moves(np.random.default_rng(5), k, 20_000)
     assert u.dtype == dtype
     assert u.min() == 0 and u.max() == 2 * k - 1
+
+
+def _words(bits):
+    """Pack 0/1 lanes along the last axis into uint64 words, lane 64w+r at bit r of word w."""
+    return np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little").view("<u8")
+
+
+def _sites(pos):
+    """Lane by lane the rows of a (rows, L, W) position array: tuples of sites."""
+    bits = np.unpackbits(pos.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+    sites = (bits.astype(np.int64) << np.arange(pos.shape[1])[:, None]).sum(axis=1)
+    return [tuple(int(v) for v in lane) for lane in sites.T]
+
+
+@st.composite
+def _sliced_case(draw):
+    size, k, families, fired, us = draw(_kernel_case())
+    n_words = draw(st.integers(1, 3))
+    homes = st.integers(0, 64 * n_words - 1)
+    lanes = draw(st.lists(homes, min_size=len(families), max_size=len(families), unique=True))
+    first = draw(homes)
+    dead = draw(st.lists(st.booleans(), min_size=len(families), max_size=len(families)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return size, k, families, fired, us, n_words, lanes, first, dead, seed
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sliced_case())
+def test_sliced_round_matches_scalar_move(case):
+    # Every lane holds one of the families, some with the lowest walker dead
+    # at 0, and a random draw; each family's home lane takes the drawn move
+    # when fired. One sliced round from a random first open lane must match
+    # walker_move lane by lane, an index >= k idling; a second round from
+    # lane 0 must leave every dead lane, the newly dead included, as it is.
+    size, k, families, fired, us, n_words, lanes, first, dead, seed = case
+    rng = np.random.default_rng(seed)
+    n_index, n_planes = (k - 1).bit_length(), (size + 1).bit_length()
+    n_lanes = 64 * n_words
+    family = np.arange(n_lanes) % len(families)
+    family[lanes] = np.arange(len(families))
+    start = [
+        (0, *families[f][1:]) if dead[f] else families[f] for f in range(len(families))
+    ]
+    before = [start[f] for f in family]
+    u = rng.integers(0, 2 << n_index, size=n_lanes)
+    for r, v in zip(fired, us):
+        u[lanes[r]] = v
+    padded = np.array([(size + 1, *pos, size + 1) for pos in before])
+    pos = _words((padded.T[:, None] >> np.arange(n_planes)[:, None]) & 1)
+    planes = _words((u >> np.arange(1 + n_index)[:, None]) & 1)
+    _hop_round(pos, first, planes[:, first // 64 :], size)
+
+    after = _sites(pos)
+    for lane, (was, now) in enumerate(zip(before, after)):
+        want = was
+        if lane >= first and was[0] != 0 and u[lane] >> 1 < k:
+            want, _ = walker_move(was, int(u[lane]), size)
+        assert now == (size + 1, *want, size + 1)
+
+    dead_now = [now[1] == 0 for now in after]
+    _hop_round(pos, 0, rng.integers(0, 2**64, size=(1 + n_index, n_words), dtype=np.uint64), size)
+    again = _sites(pos)
+    for lane in np.flatnonzero(dead_now):
+        assert again[lane] == after[lane]

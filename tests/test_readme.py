@@ -10,6 +10,7 @@ import sepsim.core
 import sepsim.moments
 from sepsim.cli import main
 from sepsim.core import ROUND_CAP, Configuration, ModelParams
+from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
 from sepsim.forward import transient_moment
 from sepsim.ladder import MAX_KERNEL_ENTRIES
@@ -47,6 +48,26 @@ def test_duality_check_time_cap(monkeypatch):
     transient_moment(p, c0, 10.0, (3,), 4, p.stream(0))
     with pytest.raises(ResourceError):
         transient_moment(p, c0, 10.001, (3,), 4, p.stream(0))
+
+
+def test_duality_check_dual_time_cap(monkeypatch):
+    # The dual clock runs 2K rounds per unit time, K the smallest power of two
+    # >= k; at S=10 it outruns the forward clock of 16 from k = 9 on.
+    k, rate, time = stated(
+        r"at `S = 10` from (\d+) points on, `2K = (\d+)` and about `--time ([\d.e]+)`"
+    )
+    assert int(k) == 2 ** ((10).bit_length() - 1) + 1
+    assert int(rate) == 2 * 16
+    assert float(time) == float(f"{ROUND_CAP / int(rate):.2g}")
+    # The same bounds at a cap of 160 rounds: t = 40 for a pair (2K = 4),
+    # t = 10 for 8 points (2K = 16), t = 5 for 9 points (2K = 32).
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", 160)
+    p = ModelParams(size=10)
+    c0 = Configuration.from_interior_string("1111100000")
+    for pts, limit in [((3, 7), 40.0), (tuple(range(1, 9)), 10.0), (tuple(range(1, 10)), 5.0)]:
+        transient_dual_moment(p, pts, c0, limit, 4, p.stream(0))
+        with pytest.raises(ResourceError):
+            transient_dual_moment(p, pts, c0, limit * 1.0001, 4, p.stream(0))
 
 
 def test_aux_size_cap():
