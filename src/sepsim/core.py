@@ -18,6 +18,9 @@ The numpy samplers share one driver, lockstep, on a uniformized clock (Bortz,
 Kalos and Lebowitz, J. Comput. Phys. 17 (1975) 10): every open replica takes
 one move or one chunk of moves per round, moves that change nothing included,
 so all replicas advance together and a round is a handful of array operations.
+The bit-sliced samplers hold 64 replicas per uint64 word (multi-spin coding,
+Jacobs and Rebbi, J. Comput. Phys. 41 (1981) 203) and read their 0/1 results
+from counts of set bits; the absorbing ones hand lockstep words, not replicas.
 """
 
 from __future__ import annotations
@@ -99,9 +102,13 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
 
 
 def lane_mean_stderr(words: np.ndarray, n: int) -> tuple[float, float]:
-    """mean_stderr of the 0/1 values of replicas 0..n-1 held in uint64 words."""
-    bits = np.unpackbits(words.astype("<u8").view(np.uint8), count=n, bitorder="little")
-    return mean_stderr(bits.astype(np.float64))
+    """mean_stderr of the 0/1 values of replicas 0..n-1 held in uint64 words.
+
+    Both follow from the count c of ones: c/n and sqrt(c (n - c) / (n - 1)) / n.
+    """
+    c = int(np.bitwise_count(words[: n >> 6]).sum())
+    c += (int(words[n >> 6]) & ((1 << (n & 63)) - 1)).bit_count() if n & 63 else 0
+    return c / n, math.sqrt(c * (n - c) / (n - 1)) / n if n > 1 else math.nan
 
 
 def check_residual(what: str, residual: float, bound: float) -> None:
@@ -160,7 +167,7 @@ def lockstep(
         if absorbed is not None and absorbed.any():
             idx = rows[~absorbed]
     if quotas is None and idx.size:
-        raise NumericError(f"{idx.size} replicas still open after {ROUND_CAP} rounds")
+        raise NumericError(f"{idx.size} rows still open after {ROUND_CAP} rounds")
 
 
 @dataclass(frozen=True)

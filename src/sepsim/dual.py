@@ -25,55 +25,53 @@ values. k = 1 is the ruin line x/(S+1); k = 2 is the pair form
 x(y-1)/(S(S+1)) (Spohn, J. Phys. A 16 (1983) 4275). Every value costs O(k)
 at any size.
 
-The absorbing samplers run on core.lockstep with one walker kernel,
-_move_batch: in each round every open family moves one uniformly chosen
-walker one step left or right. Moves that change nothing (a frozen walker, a
-hop onto an occupied site) are kept as no-ops, so the event rate does not
-depend on the state. estimate_absorption runs each family until at most one
-walker is left in the bulk and then scores that walker's ruin line x/(S+1),
-its exact success probability given the path so far; by the tower rule the
-estimate stays unbiased, and a one-point family still walks until it is
-absorbed. The ladder's hybrid pair uses the same kernel until its walkers
-are independent.
-
-The kernel works on an (n, k+2) array of the narrowest signed dtype that
-holds -1..S+2: column 0 is a -1 sentinel and column k+1 an S+2 sentinel, so
-the neighbour in the direction of travel is always one flat index away and
-never blocks by accident. One draw u in [0, 2k) per move picks walker u >> 1
-and direction u & 1. A hop is blocked only when the neighbour sits on the
-target and the target is a bulk site, so frozen walkers stop excluding. The
-move is one write of either the old or the new position, with no compaction
-of movers.
+The samplers are bit-sliced: bit r of word w in plane b of walker j is bit b
+of walker j's position in replica 64w+r, L = (S+1).bit_length() planes, with
+a sentinel row frozen at S+1 on either side of the family. One kernel,
+_hop_round, moves one walker in every open lane of a word mask on a clock of
+2K moves per unit time, K the smallest power of two >= k: one random plane
+sets each lane's direction and log2 K planes its walker index, an index >= k
+idles, so every walker hops each way at rate 1. Moves that change nothing (a
+frozen walker, a hop onto a walker at a bulk site, an idle index) are no-ops,
+so the event rate does not depend on the state. A hop is a carry or borrow
+chain over the planes; equality tests are an OR over the planes of an XOR.
 
 transient_dual_moment gives each family a Poisson number of moves on the
-timed mode of core.lockstep and is bit-sliced instead, like the forward
-transient sampler: bit r of word w in
-plane b of walker j is bit b of walker j's position in replica 64w+r, with
-L = (S+1).bit_length() planes. Its clock runs at 2K per unit time, K the
-smallest power of two >= k: per round one random plane sets each lane's
-direction and log2 K planes its walker index, an index >= k idles, and
-every walker still hops each way at rate 1. A hop is a carry or borrow chain
-over the planes, equality tests are an OR over the planes of an XOR, and a
-lane whose lowest walker reaches 0 is dead and never moves again. A timed
-run suits words: its lanes close in quota order, so whole words close
-together. An absorbing run does not: a 64-lane word would keep moving until
-its slowest lane is absorbed, so the absorbing samplers keep _move_batch. A
-round costs about 45 numpy calls against about 20 for _move_batch, so below
-about 10^4 replicas call overhead makes the sliced sampler slower (10^4
-replicas at S = 10, t = 200: about 0.1 s against 0.075 s); duality-check
-defaults to 10^6 replicas, where it is about 8 times faster.
+timed mode of core.lockstep; a lane whose lowest walker reaches 0 is dead.
+A round costs about 45 numpy calls against about 20 for a sampler that moves
+one walker row per replica, so below about 10^4 replicas it is slower (10^4
+at S = 10, t = 200: about 0.1 s against 0.075 s); duality-check defaults to
+10^6 replicas, where it is about 8 times faster.
+
+estimate_absorption and the ladder's hybrid pair share absorbing_run, on the
+absorbing mode of core.lockstep with words as its rows. After each round a
+close rule runs on whole words: a lane closes once its lowest walker is dead
+or walker min(k, 2) is frozen, so at most one walker is left in the bulk (a
+hybrid lane also at the end of its k-th meeting episode). Whenever the open
+lanes fit in half the words, the held lanes are decoded once: closed lanes
+are scored, and open ones packed densely again in lane order, so no word
+waits for its slowest lane. estimate_absorption scores the lowest walker's
+ruin line x/(S+1), its exact chance to freeze given the path so far, since
+frozen walkers stop excluding; by the tower rule the estimate stays unbiased.
+A one-point family still walks until it is absorbed. With few replicas the
+per-round call overhead dominates: against the walker-row sampler the engine
+wins from about 3*10^4 replicas at S = 10, points (3, 7), and about 10^5 at
+S = 40, points (10, 20, 30); 2*10^4 replicas there take 0.87 s against
+0.46 s, and 2*10^5 at S = 100, points (30, 70), 3.9 s against 9.8 s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import (
     ALL_LANES,
+    ROUND_CAP,
     Configuration,
     ModelParams,
     PointSet,
@@ -99,46 +97,6 @@ def stationary_moment(size: int, points: PointSet) -> float:
     )
 
 
-def _walkers(points: PointSet, n_replicas: int, size: int) -> np.ndarray:
-    """Padded walker array: n rows of [-1, *points, S+2] in the narrowest dtype.
-
-    The sentinels at columns 0 and k+1 are never a hop target, so the walker
-    kernel reads a neighbour on either side without a bounds case.
-    """
-    row = np.array([-1, *points, size + 2], dtype=site_dtype(size + 2))
-    return np.tile(row, (n_replicas, 1))
-
-
-def _draw_moves(gen: np.random.Generator, k: int, n: int) -> np.ndarray:
-    """One draw per move: walker u >> 1 steps right if u & 1, else left."""
-    return gen.integers(0, 2 * k, size=n, dtype=np.min_scalar_type(2 * k))
-
-
-def _move_batch(
-    walkers: np.ndarray,
-    rows: np.ndarray,
-    u: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Apply one uniformized move per row in place; returns the new-death mask.
-
-    Walker u[i] >> 1 of row rows[i] of a _walkers array steps right if
-    u[i] & 1, else left. Frozen walkers (at S+1) and hops onto a walker at a
-    bulk site are no-ops, which keeps the total event rate state-independent.
-    A walker that steps off site 1 dies at site 0.
-    """
-    width = walkers.shape[1]
-    flat = walkers.reshape(-1)
-    step = (u & 1).astype(walkers.dtype) * 2 - 1
-    i = rows * width + (u >> 1) + 1
-    pos = flat[i]
-    tgt = pos + step
-    blocked = (flat[i + step] == tgt) & (tgt <= size)
-    stay = (pos == size + 1) | blocked
-    flat[i] = np.where(stay, pos, tgt)
-    return tgt == 0
-
-
 def estimate_absorption(
     params: ModelParams,
     initial: PointSet,
@@ -147,31 +105,113 @@ def estimate_absorption(
 ) -> tuple[float, float]:
     """Monte Carlo probability that a family freezes completely.
 
-    Vectorized over replicas on the uniformized clock (no-op events included;
-    the absorbed-state law is unchanged by that choice). A family closes once
-    at most one walker is left in the bulk and scores its lowest walker's
-    ruin line x/(S+1): 0 when dead, 1 when fully frozen, and for a lone bulk
-    walker its exact chance to freeze, since frozen walkers stop excluding.
-    By the tower rule the mean is unbiased. A one-point family still walks
-    until it is absorbed, so the ruin line itself stays sampled.
+    Runs on absorbing_run (no-op events included; the absorbed-state law is
+    unchanged by that choice) and scores each family by the ruin line x/(S+1)
+    of its lowest walker once at most one walker is left in the bulk: 0 when
+    dead, 1 when fully frozen, else that walker's exact chance to freeze.
     """
     s = params.size
     pts = validate_point_set(initial, s, interior_only=True)
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
-    k = len(pts)
-    gen = rng.generator()
-    walkers = _walkers(pts, n_replicas, s)
-    # Walkers stay in order, so the second one frozen leaves only the lowest
-    # in the bulk; with k = 1 this is the lowest frozen.
-    second = walkers[:, min(k, 2)]
+    return absorbing_run(s, pts, n_replicas, rng.generator(), lambda x: x[0] / (s + 1))
 
-    def step(rows: np.ndarray) -> np.ndarray:
-        die = _move_batch(walkers, rows, _draw_moves(gen, k, rows.size), s)
-        return die | (second[rows] == s + 1)
 
-    lockstep(n_replicas, step)
-    return mean_stderr(walkers[:, 1] / (s + 1))
+def absorbing_run(
+    size: int,
+    points: PointSet,
+    n_replicas: int,
+    gen: np.random.Generator,
+    score: Callable[[np.ndarray], np.ndarray],
+    episodes: int = 0,
+) -> tuple[float, float]:
+    """mean_stderr of the scores of n_replicas families walked from points until closed.
+
+    A lane closes when its lowest walker is at 0 or walker min(k, 2) is at
+    S+1, and with episodes > 0 also once its count of distance-1 entries and
+    exits of walkers 1 and 2 reaches 2 * episodes. score maps the sites of
+    walkers 1..min(k, 2) in closed lanes, a (min(k, 2), m) array, to m scores.
+    Lanes still open after core.ROUND_CAP rounds raise NumericError.
+    """
+    k, top = len(points), min(len(points), 2)
+    n_index, n_planes = (k - 1).bit_length(), (size + 1).bit_length()
+    n_words = -(-n_replicas // 64)
+    pos = np.repeat(_planes((size + 1, *points, size + 1), n_planes)[..., None], n_words, 2)
+    # the count never exceeds the round count, so a target past ROUND_CAP never closes
+    target = min(2 * episodes, ROUND_CAP + 1)
+    count = np.zeros((target.bit_length(), n_words), dtype=np.uint64)
+    lanes = _first_lanes(n_replicas, n_words)
+    scores = np.empty(n_replicas)
+    held, done = n_replicas, 0
+
+    def step(rows: np.ndarray) -> np.ndarray | None:
+        nonlocal held, done
+        w = rows.size
+        live, open_ = pos[:, :, :w], lanes[:w]
+        _hop_round(live, open_, gen.bit_generator.random_raw((1 + n_index, w)), size)
+        shut = _at(live[top : top + 1], size + 1)[0]
+        shut |= ~np.bitwise_or.reduce(live[1], axis=0)
+        if target:
+            shut |= _count_episodes(count[:, :w], live[1], live[2], open_, target)
+        open_ &= ~shut
+        n_open = int(np.bitwise_count(open_).sum())
+        if -(-n_open // 64) > w // 2:
+            return None
+        state = np.concatenate((live[1:-1].reshape(k * n_planes, w), count[:, :w]))
+        kept, closed = _repack(state, open_, held)
+        sites = np.zeros((top, closed.shape[1]), dtype=site_dtype(size + 1))
+        for b in range(n_planes):  # row j * L + b holds plane b of walker j + 1
+            sites |= closed[b : top * n_planes : n_planes].astype(sites.dtype) << b
+        scores[done : done + sites.shape[1]] = score(sites)
+        held, done, w_kept = n_open, done + sites.shape[1], kept.shape[1]
+        pos[1:-1, :, :w_kept] = kept[: k * n_planes].reshape(k, n_planes, w_kept)
+        count[:, :w_kept] = kept[k * n_planes :]
+        lanes[:w_kept] = _first_lanes(n_open, w_kept)
+        return np.arange(w) >= w_kept
+
+    lockstep(n_words, step)
+    return mean_stderr(scores)
+
+
+def _first_lanes(n: int, n_words: int) -> np.ndarray:
+    """(n_words,) uint64 words with lanes 0..n-1 set."""
+    return np.packbits(np.arange(64 * n_words) < n, bitorder="little").view("<u8")
+
+
+def _repack(state: np.ndarray, open_: np.ndarray, held: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split lanes 0..held-1 of a (R, W) word array by the open-lane words.
+
+    Returns the open lanes packed densely in lane order, as (R, ceil(n_open/64))
+    words with zero padding lanes, and the closed lanes as (R, n_closed) bits.
+    """
+    bits = np.unpackbits(state.astype("<u8").view(np.uint8), 1, held, bitorder="little")
+    is_open = np.unpackbits(open_.astype("<u8").view(np.uint8), -1, held, "little") == 1
+    kept = np.zeros((len(state), 64 * -(-is_open.sum() // 64)), dtype=np.uint8)
+    kept[:, : is_open.sum()] = bits[:, is_open]
+    return np.packbits(kept, axis=1, bitorder="little").view("<u8"), bits[:, ~is_open]
+
+
+def _count_episodes(
+    count: np.ndarray, lo: np.ndarray, hi: np.ndarray, open_: np.ndarray, target: int
+) -> np.ndarray:
+    """Add hi - lo == (c & 1) + 1 to a (C, W) bit-plane counter c in open lanes.
+
+    lo and hi are (L, W) position planes. Returns the words set where c now
+    equals target.
+    """
+    # lo + (c & 1) + 1 as a carry chain with carry in 1
+    total = lo.copy()
+    total[0] ^= ~count[0]
+    carry = lo[0] | count[0]
+    for b in range(1, len(lo)):
+        total[b] ^= carry
+        carry &= lo[b]
+    total ^= hi
+    carry = ~np.bitwise_or.reduce(total, axis=0) & open_
+    for plane in count:  # c + 1 as a carry chain
+        plane ^= carry
+        carry &= ~plane
+    return ~np.bitwise_or.reduce(count ^ _planes((target,), len(count))[0, :, None], axis=0)
 
 
 def transient_dual_moment(
@@ -210,21 +250,46 @@ def transient_dual_moment(
 
     def step(rows: np.ndarray) -> None:
         first = int(rows[0])
-        planes = gen.bit_generator.random_raw((1 + n_index, pos.shape[2] - (first >> 6)))
-        _hop_round(pos, first, planes, s)
+        live = pos[:, :, first >> 6 :]
+        open_ = np.full(live.shape[2], ALL_LANES)
+        open_[0] <<= np.uint64(first & 63)
+        _hop_round(live, open_, gen.bit_generator.random_raw((1 + n_index, live.shape[2])), s)
 
     lockstep(n_replicas, step, quotas)
-    # a lane scores 0 when any walker sits where the start field is 0, site 0 included
-    walk, zero = pos[1:-1], np.zeros((k, pos.shape[2]), dtype=np.uint64)
-    for site in np.flatnonzero(env == 0):
-        zero |= _at(walk, site)
-    return lane_mean_stderr(~np.bitwise_or.reduce(zero, axis=0), n_replicas)
+    return lane_mean_stderr(~_on_zero(pos[1:-1], env), n_replicas)
 
 
+@functools.lru_cache(maxsize=256)
 def _planes(values: tuple[int, ...], n_planes: int) -> np.ndarray:
-    """(len(values), n_planes) uint64 words: all ones where bit b of the value is set."""
+    """(len(values), n_planes) uint64 words, all ones where bit b of the value is set.
+
+    Every round tests against S+1, so the result is cached and read-only.
+    """
     bits = (np.array(values)[:, None] >> np.arange(n_planes)) & 1
-    return np.where(bits == 1, ALL_LANES, np.uint64(0))
+    planes = np.where(bits == 1, ALL_LANES, np.uint64(0))
+    planes.flags.writeable = False
+    return planes
+
+
+def _on_zero(walk: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Words of a (k, L, W) position array set where a walker sits on a 0 of env.
+
+    Each maximal run of zero sites is split into aligned blocks [a, a + 2^j);
+    a walker lies in one exactly when its planes from j up equal those of a.
+    """
+    n_planes = walk.shape[1]
+    hit = np.zeros(walk.shape[2], dtype=np.uint64)
+    zero = np.flatnonzero(env == 0)
+    cut = np.flatnonzero(np.diff(zero) > 1)
+    for a, end in zip(zero[np.r_[0, cut + 1]], zero[np.r_[cut, -1]] + 1):
+        while a < end:
+            j = (int(a) & -int(a) or 1 << n_planes).bit_length() - 1
+            while a + (1 << j) > end:
+                j -= 1
+            high = walk[:, j:] ^ _planes((a,), n_planes)[0, j:, None]
+            hit |= np.bitwise_or.reduce(~np.bitwise_or.reduce(high, axis=1), axis=0)
+            a += 1 << j
+    return hit
 
 
 def _at(walk: np.ndarray, site: int) -> np.ndarray:
@@ -232,17 +297,17 @@ def _at(walk: np.ndarray, site: int) -> np.ndarray:
     return ~np.bitwise_or.reduce(walk ^ _planes((site,), walk.shape[1])[0, :, None], axis=1)
 
 
-def _hop_round(pos: np.ndarray, first: int, planes: np.ndarray, size: int) -> None:
-    """Move one walker per lane in lanes first.. of a (k+2, L, W) position array.
+def _hop_round(pos: np.ndarray, open_: np.ndarray, planes: np.ndarray, size: int) -> None:
+    """Move one walker per lane in the open lanes of a (k+2, L, W) position array.
 
     Bit r of word w in plane b of row j is bit b of walker j's position in
     lane 64w+r; rows 0 and k+1 are sentinels frozen at S+1, which never block.
-    From first's word on, planes[0] sends a lane's walker right where set and
-    left elsewhere, and planes[1:] spell the walker's index; an index >= k
-    idles. Lanes whose lowest walker sits at 0 are dead and never move.
+    open_ holds W words of open lanes. planes[0] sends a lane's walker right
+    where set and left elsewhere, and planes[1:] spell the walker's index; an
+    index >= k idles. Lanes whose lowest walker sits at 0 are dead and never
+    move.
     """
-    live = pos[:, :, first >> 6 :]
-    walk = live[1:-1]
+    walk = pos[1:-1]
     k, n_planes, width = walk.shape
     right = planes[0]
     # walkers at S+1, between the sentinel rows, which are always frozen
@@ -250,7 +315,7 @@ def _hop_round(pos: np.ndarray, first: int, planes: np.ndarray, size: int) -> No
     frozen[1:-1] = _at(walk, size + 1)
     sel = np.empty((k, width), dtype=np.uint64)
     np.bitwise_or.reduce(walk[0], axis=0, out=sel[0])  # lowest walker not at 0
-    sel[0, 0] &= ALL_LANES << np.uint64(first & 63)
+    sel[0] &= open_
     filled = 1
     for plane in planes[1:]:  # rows past k - 1 are only cut at the last plane
         cut = min(filled, k - filled)
@@ -266,9 +331,9 @@ def _hop_round(pos: np.ndarray, first: int, planes: np.ndarray, size: int) -> No
         np.bitwise_xor(walk[:, b], left, out=flips[:, b + 1])
         flips[:, b + 1] &= flips[:, b]
     # the neighbour in the direction of travel, and whether it is frozen
-    ahead = live[:-2] ^ live[2:]
+    ahead = pos[:-2] ^ pos[2:]
     ahead &= right
-    ahead ^= live[:-2]
+    ahead ^= pos[:-2]
     ahead_frozen = frozen[:-2] ^ frozen[2:]
     ahead_frozen &= right
     ahead_frozen ^= frozen[:-2]

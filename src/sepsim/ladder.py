@@ -34,16 +34,15 @@ than S+1 solves. MAX_KERNEL_ENTRIES caps n_states x (S+1), the system size
 times the solve count, and admits S <= 512.
 
 Two Monte Carlo samplers check the pieces, both on core.lockstep until every
-replica is closed. simulate_hybrid_pair moves the pair with the dual walker
-kernel (padded walker rows, one narrow draw per move, death written to site
-0) as an exclusion pair until its walkers are independent (its k-th meeting
-episode over, or the upper walker frozen); the row then closes and scores
-the independent pair's success lo*hi/(S+1)^2, which keeps the estimate
-unbiased by the tower rule. The pair's only
-episode state is one counter of distance-1 entries and exits per replica.
-simulate_aux_walk runs the reflected walk behind gamma_k on narrow
-positions, _CHUNK moves a round, each a bit of a random word, until every
-walk is absorbed.
+replica is closed. simulate_hybrid_pair moves the pair on the bit-sliced
+absorbing engine of the dual sampler, dual.absorbing_run, as an exclusion
+pair until its walkers are independent (its k-th meeting episode over, or
+the upper walker frozen); the lane then closes and scores the independent
+pair's success lo*hi/(S+1)^2, which keeps the estimate unbiased by the tower
+rule. Its only episode state is a bit-sliced counter of distance-1 entries
+and exits. simulate_aux_walk runs the reflected walk behind gamma_k on
+narrow positions, _CHUNK moves a round, each a bit of a random word, until
+every walk has reached S or made as many returns as the table has rows.
 """
 
 from __future__ import annotations
@@ -64,10 +63,9 @@ from .core import (
     RngStream,
     check_residual,
     lockstep,
-    mean_stderr,
     site_dtype,
 )
-from .dual import _draw_moves, _move_batch, _walkers, stationary_moment
+from .dual import absorbing_run, stationary_moment
 from .errors import NumericError, ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
@@ -324,10 +322,10 @@ def simulate_hybrid_pair(
 
     The pair follows exclusion dynamics until its k-th distance-1 episode
     ends at distance 2, then the walkers move independently; the estimate is
-    the probability that both end at S+1. Vectorized over replicas on the
-    uniformized clock. A row closes as soon as its walkers are independent:
-    its k-th episode has ended, or its upper walker has frozen at S+1 and
-    stopped excluding. It then scores the independent pair's success
+    the probability that both end at S+1. Runs on dual.absorbing_run. A
+    lane closes as soon as its walkers are independent: its k-th episode has
+    ended, or its upper walker has frozen at S+1 and stopped excluding. It
+    then scores the independent pair's success
     lo*hi/(S+1)^2 (0 once the lower walker is dead), its exact success given
     the path so far, so by the tower rule the mean stays unbiased. k = 0 is
     the independent pair from the start: it returns P0 with stderr 0 and
@@ -341,26 +339,11 @@ def simulate_hybrid_pair(
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     if k == 0:  # independent from the start
         return p0_independent(params, x0, y0), 0.0
-    gen = rng.generator()
-    walkers = _walkers((x0, y0), n_replicas, s)
-    # Distance-1 entries plus exits: odd inside an episode, and 2k once the
-    # k-th episode has ended, which closes the row, so every open row is an
-    # exclusion pair. It never exceeds the round count.
-    toggles = np.zeros(n_replicas, dtype=np.int32)
 
-    def step(rows: np.ndarray) -> np.ndarray:
-        c = toggles[rows]
-        die = _move_batch(walkers, rows, _draw_moves(gen, 2, rows.size), s)
-        pair = walkers.take(rows, axis=0)
-        lo, hi = pair[:, 1], pair[:, 2]
-        c += hi - lo == (c & 1) + 1
-        toggles[rows] = c
-        return die | (c >= 2 * k) | (hi == s + 1)
+    def score(pair: np.ndarray) -> np.ndarray:  # float64 first: narrow sites overflow
+        return pair[0].astype(np.float64) * pair[1] / (s + 1) ** 2
 
-    lockstep(n_replicas, step)
-    # float64 first: the product of two int8 sites overflows from S = 11 on
-    lo, hi = walkers[:, 1].astype(np.float64), walkers[:, 2]
-    return mean_stderr(lo * hi / (s + 1) ** 2)
+    return absorbing_run(s, (x0, y0), n_replicas, rng.generator(), score, episodes=k)
 
 
 @dataclass(frozen=True)
@@ -398,11 +381,14 @@ def simulate_aux_walk(
     """Empirical tail of the number of returns to 0 before reaching S.
 
     The walk starts at 1, steps symmetrically on [0, S], and leaves 0 to 1 on
-    the move after every return, _CHUNK moves a round. Its mean move count is
-    S^2 - 1: a larger one than ROUND_CAP is refused before any draw, and walks
-    open after core.ROUND_CAP moves raise NumericError. The table ends where
+    the move after every return, _CHUNK moves a round. The table ends where
     ladder_tables ends its own, at the first k whose gamma_k falls below
     _EARLY_STOP_GAMMA, and the tail is exactly 0 past the most returns made.
+    A walk closes at the end of the round in which it reaches S or makes its
+    k_max-th return for that last k_max, when every count c_j, j <= k_max, is
+    settled. Run to S the walk takes S^2 - 1 moves on average: a larger mean
+    than ROUND_CAP is refused before any draw, and walks open after
+    core.ROUND_CAP moves raise NumericError.
     """
     if size < 2:
         raise ValidationError(f"size must be >= 2, got {size}")
@@ -423,12 +409,12 @@ def simulate_aux_walk(
         if not (n := min(_CHUNK, next(left, 0))):
             raise NumericError(f"{rows.size} walks open after {core.ROUND_CAP} moves")
         p, coins = pos[rows], gen.bit_generator.random_raw((rows.size, -(-n // 64)))
-        visits[rows] += _walk_chunk(p, coins, n, size)
-        pos[rows] = p
-        return p > size
+        v = visits[rows] + _walk_chunk(p, coins, n, size)
+        visits[rows], pos[rows] = v, p
+        return (p > size) | (v >= k_max)
 
-    lockstep(n_replicas, step)
     k_max = _early_stop(size, k_max)
+    lockstep(n_replicas, step)
     gamma = np.array([gamma_closed_form(size, j) for j in range(k_max + 1)])
     gamma_mc = np.zeros(k_max + 1)
     gamma_se = np.zeros(k_max + 1)

@@ -379,9 +379,10 @@ def test_aux_refuses_size_beyond_round_cap(capsys):
 
 
 def test_aux_exits_3_when_walks_outlast_the_move_cap(monkeypatch, capsys):
-    # 45 moves is not a whole number of chunks. Walks at S = 10 take 99 moves
-    # on average, so some of 2000 need more than 45; a cap of 45 chunks
-    # would let every one of them finish.
+    # 45 moves is not a whole number of chunks. At the default --kmax 3 a walk
+    # at S = 10 closes at S or at its third return, after 26.1 moves on
+    # average, but 16% of walks need more than 45, so some of 2000 do; a cap
+    # of 45 chunks would let every one of them finish.
     import sepsim.core
 
     monkeypatch.setattr(sepsim.core, "ROUND_CAP", 45)

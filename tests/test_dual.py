@@ -14,12 +14,14 @@ from bruteforce import (
     stationary_null_space,
     walker_move,
 )
-from sepsim.core import Configuration, ModelParams
+from sepsim.core import ROUND_CAP, Configuration, ModelParams
 from sepsim.dual import (
-    _draw_moves,
+    _at,
+    _count_episodes,
     _hop_round,
-    _move_batch,
-    _walkers,
+    _on_zero,
+    _repack,
+    absorbing_run,
     estimate_absorption,
     pair_absorption_exact,
     stationary_moment,
@@ -334,9 +336,10 @@ def test_transient_dual_moment_reads_replicas_in_lane_order(monkeypatch):
         lambda gen, mean, n: np.repeat([0, 1], [kept, n - kept]),
     )
 
-    def kill_open_lanes(pos, first, planes, size):
+    def kill_open_lanes(pos, open_, planes, size):
         bits = np.unpackbits(pos.astype("<u8").view(np.uint8), axis=2, bitorder="little")
-        bits[1, :, first:] = 0
+        is_open = np.unpackbits(open_.astype("<u8").view(np.uint8), bitorder="little")
+        bits[1, :, is_open == 1] = 0
         pos[:] = np.packbits(bits, axis=2, bitorder="little").view("<u8")
 
     monkeypatch.setattr(sepsim.dual, "_hop_round", kill_open_lanes)
@@ -358,8 +361,8 @@ def test_transient_dual_long_horizon_reaches_absorption():
 
 
 # Sizes on both sides of the int8 (S+2 <= 127) and int16 (S+2 <= 32767)
-# position limits; walker counts on both sides of 2k = 256, where the move
-# draw widens from uint8 to uint16.
+# site limits and of S+1 = 2^L, where a position takes one more plane; walker
+# counts on both sides of powers of two, where the index takes one more plane.
 _KERNEL_SIZES = [1, 2, 3, 4, 7, 124, 125, 126, 32764, 32765, 32766]
 _KERNEL_KS = [1, 2, 3, 4, 5, 6, 127, 128, 129]
 
@@ -394,35 +397,6 @@ def _kernel_case(draw):
     fired = [r for r in range(n_rows) if draw(st.booleans())]
     us = [draw(st.integers(0, 2 * k - 1)) for _ in fired]
     return size, k, families, fired, us
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_kernel_case())
-def test_walker_kernel_matches_scalar_move(case):
-    size, k, families, fired, us = case
-    walkers = _walkers(tuple(range(1, k + 1)), len(families), size)
-    assert walkers.dtype == (
-        np.int8 if size + 2 <= 127 else np.int16 if size + 2 <= 32767 else np.int32
-    )
-    for r, pos in enumerate(families):
-        walkers[r, 1:-1] = pos
-    u = np.array(us, dtype=_draw_moves(np.random.default_rng(0), k, 0).dtype)
-    died = _move_batch(walkers, np.array(fired, dtype=np.int64), u, size)
-    want_died = []
-    for r, pos in enumerate(families):
-        want = pos
-        if r in fired:
-            want, dead = walker_move(pos, us[fired.index(r)], size)
-            want_died.append(dead)
-        assert tuple(int(v) for v in walkers[r]) == (-1, *want, size + 2)
-    assert died.tolist() == want_died
-
-
-@pytest.mark.parametrize("k,dtype", [(1, np.uint8), (127, np.uint8), (128, np.uint16)])
-def test_move_draw_covers_every_walker_and_direction(k, dtype):
-    u = _draw_moves(np.random.default_rng(5), k, 20_000)
-    assert u.dtype == dtype
-    assert u.min() == 0 and u.max() == 2 * k - 1
 
 
 def _words(bits):
@@ -473,7 +447,7 @@ def test_sliced_round_matches_scalar_move(case):
     padded = np.array([(size + 1, *pos, size + 1) for pos in before])
     pos = _words((padded.T[:, None] >> np.arange(n_planes)[:, None]) & 1)
     planes = _words((u >> np.arange(1 + n_index)[:, None]) & 1)
-    _hop_round(pos, first, planes[:, first // 64 :], size)
+    _hop_round(pos, _words(np.arange(n_lanes) >= first), planes, size)
 
     after = _sites(pos)
     for lane, (was, now) in enumerate(zip(before, after)):
@@ -483,7 +457,135 @@ def test_sliced_round_matches_scalar_move(case):
         assert now == (size + 1, *want, size + 1)
 
     dead_now = [now[1] == 0 for now in after]
-    _hop_round(pos, 0, rng.integers(0, 2**64, size=(1 + n_index, n_words), dtype=np.uint64), size)
+    every = _words(np.ones(n_lanes))
+    _hop_round(pos, every, rng.integers(0, 2**64, (1 + n_index, n_words), dtype=np.uint64), size)
     again = _sites(pos)
     for lane in np.flatnonzero(dead_now):
         assert again[lane] == after[lane]
+
+
+@st.composite
+def _repack_case(draw):
+    n_rows, n_words = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    held = draw(st.integers(0, 64 * n_words))
+    is_open = draw(st.lists(st.booleans(), min_size=held, max_size=held))
+    return n_rows, n_words, held, is_open, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_repack_case())
+def test_repack_keeps_open_lanes_in_order_and_returns_each_closed_lane_once(case):
+    # Random rows of walker and counter planes over 1-4 words; lanes past
+    # held are scored already and must vanish, whatever their bits.
+    n_rows, n_words, held, is_open, seed = case
+    state = np.random.default_rng(seed).integers(0, 2**64, (n_rows, n_words), dtype=np.uint64)
+    lanes = np.zeros(64 * n_words, dtype=bool)
+    lanes[:held] = is_open
+    lanes[held:] = np.random.default_rng(seed + 1).random(64 * n_words - held) < 0.5
+    kept, closed = _repack(state, _words(lanes), held)
+    bits = np.unpackbits(state.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    want_open = [r for r in range(held) if is_open[r]]
+    want_closed = [r for r in range(held) if not is_open[r]]
+    assert kept.shape == (n_rows, -(-len(want_open) // 64))
+    got = np.unpackbits(kept.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert np.array_equal(got[:, : len(want_open)], bits[:, want_open])
+    assert not got[:, len(want_open) :].any()
+    assert closed.dtype == np.uint8 and np.array_equal(closed, bits[:, want_closed])
+
+
+@pytest.mark.parametrize(
+    "size,pts", [(1, (1,)), (7, (2, 5)), (14, (3, 4, 11)), (6, (1, 2, 3, 5, 6))]
+)
+def test_absorbing_run_scores_every_family_once_at_its_close(size, pts):
+    # 200 families over 4 words, the last partial: every family is scored
+    # exactly once, by the sites of walkers 1..min(k, 2) at which it closed.
+    seen = []
+
+    def score(sites):
+        seen.append(sites.astype(np.int64))
+        return np.zeros(sites.shape[1])
+
+    n = 200
+    absorbing_run(size, pts, n, np.random.default_rng(size), score)
+    sites = np.concatenate(seen, axis=1)
+    assert sites.shape == (min(len(pts), 2), n)
+    assert ((sites[0] == 0) | (sites[-1] == size + 1)).all()
+    assert (sites >= 0).all() and (sites <= size + 1).all()
+
+
+def _pack_sites(sites, n_planes):
+    """(L, W) position planes of per-lane sites, lane 64w+r at bit r of word w.
+
+    Lanes past the last site up to a whole word are 0.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    lanes = np.zeros(64 * -(-sites.size // 64), dtype=np.int64)
+    lanes[: sites.size] = sites
+    return _words((lanes >> np.arange(n_planes)[:, None]) & 1)
+
+
+@pytest.mark.parametrize("size", [5, 6, 14])
+@pytest.mark.parametrize("k", [1, 2, 3, 10**9])
+def test_episode_counter_matches_scalar_count(size, k):
+    # 150 pairs, started at gap 2 or more, take random walker_move draws; in
+    # each round the open lanes step the sliced counter, which must equal
+    # c += hi - lo == (c & 1) + 1 lane by lane and close exactly at c = 2k.
+    # Lanes also close once dead or once the upper walker is frozen.
+    rng = np.random.default_rng(size + k)
+    n, n_planes = 150, (size + 1).bit_length()
+    # the count never exceeds the round count, so a target past ROUND_CAP never closes
+    target = min(2 * k, ROUND_CAP + 1)
+    assert target.bit_length() <= ROUND_CAP.bit_length() + 1
+    pairs = []
+    for _ in range(n):
+        lo = int(rng.integers(1, size - 1))
+        pairs.append((lo, int(rng.integers(lo + 2, size + 1))))
+    c = [0] * n
+    open_lanes = [True] * n
+    count = np.zeros((target.bit_length(), -(-n // 64)), dtype=np.uint64)
+    closes = 0
+    for _ in range(300):
+        for r in range(n):
+            if open_lanes[r]:
+                pairs[r], _ = walker_move(pairs[r], int(rng.integers(0, 4)), size)
+        lo, hi = zip(*pairs)
+        lo_planes, hi_planes = _pack_sites(lo, n_planes), _pack_sites(hi, n_planes)
+        open_words = _pack_sites(open_lanes, 1)[0]
+        shut = _count_episodes(count, lo_planes, hi_planes, open_words, target)
+        shut_lanes = np.unpackbits(shut.astype("<u8").view(np.uint8), count=n, bitorder="little")
+        for r in range(n):
+            if open_lanes[r]:
+                c[r] += pairs[r][1] - pairs[r][0] == (c[r] & 1) + 1
+                assert shut_lanes[r] == (c[r] >= 2 * k)
+                closes += c[r] >= 2 * k
+                lo_r, hi_r = pairs[r]
+                open_lanes[r] = not (c[r] >= 2 * k or lo_r == 0 or hi_r == size + 1)
+        assert _sites(count[None])[:n] == [(v,) for v in c]
+    assert (closes > 0) == (k < 10**9)
+
+
+@st.composite
+def _readout_case(draw):
+    size = draw(st.integers(1, 70))
+    interior = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    k, n_words = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    return size, interior, k, n_words, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_readout_case())
+def test_block_readout_matches_per_site_readout(case):
+    # Walkers anywhere on 0..S+1; the dyadic-block readout must give the same
+    # words as one equality test per zero site, site 0 included.
+    size, interior, k, n_words, seed = case
+    env = Configuration.from_interior(interior).as_array()
+    n_planes = (size + 1).bit_length()
+    sites = np.random.default_rng(seed).integers(0, size + 2, (k, 64 * n_words))
+    walk = np.stack([_pack_sites(row, n_planes) for row in sites])
+    per_site = np.zeros((k, n_words), dtype=np.uint64)
+    for site in np.flatnonzero(env == 0):
+        per_site |= _at(walk, site)
+    want = np.bitwise_or.reduce(per_site, axis=0)
+    assert np.array_equal(_on_zero(walk, env), want)
+    lanes = np.unpackbits(want.astype("<u8").view(np.uint8), bitorder="little")
+    assert lanes.tolist() == [int((env[sites[:, r]] == 0).any()) for r in range(64 * n_words)]

@@ -392,23 +392,52 @@ def test_aux_walk_validation():
 
 
 def test_aux_walk_table_ends_at_the_ladder_early_stop():
-    # 0.9**263 < 1e-12 <= 0.9**262, so at S=10 both tables end at k = 263.
+    # 0.9**263 < 1e-12 <= 0.9**262, so at S=10 both tables end at k = 263,
+    # and both runs close their walks at the same return count.
     stream = ModelParams(size=10, seed=3).stream(0)
-    short = simulate_aux_walk(10, 3, 2000, stream)
+    tables = []
     tops = []
     for k_max in (300, 3000):
         r = simulate_aux_walk(10, k_max, 2000, stream)
+        tables.append(r)
         assert len(r.gamma) == len(r.gamma_mc) == len(r.gamma_stderr) == 264
         assert ladder_tables(ModelParams(size=10), 2, 5, k_max).k_max == 263
-        # the first rows are those of a short table on the same stream
-        assert np.array_equal(r.gamma_mc[:4], short.gamma_mc)
-        assert np.array_equal(r.gamma_stderr[:4], short.gamma_stderr)
         # past the most returns any replica made the tail is exactly (0, 0)
         top = int(np.flatnonzero(r.gamma_mc)[-1])
         tops.append(top)
         assert r.gamma_stderr[top] > 0
         assert not r.gamma_mc[top + 1 :].any() and not r.gamma_stderr[top + 1 :].any()
     assert tops[0] == tops[1] < 263
+    assert np.array_equal(tables[0].gamma_mc, tables[1].gamma_mc)
+    assert np.array_equal(tables[0].gamma_stderr, tables[1].gamma_stderr)
+
+
+@pytest.mark.parametrize("size,k_max", [(2, 1), (10, 3), (10, 263), (30, 5)])
+def test_aux_walk_closes_at_s_or_at_the_last_return(size, k_max, monkeypatch):
+    # Every row the walk closes has reached S (parked above it) or made its
+    # k_max-th return, and every walk is closed in the end.
+    closed = []
+
+    def spy(n, step, quotas=None):
+        cells = dict(zip(step.__code__.co_freevars, step.__closure__))
+        pos, visits = cells["pos"].cell_contents, cells["visits"].cell_contents
+
+        def watched(rows):
+            shut = step(rows)
+            gone = rows[shut]
+            assert ((pos[gone] > size) | (visits[gone] >= k_max)).all()
+            assert not ((pos[rows[~shut]] > size) | (visits[rows[~shut]] >= k_max)).any()
+            closed.extend(gone.tolist())
+            return shut
+
+        lockstep(n, watched, quotas)
+
+    monkeypatch.setattr(sepsim.ladder, "lockstep", spy)
+    n = 3000
+    r = simulate_aux_walk(size, k_max, n, ModelParams(size=size, seed=4).stream(0))
+    assert sorted(closed) == list(range(n))
+    for k in range(1, min(k_max, 3) + 1):
+        assert abs(r.gamma_mc[k] - r.gamma[k]) < 4 * r.gamma_stderr[k]
 
 
 @pytest.mark.parametrize("size,n_replicas", [(2, 2), (4, 3), (10, 2000), (6, 40_000)])
