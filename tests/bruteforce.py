@@ -9,6 +9,8 @@ their tests read like the package's own.
 """
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,46 @@ def stationary_null_space(size, rate=1.0):
     pi = basis[:, 0]
     pi = pi / pi.sum()
     return pi
+
+
+def _matrix_product_weights(size: int) -> np.ndarray:
+    """Unnormalised weights <W| X_S ... X_1 |V> of all 2^S bulk states.
+
+    Row r of the table holds X_i ... X_1 |V> for the first i bits of state r,
+    on the basis c_m = E^m|V>: E maps c_m to c_{m+1}, D maps c_m to
+    sum_{j<=m} C(m+1, j) c_j, and <W|c_m> = 1. Every entry is a nonnegative
+    integer no larger than the final weight, at most (S+1)!, so float64 holds
+    the weights exactly for S <= 17.
+    """
+    span = range(size + 1)
+    d_t = np.tril([[float(math.comb(m + 1, j)) for j in span] for m in span])  # C(m+1, j)
+    table = np.zeros((1 << size, size + 1))
+    table[0, 0] = 1.0
+    for i in range(size):  # site i+1 is bit i: rows n..2n-1 have it occupied
+        n = 1 << i
+        table[n : 2 * n] = table[:n] @ d_t
+        table[:n, 1:] = table[:n, :-1]
+        table[:n, 0] = 0.0
+    return table.sum(axis=1)
+
+
+def deficiency_counts(size):
+    """Permutations sigma of {0, ..., S} counted by deficiency set.
+
+    Entry c counts the sigma whose set {x >= 1 : sigma(x) < x} is the state
+    with code c (site x in bit x-1). Filling exactly the sites where
+    sigma(x) < x maps a uniform permutation to the stationary law (Corteel
+    and Williams, Adv. Appl. Math. 39 (2007) 293, at q = 1 and unit rates,
+    mirrored to these reservoirs), so the counts are (S+1)! pi.
+    """
+    counts = np.zeros(2**size, dtype=np.int64)
+    for sigma in itertools.permutations(range(size + 1)):
+        code = 0
+        for x in range(1, size + 1):
+            if sigma[x] < x:
+                code |= 1 << (x - 1)
+        counts[code] += 1
+    return counts
 
 
 def expm_state_distribution(size, interior, t, rate=1.0):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    _matrix_product_weights,
+    deficiency_counts,
     dense_generator,
     moment_from_distribution,
     sparse_generator,
@@ -17,6 +20,7 @@ from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.exact import (
     MAX_EXACT_SIZE,
     _balance,
+    _weights,
     exact_moment,
     occupation_profile,
     pair_moments,
@@ -145,32 +149,68 @@ def test_integer_weights_balance_exactly(size):
     assert not (sparse_generator(size).astype(np.int64).T @ w).any()
 
 
-def test_size_18_is_fast_and_certified():
+@pytest.mark.parametrize("size", range(1, 18))
+def test_weights_match_matrix_product_oracle(size):
+    # Both are exact integers in float64 up to S = 17, so they must be equal.
+    assert np.array_equal(_weights(size), _matrix_product_weights(size))
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_weights_count_permutations_by_deficiency_set(size):
+    assert np.array_equal(_weights(size), deficiency_counts(size))
+
+
+def test_largest_size_is_fast_certified_and_small():
     start = time.perf_counter()
-    pi = stationary_distribution(18)
+    pi = stationary_distribution(MAX_EXACT_SIZE)
     assert time.perf_counter() - start < 5.0
     assert pi.residual <= 1e-15
     assert pi.probabilities.min() > 0.0
+    tracemalloc.start()
+    try:
+        stationary_distribution(MAX_EXACT_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def test_mass_check_catches_uint64_wrap(monkeypatch, capsys):
+    # Every weight fits in uint64 up to S = 21; at S = 22 some wrap, and the
+    # mass of the weights misses (S+1)! by about 7e-4.
+    import sepsim.exact
+
+    monkeypatch.setattr(sepsim.exact, "MAX_EXACT_SIZE", 22)
+    assert stationary_distribution(21).residual <= 1e-15
+    with pytest.raises(NumericError, match="mass"):
+        stationary_distribution(22)
+    assert main(["exact", "--size", "22"]) == 3
+    assert "mass" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt", ["perturbed", "negative", "nan"])
 def test_certificate_rejects_corrupted_weights(monkeypatch, capsys, corrupt):
+    # The first two keep the mass (S+1)!, so the check that fails is the
+    # balance and the positivity check respectively, not the mass check.
     import sepsim.exact
 
-    good = sepsim.exact._matrix_product_weights
+    good = sepsim.exact._weights
 
     def corrupted(size):
         w = good(size)
         if corrupt == "perturbed":
-            w[1] += 1.0
+            w[0] += 1.0
+            w[w.argmax()] -= 1.0
         elif corrupt == "negative":
+            w[0] += 2 * w[1]
             w[1] = -w[1]
         else:
             w[1] = np.nan
         return w
 
-    monkeypatch.setattr(sepsim.exact, "_matrix_product_weights", corrupted)
-    with pytest.raises(NumericError):
+    monkeypatch.setattr(sepsim.exact, "_weights", corrupted)
+    check = {"perturbed": "balance", "negative": "minimum", "nan": "mass"}[corrupt]
+    with pytest.raises(NumericError, match=check):
         stationary_distribution(4)
     assert main(["exact", "--size", "4"]) == 3
     assert "error:" in capsys.readouterr().err
@@ -183,6 +223,6 @@ def test_exact_refuses_size_before_allocating(monkeypatch, capsys, size, code):
     def unreachable(size):
         raise AssertionError(f"weights built for refused size {size}")
 
-    monkeypatch.setattr(sepsim.exact, "_matrix_product_weights", unreachable)
+    monkeypatch.setattr(sepsim.exact, "_weights", unreachable)
     assert main(["exact", "--size", str(size)]) == code
     assert "error:" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from sepsim.cli import main
 from sepsim.core import ROUND_CAP, Configuration, ModelParams
 from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
+from sepsim.exact import MAX_EXACT_SIZE
 from sepsim.forward import transient_moment
 from sepsim.ladder import MAX_KERNEL_ENTRIES
 
@@ -68,6 +69,13 @@ def test_duality_check_dual_time_cap(monkeypatch):
         transient_dual_moment(p, pts, c0, limit, 4, p.stream(0))
         with pytest.raises(ResourceError):
             transient_dual_moment(p, pts, c0, limit * 1.0001, 4, p.stream(0))
+
+
+def test_exact_size_cap():
+    # the feature list and the `exact` description state the same cap
+    sizes = re.findall(r"`S <= (\d+)`", text())
+    assert len(sizes) == 2
+    assert {int(size) for size in sizes} == {MAX_EXACT_SIZE}
 
 
 def test_aux_size_cap():
