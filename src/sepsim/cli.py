@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser("odes", help="moment hierarchy: stationary solve or integration")
+    p = sub.add_parser(
+        "odes", help="moment hierarchy: closed-form stationary field or integration"
+    )
     _add_model_flags(p)
     p.add_argument("--time", type=float, default=None, help="integrate to this time")
     _add_output_flags(p)

@@ -14,11 +14,16 @@ value keyed by (seed, stream_id), and two streams with the same key always
 yield the same draw sequence while distinct ids give statistically independent
 sequences.
 
-The numpy samplers share one driver, lockstep, on a uniformized clock (Bortz,
-Kalos and Lebowitz, J. Comput. Phys. 17 (1975) 10): every open replica takes
-one move or one chunk of moves per round, moves that change nothing included,
-so all replicas advance together and a round is a handful of array operations.
-The bit-sliced samplers hold 64 replicas per uint64 word (multi-spin coding,
+The numpy samplers run on a uniformized clock (Bortz, Kalos and Lebowitz,
+J. Comput. Phys. 17 (1975) 10): every open replica takes one move or one
+chunk of moves per round, moves that change nothing included, so all
+replicas advance together and a round is a handful of array operations.
+A timed run gives each replica a Poisson number of rounds; sorted, the open
+replicas of a round are a suffix, so the transient samplers loop over the
+first open replica of each round from poisson_rounds. An absorbing run calls
+lockstep, which steps until no row is open: each step keeps its open rows
+packed at the front, in order, and returns how many stay open. The
+bit-sliced samplers hold 64 replicas per uint64 word (multi-spin coding,
 Jacobs and Rebbi, J. Comput. Phys. 41 (1981) 203) and read their 0/1 results
 from counts of set bits; the absorbing ones hand lockstep words, not replicas.
 """
@@ -35,9 +40,9 @@ from .errors import NumericError, ResourceError, ValidationError
 
 _MASK64 = (1 << 64) - 1
 
-# Most rounds any clocked loop may run: the cap of an absorbing lockstep run
-# (on moves where a round takes several), the largest mean quota a timed
-# lockstep run accepts, and the most Euler steps a moment integration takes.
+# Most rounds any clocked loop may run: the cap of a lockstep run (on moves
+# where a round takes several), the largest mean round count poisson_rounds
+# accepts, and the most Euler steps a moment integration takes.
 ROUND_CAP = 5_000_000
 
 # Largest accepted residual of a direct solve or a certified exact vector.
@@ -117,57 +122,46 @@ def check_residual(what: str, residual: float, bound: float) -> None:
         raise NumericError(f"{what} residual {residual:.3e} exceeds {bound:.0e}")
 
 
-def poisson_quotas(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
-    """Sorted Poisson(mean) round counts of n replicas for a timed lockstep run.
+def poisson_rounds(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
+    """First open replica of each round of a timed run of n replicas.
 
-    One multinomial draw over mean +- (40 sqrt(mean) + 40), past which every
-    weight underflows; a mean above ROUND_CAP is refused before any draw.
+    Replica r runs for the r-th smallest of n Poisson(mean) round counts, all
+    drawn as one multinomial over mean +- (40 sqrt(mean) + 40), past which
+    every weight underflows. The replicas open in round j are then a suffix,
+    and entry j is its first one: the number of counts at most j. There is
+    one entry per round up to the largest count; a mean above ROUND_CAP is
+    refused before any draw.
     """
     if mean > ROUND_CAP:
         raise ResourceError(
             f"{mean:.3g} rounds per replica expected, cap is {ROUND_CAP} rounds"
         )
     if mean == 0:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64)
     half = 40 * math.sqrt(mean) + 40
     values = np.arange(max(0, math.floor(mean - half)), math.ceil(mean + half) + 1)
     logw = np.cumsum(np.log(mean / np.maximum(values, 1)))  # log p(v) + constant
     w = np.exp(logw - logw.max())
-    return np.repeat(values, gen.multinomial(n, w / w.sum()))
+    counts = gen.multinomial(n, w / w.sum())
+    last = values[np.flatnonzero(counts)[-1]]  # the largest round count
+    return np.concatenate((np.zeros(values[0], dtype=np.int64), np.cumsum(counts)))[:last]
 
 
-def lockstep(
-    n_replicas: int,
-    step: Callable[[np.ndarray], np.ndarray | None],
-    quotas: np.ndarray | None = None,
-) -> None:
-    """Advance replicas 0..n_replicas-1 round by round until none is open.
+def lockstep(n_open: int, step: Callable[[int], int]) -> None:
+    """Call step(n_open) round by round until no row is open.
 
-    Each round calls step(rows) with the open rows in ascending order; step
-    moves every one of them once or more and returns a mask over rows marking
-    those it closed (None when it closes none): rows absorbed, or rows whose
-    remaining success the caller scores in closed form. Closed rows never
-    reopen.
-
-    With quotas (sorted, one per replica) row r is open for quotas[r] rounds,
-    so the open rows are a suffix of the unclosed ones. Without quotas a row
-    stays open until closed; rows still open after ROUND_CAP rounds raise
+    Rows 0..n_open-1 are the open ones. step moves each of them once or more,
+    closes those absorbed or whose remaining success the caller scores in
+    closed form, packs the rows still open at the front in their order, and
+    returns how many they are. Rows still open after ROUND_CAP rounds raise
     NumericError.
     """
-    idx = np.arange(n_replicas)
-    n_rounds = ROUND_CAP if quotas is None else int(quotas[-1])
-    for j in range(n_rounds):
-        rows = idx
-        if quotas is not None:
-            spent = np.searchsorted(quotas, j, side="right")  # rows below used up
-            rows = idx[np.searchsorted(idx, spent) :]
-        if not rows.size:
+    for _ in range(ROUND_CAP):
+        if not n_open:
             return
-        absorbed = step(rows)
-        if absorbed is not None and absorbed.any():
-            idx = rows[~absorbed]
-    if quotas is None and idx.size:
-        raise NumericError(f"{idx.size} rows still open after {ROUND_CAP} rounds")
+        n_open = step(n_open)
+    if n_open:
+        raise NumericError(f"{n_open} rows still open after {ROUND_CAP} rounds")
 
 
 @dataclass(frozen=True)

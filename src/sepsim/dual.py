@@ -36,20 +36,21 @@ frozen walker, a hop onto a walker at a bulk site, an idle index) are no-ops,
 so the event rate does not depend on the state. A hop is a carry or borrow
 chain over the planes; equality tests are an OR over the planes of an XOR.
 
-transient_dual_moment gives each family a Poisson number of moves on the
-timed mode of core.lockstep; a lane whose lowest walker reaches 0 is dead.
-A round costs about 45 numpy calls against about 20 for a sampler that moves
-one walker row per replica, so below about 10^4 replicas it is slower (10^4
-at S = 10, t = 200: about 0.1 s against 0.075 s); duality-check defaults to
-10^6 replicas, where it is about 8 times faster.
+transient_dual_moment gives each family a Poisson number of moves: each
+round moves the families from its first open one of core.poisson_rounds on,
+and a lane whose lowest walker reaches 0 is dead. A round costs about 45
+numpy calls against about 20 for a sampler that moves one walker row per
+replica, so below about 10^4 replicas it is slower (10^4 at S = 10, t = 200:
+about 0.1 s against 0.075 s); duality-check defaults to 10^6 replicas, where
+it is about 8 times faster.
 
-estimate_absorption and the ladder's hybrid pair share absorbing_run, on the
-absorbing mode of core.lockstep with words as its rows. After each round a
-close rule runs on whole words: a lane closes once its lowest walker is dead
-or walker min(k, 2) is frozen, so at most one walker is left in the bulk (a
-hybrid lane also at the end of its k-th meeting episode). Whenever the open
-lanes fit in half the words, the held lanes are decoded once: closed lanes
-are scored, and open ones packed densely again in lane order, so no word
+estimate_absorption and the ladder's hybrid pair share absorbing_run, on
+core.lockstep with words as its rows. After each round a close rule runs on
+whole words: a lane closes once its lowest walker is dead or walker min(k, 2)
+is frozen, so at most one walker is left in the bulk (a hybrid lane also at
+the end of its k-th meeting episode). Whenever the open lanes fit in half the
+words, the held lanes are decoded once: closed lanes are scored, and open
+ones packed densely again in lane order into the first words, so no word
 waits for its slowest lane. estimate_absorption scores the lowest walker's
 ruin line x/(S+1), its exact chance to freeze given the path so far, since
 frozen walkers stop excluding; by the tower rule the estimate stays unbiased.
@@ -79,7 +80,7 @@ from .core import (
     lane_mean_stderr,
     lockstep,
     mean_stderr,
-    poisson_quotas,
+    poisson_rounds,
     site_dtype,
     validate_point_set,
 )
@@ -144,9 +145,8 @@ def absorbing_run(
     scores = np.empty(n_replicas)
     held, done = n_replicas, 0
 
-    def step(rows: np.ndarray) -> np.ndarray | None:
+    def step(w: int) -> int:
         nonlocal held, done
-        w = rows.size
         live, open_ = pos[:, :, :w], lanes[:w]
         _hop_round(live, open_, gen.bit_generator.random_raw((1 + n_index, w)), size)
         shut = _at(live[top : top + 1], size + 1)[0]
@@ -156,7 +156,7 @@ def absorbing_run(
         open_ &= ~shut
         n_open = int(np.bitwise_count(open_).sum())
         if -(-n_open // 64) > w // 2:
-            return None
+            return w
         state = np.concatenate((live[1:-1].reshape(k * n_planes, w), count[:, :w]))
         kept, closed = _repack(state, open_, held)
         sites = np.zeros((top, closed.shape[1]), dtype=site_dtype(size + 1))
@@ -167,7 +167,7 @@ def absorbing_run(
         pos[1:-1, :, :w_kept] = kept[: k * n_planes].reshape(k, n_planes, w_kept)
         count[:, :w_kept] = kept[k * n_planes :]
         lanes[:w_kept] = _first_lanes(n_open, w_kept)
-        return np.arange(w) >= w_kept
+        return w_kept
 
     lockstep(n_words, step)
     return mean_stderr(scores)
@@ -243,19 +243,15 @@ def transient_dual_moment(
     k = len(pts)
     gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k
-    quotas = poisson_quotas(gen, 2.0 * (1 << n_index) * t, n_replicas)
+    firsts = poisson_rounds(gen, 2.0 * (1 << n_index) * t, n_replicas)
     n_planes = (s + 1).bit_length()
     start = _planes((s + 1, *pts, s + 1), n_planes)
     pos = np.repeat(start[..., None], -(-n_replicas // 64), axis=2)
-
-    def step(rows: np.ndarray) -> None:
-        first = int(rows[0])
+    for first in firsts:
         live = pos[:, :, first >> 6 :]
         open_ = np.full(live.shape[2], ALL_LANES)
         open_[0] <<= np.uint64(first & 63)
         _hop_round(live, open_, gen.bit_generator.random_raw((1 + n_index, live.shape[2])), s)
-
-    lockstep(n_replicas, step, quotas)
     return lane_mean_stderr(~_on_zero(pos[1:-1], env), n_replicas)
 
 

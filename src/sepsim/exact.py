@@ -15,9 +15,10 @@ bond clock ringing once per unit time: it must be positive and have
 |Q^T pi| <= MAX_RESIDUAL. Q^T pi is summed bond by bond on reshaped views
 of pi, so no generator matrix is built. A common bond speed only scales Q,
 so the law does not depend on it. The chain is irreducible, so a vector
-that passes is its stationary law whatever the closed form says. Occupation
-moments (the probability that a given set of sites is simultaneously
-occupied) are plain masked sums over the state space.
+that passes is its stationary law whatever the closed form says. An
+occupation moment (the probability that a given set of sites is
+simultaneously occupied) is the sum of a view of pi with one axis per site,
+fixed at 1 on the axis of each point.
 
 Memory grows as 2^S so the module enforces a size cap; this path is meant for
 desk-scale verification, not production sizes.
@@ -121,12 +122,10 @@ def exact_moment(pi: StationaryVector, points: Iterable[int]) -> float:
     pts = tuple(p for p in pts if p != s + 1)
     if not pts:
         return 1.0
-    mask = 0
+    index = [slice(None)] * s  # axis s - p is bit p - 1, site p
     for p in pts:
-        mask |= 1 << (p - 1)
-    states = np.arange(pi.probabilities.shape[0], dtype=np.int64)
-    hit = (states & mask) == mask
-    return float(pi.probabilities[hit].sum())
+        index[s - p] = 1
+    return float(pi.probabilities.reshape((2,) * s)[tuple(index)].sum())
 
 
 def occupation_profile(pi: StationaryVector) -> np.ndarray:

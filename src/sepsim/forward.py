@@ -15,8 +15,9 @@ independent uniform draws, so replicas can advance in lock step.
   slowest replica. Bonds, round masks and sample rounds are drawn one chunk
   of rounds at a time, so memory stays bounded however long the run.
 * Transient moments are bit-sliced in numpy words: bit r of word w in row k
-  is site k of replica 64w+r. On core.lockstep the clock runs at 2^L >= S+1,
-  L = S.bit_length(); per round, L random bit planes spell a value per lane,
+  is site k of replica 64w+r. The clock runs at 2^L >= S+1, L =
+  S.bit_length(), and each round moves the lanes from its first open replica
+  of core.poisson_rounds on; L random bit planes spell a value per lane,
   which fires that bond if it is at most S and idles otherwise. Against a
   sampler moving one byte row per replica it is no slower up to S = 511, and
   1.5-2 times slower at S = 512 (whose clock idles half the time) to 1000.
@@ -45,9 +46,8 @@ from .core import (
     RngStream,
     default_initial_configuration,
     lane_mean_stderr,
-    lockstep,
     mean_stderr,
-    poisson_quotas,
+    poisson_rounds,
     validate_point_set,
 )
 from .errors import ResourceError, ValidationError
@@ -326,17 +326,13 @@ def transient_moment(
         return value, 0.0
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
-    quotas = poisson_quotas(gen, (1 << n_planes) * t, n_replicas)
+    firsts = poisson_rounds(gen, (1 << n_planes) * t, n_replicas)
     words = np.where(initial.as_array() == 1, ALL_LANES, np.uint64(0))
     occ = np.repeat(words[:, None], -(-n_replicas // 64), axis=1)
     scratch = np.empty((2, s + 1, occ.shape[1]), dtype=np.uint64)
-
-    def step(rows: np.ndarray) -> None:
-        first = int(rows[0])
+    for first in firsts:
         planes = gen.bit_generator.random_raw((n_planes, occ.shape[1] - (first >> 6)))
         _fire_round(occ, first, planes, scratch)
-
-    lockstep(n_replicas, step, quotas)
     return lane_mean_stderr(np.bitwise_and.reduce(occ[list(pts)], axis=0), n_replicas)
 
 

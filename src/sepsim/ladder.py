@@ -42,7 +42,9 @@ pair's success lo*hi/(S+1)^2, which keeps the estimate unbiased by the tower
 rule. Its only episode state is a bit-sliced counter of distance-1 entries
 and exits. simulate_aux_walk runs the reflected walk behind gamma_k on
 narrow positions, _CHUNK moves a round, each a bit of a random word, until
-every walk has reached S or made as many returns as the table has rows.
+every walk has reached S or made as many returns as the table has rows; the
+open walks stay first, in order, and the closed ones keep their return
+counts behind them.
 """
 
 from __future__ import annotations
@@ -405,13 +407,17 @@ def simulate_aux_walk(
     visits = np.zeros(n_replicas, dtype=np.int32)  # returns <= moves <= ROUND_CAP
     left = iter(range(core.ROUND_CAP, 0, -_CHUNK))  # moves left before each round
 
-    def step(rows: np.ndarray) -> np.ndarray:
+    def step(n_open: int) -> int:
         if not (n := min(_CHUNK, next(left, 0))):
-            raise NumericError(f"{rows.size} walks open after {core.ROUND_CAP} moves")
-        p, coins = pos[rows], gen.bit_generator.random_raw((rows.size, -(-n // 64)))
-        v = visits[rows] + _walk_chunk(p, coins, n, size)
-        visits[rows], pos[rows] = v, p
-        return (p > size) | (v >= k_max)
+            raise NumericError(f"{n_open} walks open after {core.ROUND_CAP} moves")
+        p, v = pos[:n_open], visits[:n_open]
+        v += _walk_chunk(p, gen.bit_generator.random_raw((n_open, -(-n // 64))), n, size)
+        keep = (p <= size) & (v < k_max)
+        n_keep = int(np.count_nonzero(keep))
+        if n_keep < n_open:  # open walks first, in order, closed counts behind them
+            p[:n_keep] = p[keep]
+            v[:] = np.concatenate((v[keep], v[~keep]))
+        return n_keep
 
     k_max = _early_stop(size, k_max)
     lockstep(n_replicas, step)

@@ -6,10 +6,10 @@ shifted down one site and the right endpoint shifted up one site enter with
 coefficient +1, against a diagonal -2 per cluster. A shifted point landing on
 site 0 contributes zero; one landing on S+1 contributes the level-(k-1)
 moment of the remaining points, which for k = 1 is the constant 1. The
-hierarchy is therefore lower-triangular in k and is built, solved, and
-integrated bottom-up. The stationary field takes one sparse direct solve per
-level; time integration uses explicit Euler steps, whose error is first order
-in the step size.
+hierarchy is therefore lower-triangular in k and is built and integrated
+bottom-up. Its stationary field is the closed form of dual.stationary_moment,
+so nothing is solved for it; time integration uses explicit Euler steps,
+whose error is first order in the step size.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
-from .core import (
-    MAX_RESIDUAL, ROUND_CAP, Configuration, ModelParams, check_residual, cluster_decompose,
-)
+from .core import ROUND_CAP, Configuration, ModelParams, cluster_decompose
+from .dual import stationary_moment
 from .errors import NumericError, ResourceError, ValidationError
 
 MAX_SUBSET_COUNT = 200_000
@@ -51,10 +49,6 @@ class MomentSystem:
     b_matrix: sp.csr_matrix
     lower: "MomentSystem | None"
     max_clusters: int
-
-    @property
-    def n_states(self) -> int:
-        return len(self.subsets)
 
     def chain(self) -> list["MomentSystem"]:
         """Systems from level 1 up to this level."""
@@ -190,22 +184,16 @@ def field_from_configuration(system: MomentSystem, config: Configuration) -> Mom
 
 
 def stationary_moments(system: MomentSystem) -> MomentField:
-    """Stationary moment field of the system's level, solved bottom-up.
+    """Stationary moment field of the system's level and every level below.
 
-    Each level solves a m + b m_lower = 0 with one sparse direct solve and
-    checks the residual. The result depends only on the lattice size.
+    Each value is the closed form of dual.stationary_moment, the solution of
+    a m + b m_lower = 0 at every level. It depends only on the lattice size.
     """
-    lower_vals = np.ones(1)
+    size = system.params.size
     field: MomentField | None = None
     for sys_l in system.chain():
-        source = sys_l.b_matrix @ lower_vals
-        m = spsolve(sys_l.a_matrix, -source)
-        residual = float(np.abs(sys_l.a_matrix @ m + source).max())
-        check_residual(f"level-{sys_l.k} moment solve", residual, MAX_RESIDUAL)
-        field = MomentField(
-            k=sys_l.k, time=None, values=m, system=sys_l, lower=field
-        )
-        lower_vals = m
+        m = np.array([stationary_moment(size, pts) for pts in sys_l.subsets])
+        field = MomentField(k=sys_l.k, time=None, values=m, system=sys_l, lower=field)
     assert field is not None
     return field
 

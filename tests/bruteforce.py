@@ -412,3 +412,16 @@ def reflected_walk_reference(size, coins):
         returns += pos == 0
         moves += 1
     return pos, returns, moves
+
+
+def sorted_poisson_quotas(gen, mean, n):
+    """Sorted Poisson(mean) round counts of n replicas, one multinomial draw.
+
+    The draw is the one of core.poisson_rounds, over the same values and
+    weights, expanded to one count per replica.
+    """
+    half = 40 * math.sqrt(mean) + 40
+    values = np.arange(max(0, math.floor(mean - half)), math.ceil(mean + half) + 1)
+    logw = np.cumsum(np.log(mean / np.maximum(values, 1)))
+    w = np.exp(logw - logw.max())
+    return np.repeat(values, gen.multinomial(n, w / w.sum()))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bruteforce import apply_swap, enabled_bonds
+from bruteforce import apply_swap, enabled_bonds, sorted_poisson_quotas
 from sepsim.core import (
     Configuration,
     ModelParams,
@@ -15,7 +15,7 @@ from sepsim.core import (
     ROUND_CAP,
     lockstep,
     mean_stderr,
-    poisson_quotas,
+    poisson_rounds,
     site_dtype,
     validate_point_set,
 )
@@ -204,27 +204,37 @@ def test_rng_offset_matches_stream_arithmetic():
     assert np.array_equal(x, y)
 
 
-def test_lockstep_timed_rows_and_absorption():
-    # Row r is open for quotas[r] rounds; row 2 is absorbed in round 1.
-    seen = []
-
-    def step(rows):
-        seen.append(rows.tolist())
-        return rows == 2 if len(seen) == 2 else None
-
-    lockstep(4, step, np.array([0, 1, 3, 3]))
-    assert seen == [[1, 2, 3], [2, 3], [3]]
-
-
 def test_lockstep_absorbing_runs_until_absorbed():
+    # Each step closes one row, so lockstep hands it 3, 2, 1 and stops at 0.
     seen = []
 
-    def step(rows):
-        seen.append(rows.tolist())
-        return rows == len(seen) - 1
+    def step(n_open):
+        seen.append(n_open)
+        return n_open - 1
 
     lockstep(3, step)
-    assert seen == [[0, 1, 2], [1, 2], [2]]
+    assert seen == [3, 2, 1]
+
+
+def test_lockstep_caps_rounds(monkeypatch):
+    # A run whose last rows close in round ROUND_CAP passes; a run with rows
+    # still open after it is refused.
+    monkeypatch.setattr(sepsim.core, "ROUND_CAP", 3)
+    rounds = []
+
+    def closes_in_round(last):
+        def step(n_open):
+            rounds.append(n_open)
+            return 0 if len(rounds) == last else n_open
+
+        return step
+
+    lockstep(5, closes_in_round(3))
+    assert rounds == [5, 5, 5]
+    rounds.clear()
+    with pytest.raises(NumericError, match="5 rows still open after 3 rounds"):
+        lockstep(5, closes_in_round(4))
+    assert rounds == [5, 5, 5]
 
 
 SMALL = ModelParams(size=40, seed=3)
@@ -258,8 +268,12 @@ def test_site_dtype_is_the_narrowest_that_holds_the_top_site(top, dtype):
 @pytest.mark.parametrize("mean,seed", [(0.5, 1), (20.0, 2), (80.0, 3), (1e5, 4)])
 def test_poisson_quotas_follow_the_poisson_law(mean, seed):
     n = 200_000
-    quotas = poisson_quotas(np.random.default_rng(seed), mean, n)
-    assert quotas.size == n and (np.diff(quotas) >= 0).all()
+    firsts = poisson_rounds(np.random.default_rng(seed), mean, n)
+    assert (np.diff(firsts) >= 0).all() and firsts[-1] < n
+    # Replica counts per number of rounds, read back from the first open
+    # replica of each round: firsts[j] replicas run at most j rounds.
+    hist = np.diff(firsts, prepend=0, append=n)
+    quotas = np.repeat(np.arange(hist.size), hist)
     # Chi-square over the values expected at least 5 times, each tail pooled
     # into the bin at its end.
     law = stats.poisson(mean)
@@ -271,8 +285,24 @@ def test_poisson_quotas_follow_the_poisson_law(mean, seed):
     assert stats.chi2.sf(chi2, len(want) - 1) > 1e-4
 
 
+@pytest.mark.parametrize("mean", [0.01, 0.5, 7.0, 300.0, 5000.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_poisson_rounds_match_sorted_quotas(mean, seed):
+    # Round j opens replicas from the number of quotas <= j on, for every
+    # round up to the largest quota, and both draw the same numbers. At mean
+    # 5000 the multinomial's values start above 0.
+    n = 1000 + seed
+    gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    firsts = poisson_rounds(gen, mean, n)
+    q = sorted_poisson_quotas(ref, mean, n)
+    assert firsts.size == q[-1]
+    want = [np.searchsorted(q, j, side="right") for j in range(firsts.size)]
+    assert firsts.tolist() == want
+    assert gen.random() == ref.random()
+
+
 def test_poisson_quotas_edge_means_draw_nothing():
     # No generator is touched for a zero mean or before a refusal.
-    assert poisson_quotas(None, 0.0, 5).tolist() == [0] * 5
+    assert poisson_rounds(None, 0.0, 5).size == 0
     with pytest.raises(ResourceError):
-        poisson_quotas(None, ROUND_CAP * 1.01, 5)
+        poisson_rounds(None, ROUND_CAP * 1.01, 5)

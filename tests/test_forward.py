@@ -423,11 +423,7 @@ def test_transient_moment_reads_replicas_in_lane_order(monkeypatch):
     # round that empties every open lane. A lane read out of order, or a
     # padding lane read in place of a replica, moves the mean off 66/70.
     n, kept = 70, 66
-    monkeypatch.setattr(
-        sepsim.forward,
-        "poisson_quotas",
-        lambda gen, mean, n: np.repeat([0, 1], [kept, n - kept]),
-    )
+    monkeypatch.setattr(sepsim.forward, "poisson_rounds", lambda *_: np.array([kept]))
 
     def empty_open_lanes(occ, first, planes, scratch):
         bits = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")

@@ -414,28 +414,39 @@ def test_aux_walk_table_ends_at_the_ladder_early_stop():
 
 @pytest.mark.parametrize("size,k_max", [(2, 1), (10, 3), (10, 263), (30, 5)])
 def test_aux_walk_closes_at_s_or_at_the_last_return(size, k_max, monkeypatch):
-    # Every row the walk closes has reached S (parked above it) or made its
-    # k_max-th return, and every walk is closed in the end.
-    closed = []
+    # Each round keeps the walks that have neither reached S (parked above
+    # it) nor made their k_max-th return first, in order, with the return
+    # counts of the others behind them, and every walk is closed in the end.
+    closed, moved = [], {}
+    walk = sepsim.ladder._walk_chunk
 
-    def spy(n, step, quotas=None):
+    def recorded(p, coins, n, size_):
+        moved["returns"] = walk(p, coins, n, size_)
+        moved["pos"] = p.copy()
+        return moved["returns"]
+
+    def spy(n, step):
         cells = dict(zip(step.__code__.co_freevars, step.__closure__))
         pos, visits = cells["pos"].cell_contents, cells["visits"].cell_contents
 
-        def watched(rows):
-            shut = step(rows)
-            gone = rows[shut]
-            assert ((pos[gone] > size) | (visits[gone] >= k_max)).all()
-            assert not ((pos[rows[~shut]] > size) | (visits[rows[~shut]] >= k_max)).any()
-            closed.extend(gone.tolist())
-            return shut
+        def watched(n_open):
+            before = visits[:n_open].copy()
+            n_kept = step(n_open)
+            p, v = moved["pos"], before + moved["returns"]
+            shut = (p > size) | (v >= k_max)
+            assert n_kept == n_open - shut.sum()
+            assert np.array_equal(pos[:n_kept], p[~shut])
+            assert np.array_equal(visits[:n_open], np.concatenate((v[~shut], v[shut])))
+            closed.append(n_open - n_kept)
+            return n_kept
 
-        lockstep(n, watched, quotas)
+        lockstep(n, watched)
 
+    monkeypatch.setattr(sepsim.ladder, "_walk_chunk", recorded)
     monkeypatch.setattr(sepsim.ladder, "lockstep", spy)
     n = 3000
     r = simulate_aux_walk(size, k_max, n, ModelParams(size=size, seed=4).stream(0))
-    assert sorted(closed) == list(range(n))
+    assert sum(closed) == n
     for k in range(1, min(k_max, 3) + 1):
         assert abs(r.gamma_mc[k] - r.gamma[k]) < 4 * r.gamma_stderr[k]
 
@@ -446,8 +457,8 @@ def test_aux_walk_tail_matches_per_k_loop(size, n_replicas, monkeypatch):
     # walk's own return counts, read from the step closure after the run.
     seen = {}
 
-    def spy(n, step, quotas=None):
-        lockstep(n, step, quotas)
+    def spy(n, step):
+        lockstep(n, step)
         cells = dict(zip(step.__code__.co_freevars, step.__closure__))
         seen["visits"] = cells["visits"].cell_contents
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bruteforce import expm_state_distribution, moment_from_distribution
 from sepsim.core import Configuration, ModelParams, default_initial_configuration
 from sepsim.dual import pair_absorption_exact
-from sepsim.errors import NumericError, ResourceError, ValidationError
+from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.forward import transient_moment
 from sepsim.moments import (
@@ -116,16 +116,6 @@ def test_stationary_pairs_match_closed_form(size):
     n = size + 1
     m2 = xs * ys / n**2 - xs * (n - ys) / (size * n**2)
     assert np.abs(field.values - m2).max() < 1e-12
-
-
-def test_stationary_residual_check(monkeypatch):
-    import sepsim.moments
-
-    monkeypatch.setattr(
-        sepsim.moments, "spsolve", lambda a, b: np.zeros(a.shape[0])
-    )
-    with pytest.raises(NumericError):
-        stationary_moments(build_moment_system(ModelParams(size=4), 2))
 
 
 def test_stationary_third_order_matches_exact():
