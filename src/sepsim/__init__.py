@@ -12,7 +12,6 @@ from .core import (
     Configuration,
     ModelParams,
     RngStream,
-    cluster_decompose,
     default_initial_configuration,
 )
 from .errors import (
@@ -28,7 +27,6 @@ __all__ = [
     "Configuration",
     "ModelParams",
     "RngStream",
-    "cluster_decompose",
     "default_initial_configuration",
     "SepsimError",
     "ValidationError",

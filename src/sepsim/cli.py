@@ -1,7 +1,10 @@
 """Command-line front end for the exclusion-process toolkit.
 
 Every command computes its configuration fields, a JSON payload and its CSV
-tables, and hands them to one writer, _emit. The writer echoes the
+tables, each table a list of columns, and hands them to one writer, _emit.
+A payload value needed only in JSON may be a function that builds it, so
+CSV output never builds it. CSV rows are formatted and written in chunks of
+_CHUNK_ROWS, each float by its repr. The writer echoes the
 configuration, with the command name and a timestamp (left out under
 --deterministic, so repeated runs are byte-identical), into every file: CSV
 files start with a `# config: {...}` comment line, JSON files carry a
@@ -76,45 +79,59 @@ def _float_pair(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"not numbers: {text!r}") from exc
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_CHUNK_ROWS = 65_536  # CSV rows formatted and written at a time
 
 
 def _json_text(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, parts) -> None:
+    """Write an iterable of strings to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        sys.stdout.writelines(parts)
+        return
+    with open(path, "w") as f:
+        f.writelines(parts)
+
+
+def _rows(*columns) -> list[tuple]:
+    """Columns as a list of rows of Python scalars, the JSON form of a table."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def _csv_lines(config: dict, header: list[str], columns):
+    """The config comment, the header and the rows of one table, in chunks.
+
+    A cell is the str of its value (for a float, its repr), or its decoded bytes.
+    """
+    yield "# config: " + json.dumps(config, sort_keys=True) + "\n" + ",".join(header) + "\n"
+    cols = [np.asarray(c) for c in columns]
+    cell = [bytes.decode if c.dtype.kind == "S" else str for c in cols]
+    for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+        cells = [map(f, c[lo : lo + _CHUNK_ROWS].tolist()) for f, c in zip(cell, cols)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _emit(args: argparse.Namespace, config: dict, payload: dict, tables=()) -> None:
-    """Write payload as JSON, or tables of (suffix, header, rows) as CSV."""
+    """Write payload as JSON, or tables of (suffix, header, columns) as CSV."""
     config = {"command": args.command, **config}
     if not args.deterministic:
         config["timestamp"] = datetime.now(timezone.utc).isoformat()
     out = args.output
     if getattr(args, "format", "json") == "json":
-        _write(out, _json_text(config, payload))
+        payload = {key: v() if callable(v) else v for key, v in payload.items()}
+        _write(out, [_json_text(config, payload)])
         return
     stem = out
     if out is not None and Path(out).suffix in (".csv", ".json"):
         stem = str(Path(out).with_suffix(""))
-    for suffix, header, rows in tables:
-        lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    for suffix, header, columns in tables:
         path = out if suffix is None or out is None else f"{stem}_{suffix}.csv"
-        _write(path, "\n".join(lines) + "\n")
+        _write(path, _csv_lines(config, header, columns))
     if "summary" in payload:
         path = None if out is None else f"{stem}_summary.json"
-        _write(path, _json_text(config, {"summary": payload["summary"]}))
+        _write(path, [_json_text(config, {"summary": payload["summary"]})])
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
@@ -144,23 +161,25 @@ def cmd_exact(args: argparse.Namespace) -> int:
     linear = np.arange(1, s + 1) / (s + 1)
     max_dev = float(np.abs(profile - linear).max())
     print(f"max |m1(x) - x/(S+1)| = {max_dev:.3e}", file=sys.stderr)
-    m1_rows = [(x, float(profile[x - 1])) for x in range(1, s + 1)]
-    m2_rows = [(x, y, val) for (x, y), val in sorted(pair_moments(pi).items())]
-    pi_rows = [
-        (format(state, f"0{s}b")[::-1], prob)  # site 1 leftmost
-        for state, prob in enumerate(pi.probabilities.tolist())
-    ]
+    m1 = (np.arange(1, s + 1), profile)
+    x, y = np.triu_indices(s, k=1)
+    m2 = (x + 1, y + 1, np.array(list(pair_moments(pi).values())))  # x < y, lex order
+    codes = np.arange(1 << s, dtype=np.uint32)
+    chars = np.empty((1 << s, s), dtype=np.uint8)
+    for j in range(s):  # site j+1 is bit j, written leftmost first
+        chars[:, j] = ord("0") + (codes >> j & 1)
+    states, probs = chars.view(f"S{s}")[:, 0], pi.probabilities
     payload = {
         "max_m1_deviation": max_dev,
-        "m1": m1_rows,
-        "m2": m2_rows,
-        "pi": dict(pi_rows),
+        "m1": _rows(*m1),
+        "m2": _rows(*m2),
+        "pi": lambda: dict(zip(map(bytes.decode, states.tolist()), probs.tolist())),
         "residual": pi.residual,
     }
     tables = [
-        ("m1", ["x", "m1"], m1_rows),
-        ("m2", ["x", "y", "m2"], m2_rows),
-        ("pi", ["state", "probability"], pi_rows),
+        ("m1", ["x", "m1"], m1),
+        ("m2", ["x", "y", "m2"], m2),
+        ("pi", ["state", "probability"], (states, probs)),
     ]
     _emit(args, {"size": s}, payload, tables)
     return 0
@@ -198,19 +217,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "sample_interval": schedule.sample_interval,
         "points": args.points,
     }
-    rows = [
-        (";".join(str(p) for p in pts), float(e), float(se))
-        for pts, e, se in zip(est.point_sets, est.estimates, est.stderrs)
-    ]
+    labels = [";".join(str(p) for p in pts) for pts in est.point_sets]
+    columns = (labels, est.estimates, est.stderrs)
     payload = {
         "estimates": [
             {"points": pts, "estimate": e, "stderr": se}
-            for pts, (_, e, se) in zip(est.point_sets, rows)
+            for pts, (_, e, se) in zip(est.point_sets, _rows(*columns))
         ],
         "total_events": est.total_events,
         "rounds": est.rounds,
     }
-    _emit(args, config, payload, [(None, ["points", "estimate", "stderr"], rows)])
+    _emit(args, config, payload, [(None, ["points", "estimate", "stderr"], columns)])
     return 0
 
 
@@ -225,9 +242,9 @@ def cmd_dual(args: argparse.Namespace) -> int:
         "points": pts,
         "replicas": args.replicas,
     }
-    row = (";".join(str(p) for p in pts), est, se, exact_val)
+    columns = ([";".join(str(p) for p in pts)], [est], [se], [exact_val])
     payload = {"estimate": est, "stderr": se, "exact": exact_val}
-    _emit(args, config, payload, [(None, ["points", "estimate", "stderr", "exact"], [row])])
+    _emit(args, config, payload, [(None, ["points", "estimate", "stderr", "exact"], columns)])
     return 0
 
 
@@ -238,15 +255,13 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     x0, y0 = args.start
     table = ladder_tables(params, x0, y0, k_max=args.kmax)
     config = {"size": params.size, "start": [x0, y0], "kmax": args.kmax}
-    rows = [
-        (
-            k,
-            float(table.c_start[k]),
-            gamma_closed_form(params.size, k),
-            float(table.p[k]),
-        )
-        for k in range(1, table.k_max + 1)
-    ]
+    ks = range(1, table.k_max + 1)
+    columns = (
+        ks,
+        table.c_start[1:],
+        [gamma_closed_form(params.size, k) for k in ks],
+        table.p[1:],
+    )
     p0 = float(table.p[0])
     summary = {
         "P0": p0,
@@ -255,16 +270,14 @@ def cmd_ladder(args: argparse.Namespace) -> int:
         "slack": table.final_bound - (p0 - table.p_inf),
     }
     header = ["k", "C_k", "gamma_k", "P_k"]
-    payload = {"rows": rows, "columns": header, "summary": summary}
-    _emit(args, config, payload, [(None, header, rows)])
+    payload = {"rows": _rows(*columns), "columns": header, "summary": summary}
+    _emit(args, config, payload, [(None, header, columns)])
     return 0
 
 
 def cmd_odes(args: argparse.Namespace) -> int:
     params = _params(args)
-    s = params.size
-    k_top = min(2, s)
-    system = build_moment_system(params, k_top)
+    system = build_moment_system(params, min(2, params.size))
     if args.time is None:
         field = stationary_moments(system)
     else:
@@ -272,19 +285,13 @@ def cmd_odes(args: argparse.Namespace) -> int:
             system, default_initial_configuration(params)
         )
         field = integrate_moments(system, start, args.time)
-    levels = {
-        f.k: [(*pts, float(v)) for pts, v in zip(f.system.subsets, f.values)]
-        for f in (field, field.lower)
-        if f is not None
-    }
-    m1_rows, m2_rows = levels[1], levels.get(2, [])
-    tables = [("m1", ["x", "m1"], m1_rows), ("m2", ["x", "y", "m2"], m2_rows)]
-    _emit(
-        args,
-        {"size": s, "time": args.time},
-        {"m1": m1_rows, "m2": m2_rows, "time": args.time},
-        tables if m2_rows else tables[:1],
-    )
+    payload = {"m2": [], "time": args.time}
+    tables = []
+    for f in (field.lower, field) if field.lower is not None else (field,):
+        name, columns = f"m{f.k}", (*f.system.points.T, f.values)
+        payload[name] = lambda columns=columns: _rows(*columns)
+        tables.append((name, ["x", "y"][: f.k] + [name], columns))
+    _emit(args, {"size": params.size, "time": args.time}, payload, tables)
     return 0
 
 
@@ -338,17 +345,15 @@ def cmd_aux(args: argparse.Namespace) -> int:
         "kmax": args.kmax,
         "replicas": args.replicas,
     }
-    rows = [
-        (
-            k,
-            float(result.gamma[k]),
-            float(result.gamma_mc[k]),
-            float(result.gamma_stderr[k]),
-        )
-        for k in range(1, len(result.gamma))
-    ]
+    columns = (
+        range(1, len(result.gamma)),
+        result.gamma[1:],
+        result.gamma_mc[1:],
+        result.gamma_stderr[1:],
+    )
     header = ["k", "gamma_k", "estimate", "stderr"]
-    _emit(args, config, {"rows": rows, "columns": header}, [(None, header, rows)])
+    payload = {"rows": _rows(*columns), "columns": header}
+    _emit(args, config, payload, [(None, header, columns)])
     return 0
 
 
@@ -383,7 +388,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "columns": header,
         "summary": {"target": target, "slope": slope},
     }
-    _emit(args, config, payload, [(None, header, rows)])
+    _emit(args, config, payload, [(None, header, list(zip(*rows)))])
     return 0
 
 

@@ -52,10 +52,8 @@ MAX_RESIDUAL = 1e-10
 # replica 64w+r.
 ALL_LANES = np.uint64(2**64 - 1)
 
-# A point set is a strictly increasing tuple of site indices; a cluster
-# decomposition is its split into maximal runs of consecutive sites.
+# A point set is a strictly increasing tuple of site indices.
 PointSet = tuple[int, ...]
-ClusterDecomposition = list[tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -231,22 +229,3 @@ def validate_point_set(
         raise ValidationError(f"points must lie in [{lo}, {hi}], got {pts}")
     return pts
 
-
-def cluster_decompose(points: Iterable[int]) -> ClusterDecomposition:
-    """Split a strictly increasing point set into maximal consecutive runs.
-
-    Example: (2, 3, 7) -> [(2, 3), (7,)].
-    """
-    pts = tuple(int(p) for p in points)
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValidationError(f"points must be strictly increasing, got {pts}")
-    clusters: ClusterDecomposition = []
-    run: list[int] = []
-    for p in pts:
-        if run and p != run[-1] + 1:
-            clusters.append(tuple(run))
-            run = []
-        run.append(p)
-    if run:
-        clusters.append(tuple(run))
-    return clusters

@@ -27,11 +27,11 @@ n_states = S(S-1)/2 transient pair states, R holding one column per meeting
 position plus one for death. It is factored once per size (minimum-degree
 ordering on A + A^T) and the masses are never tabulated: a ladder rung
 needs only the S restart and start rows of A^-1 R applied to one vector, so
-it costs one solve, and one kernel row costs one transposed solve. Ladders
-deeper than S-2 rungs tabulate those S rows instead, with S-1 solves in
-column blocks and two more that refine the leading mode. No route takes more
-than S+1 solves. MAX_KERNEL_ENTRIES caps n_states x (S+1), the system size
-times the solve count, and admits S <= 512.
+it costs one solve. Ladders deeper than S-2 rungs tabulate those S rows
+instead, with S-1 solves in column blocks and two more that refine the
+leading mode. No route takes more than S+1 solves. MAX_KERNEL_ENTRIES caps
+n_states x (S+1), the system size times the solve count, and admits
+S <= 512.
 
 Two Monte Carlo samplers check the pieces, both on core.lockstep until every
 replica is closed. simulate_hybrid_pair moves the pair on the bit-sliced
@@ -96,15 +96,6 @@ def gamma_closed_form(size: int, k: int) -> float:
     return ((size - 1) / size) ** k
 
 
-@dataclass(frozen=True)
-class MeetingKernel:
-    """First-meeting distribution from one start: mass[n] for n in 1..S."""
-
-    start: tuple[int, int]
-    mass: np.ndarray  # length S+1, index n, entry 0 unused
-    no_meet_mass: float
-
-
 class _KernelTable:
     """Sparse LU factor of the first-meeting system for one size.
 
@@ -115,7 +106,7 @@ class _KernelTable:
     """
 
     def __init__(self, size: int) -> None:
-        self.size = s = size
+        s = size
         n_states = s * (s - 1) // 2  # gap >= 2 pairs plus (a, S+1) states
         if n_states * (s + 1) > MAX_KERNEL_ENTRIES:
             raise ResourceError(
@@ -157,14 +148,6 @@ class _KernelTable:
         check_residual("meeting-kernel solve", residual, MAX_RESIDUAL)
         return x
 
-    def kernel(self, a: int, b: int) -> MeetingKernel:
-        unit = np.zeros(self.system.shape[0])
-        unit[self.index[a, b]] = 1.0
-        row = self.rhs.T @ self.solve(unit, trans="T")
-        mass = np.zeros(self.size + 1)
-        mass[1:] = row[: self.size]
-        return MeetingKernel(start=(a, b), mass=mass, no_meet_mass=float(row[self.size]))
-
 
 @functools.lru_cache(maxsize=8)
 def _kernel_table(size: int) -> _KernelTable:
@@ -185,15 +168,6 @@ def _early_stop(size: int, k_max: int) -> int:
         if gamma_closed_form(size, k) < _EARLY_STOP_GAMMA:
             return k
     return k_max
-
-
-def first_meeting_kernel(params: ModelParams, x: int, y: int) -> MeetingKernel:
-    """Distribution of the lower position at the pair's first distance-1 state."""
-    s = params.size
-    if s < 3:
-        raise ValidationError("meeting kernel needs size >= 3")
-    _check_start(s, x, y)
-    return _kernel_table(s).kernel(x, y)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,17 @@ coefficient +1, against a diagonal -2 per cluster. A shifted point landing on
 site 0 contributes zero; one landing on S+1 contributes the level-(k-1)
 moment of the remaining points, which for k = 1 is the constant 1. The
 hierarchy is therefore lower-triangular in k and is built and integrated
-bottom-up. Its stationary field is the closed form of dual.stationary_moment,
-so nothing is solved for it; time integration uses explicit Euler steps,
-whose error is first order in the step size.
+bottom-up. A level holds its ordered k-subsets as the rows of one (n, k) int
+array in lex order, and a subset's row is its lex rank. The matrices are built
+on first use, from cluster ends read off rows padded with sentinels and from
+the ranks of the shifted rows. The stationary field is the closed form of
+dual.stationary_moment, so nothing is solved or built for it; time
+integration uses explicit Euler steps, whose error is first order in the step
+size.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,18 +25,20 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ROUND_CAP, Configuration, ModelParams, cluster_decompose
+from .core import ROUND_CAP, Configuration, ModelParams
 from .dual import stationary_moment
 from .errors import NumericError, ResourceError, ValidationError
 
 MAX_SUBSET_COUNT = 200_000
 _BOUNDS_SLACK = 1e-9
+_EXACT_FLOAT = 2**53  # every integer below it is a float64
 
 
 @dataclass(frozen=True, eq=False)
 class MomentSystem:
     """Linear generator of one moment level plus its boundary source.
 
+    points holds the ordered k-subsets, one per row, in lexicographic order.
     a_matrix holds the closed part (off-diagonal +1 shifts, diagonal -2 per
     cluster); b_matrix maps the level-(k-1) moment vector to the source terms
     created by right shifts onto S+1. Time is in units of the bond rate, so
@@ -43,12 +48,34 @@ class MomentSystem:
 
     params: ModelParams
     k: int
-    subsets: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
-    a_matrix: sp.csr_matrix
-    b_matrix: sp.csr_matrix
+    points: np.ndarray
     lower: "MomentSystem | None"
-    max_clusters: int
+
+    @property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of points as tuples."""
+        return tuple(map(tuple, self.points.tolist()))
+
+    @property
+    def a_matrix(self) -> sp.csr_matrix:
+        return _structure(self.params.size, self.k)[0]
+
+    @property
+    def b_matrix(self) -> sp.csr_matrix:
+        return _structure(self.params.size, self.k)[1]
+
+    @property
+    def max_clusters(self) -> int:
+        return _structure(self.params.size, self.k)[2]
+
+    def rank(self, points) -> np.ndarray:
+        """Row of each ordered k-subset of 1..S: one subset, or an (m, k) array."""
+        rows, s, k = np.asarray(points, dtype=np.int64), self.params.size, self.k
+        if rows.ndim not in (1, 2) or rows.shape[-1] != k or not (
+            (rows >= 1).all() and (rows <= s).all() and (np.diff(rows) > 0).all()
+        ):
+            raise ValidationError(f"{points} is not an ordered {k}-subset of the interior")
+        return _rank(s, rows.reshape(-1, k)).reshape(rows.shape[:-1])
 
     def chain(self) -> list["MomentSystem"]:
         """Systems from level 1 up to this level."""
@@ -76,62 +103,66 @@ class MomentField:
     lower: "MomentField | None"
 
     def value(self, points) -> float:
-        key = tuple(int(p) for p in points)
-        if key not in self.system.index:
-            raise ValidationError(
-                f"{key} is not an ordered {self.k}-subset of the interior"
-            )
-        return float(self.values[self.system.index[key]])
+        return float(self.values[self.system.rank(points)])
+
+
+@lru_cache(maxsize=32)
+def _subsets(size: int, k: int) -> np.ndarray:
+    """Ordered k-subsets of 1..S as the rows of an (n, k) array, in lex order.
+
+    Each row of level k-1 is extended by every larger last point, in order.
+    """
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    rows = _subsets(size, k - 1)
+    last = rows[:, -1] if k > 1 else np.zeros(1, dtype=np.int64)
+    counts = size - last
+    ends = np.cumsum(counts)
+    out = np.empty((int(ends[-1]), k), dtype=np.int64)
+    out[:, :-1] = np.repeat(rows, counts, axis=0)
+    out[:, -1] = np.arange(len(out)) + np.repeat(last + 1 - ends + counts, counts)
+    out.flags.writeable = False
+    return out
+
+
+def _rank(size: int, rows: np.ndarray) -> np.ndarray:
+    """Lex rank of each row among the ordered k-subsets of 1..S.
+
+    With b_i the sorted S - x_j, the rank is C(S, k) - 1 - sum_i C(b_i, i+1).
+    """
+    k = rows.shape[1]
+    comb = np.zeros((size + 1, k + 1), dtype=np.int64)  # comb[n, r] = C(n, r)
+    comb[:, 0] = 1
+    for r in range(1, k + 1):
+        comb[1:, r] = np.cumsum(comb[:-1, r - 1])
+    b = size - rows[:, ::-1]
+    return comb[size, k] - 1 - comb[b, np.arange(1, k + 1)].sum(axis=1)
 
 
 @lru_cache(maxsize=32)
 def _structure(size: int, k: int):
-    """Subset enumeration and unscaled matrices for one (size, level)."""
-    subsets = tuple(itertools.combinations(range(1, size + 1), k))
-    index = {pts: i for i, pts in enumerate(subsets)}
-    if k == 1:
-        lower_index = {(): 0}
-        n_lower = 1
-    else:
-        lower_subsets = tuple(itertools.combinations(range(1, size + 1), k - 1))
-        lower_index = {pts: i for i, pts in enumerate(lower_subsets)}
-        n_lower = len(lower_subsets)
-    rows_a: list[int] = []
-    cols_a: list[int] = []
-    vals_a: list[float] = []
-    rows_b: list[int] = []
-    cols_b: list[int] = []
-    max_p = 0
-    for i, pts in enumerate(subsets):
-        clusters = cluster_decompose(pts)
-        p = len(clusters)
-        max_p = max(max_p, p)
-        rows_a.append(i)
-        cols_a.append(i)
-        vals_a.append(-2.0 * p)
-        members = set(pts)
-        for cl in clusters:
-            lo, hi = cl[0], cl[-1]
-            if lo - 1 >= 1:
-                tgt = tuple(sorted(members - {lo} | {lo - 1}))
-                rows_a.append(i)
-                cols_a.append(index[tgt])
-                vals_a.append(1.0)
-            # lo - 1 == 0: the shifted moment vanishes, only the diagonal remains
-            if hi + 1 <= size:
-                tgt = tuple(sorted(members - {hi} | {hi + 1}))
-                rows_a.append(i)
-                cols_a.append(index[tgt])
-                vals_a.append(1.0)
-            else:
-                rows_b.append(i)
-                cols_b.append(lower_index[tuple(x for x in pts if x != hi)])
-    n = len(subsets)
-    a = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(n, n)).tocsr()
-    b = sp.coo_matrix(
-        (np.ones(len(rows_b)), (rows_b, cols_b)), shape=(n, n_lower)
-    ).tocsr()
-    return subsets, index, a, b, max_p
+    """Unscaled A and B matrices and the most clusters of a row, for one (size, level)."""
+    rows = _subsets(size, k)
+    n = len(rows)
+    padded = np.pad(rows, ((0, 0), (1, 1)), constant_values=(-1, size + 2))
+    gap = np.diff(padded) > 1
+    first, last = gap[:, :-1], gap[:, 1:]  # point j starts, ends a cluster
+    clusters = first.sum(axis=1)
+    entries = [(np.arange(n), np.arange(n), -2.0 * clusters)]
+    # a left shift onto site 0 vanishes; a right shift onto S+1 feeds b
+    for ends, step in ((first & (rows > 1), -1), (last & (rows < size), 1)):
+        i, j = np.nonzero(ends)
+        shifted = rows[i].copy()
+        shifted[np.arange(len(i)), j] += step
+        entries.append((i, _rank(size, shifted), np.ones(len(i))))
+    i, c, v = (np.concatenate(parts) for parts in zip(*entries))
+    a = sp.csr_matrix((v, (i, c)), shape=(n, n))
+    src = np.flatnonzero(rows[:, -1] == size)
+    dst = _rank(size, rows[src, :-1]) if k > 1 else np.zeros(len(src), dtype=np.int64)
+    b = sp.csr_matrix(
+        (np.ones(len(src)), (src, dst)), shape=(n, math.comb(size, k - 1))
+    )
+    return a, b, int(clusters.max())
 
 
 def build_moment_system(params: ModelParams, k: int) -> MomentSystem:
@@ -148,16 +179,8 @@ def build_moment_system(params: ModelParams, k: int) -> MomentSystem:
             )
     system: MomentSystem | None = None
     for level in range(1, k + 1):
-        subsets, index, a, b, max_p = _structure(params.size, level)
         system = MomentSystem(
-            params=params,
-            k=level,
-            subsets=subsets,
-            index=index,
-            a_matrix=a,
-            b_matrix=b,
-            lower=system,
-            max_clusters=max_p,
+            params=params, k=level, points=_subsets(params.size, level), lower=system
         )
     assert system is not None
     return system
@@ -170,15 +193,11 @@ def field_from_configuration(system: MomentSystem, config: Configuration) -> Mom
             f"configuration size {config.size} does not match system size "
             f"{system.params.size}"
         )
-    occ = config.occupancy
+    occ = np.asarray(config.occupancy, dtype=bool)
     field: MomentField | None = None
     for sys_l in system.chain():
-        vals = np.array(
-            [1.0 if all(occ[p] for p in pts) else 0.0 for pts in sys_l.subsets]
-        )
-        field = MomentField(
-            k=sys_l.k, time=0.0, values=vals, system=sys_l, lower=field
-        )
+        vals = occ[sys_l.points].all(axis=1).astype(np.float64)
+        field = MomentField(k=sys_l.k, time=0.0, values=vals, system=sys_l, lower=field)
     assert field is not None
     return field
 
@@ -192,10 +211,24 @@ def stationary_moments(system: MomentSystem) -> MomentField:
     size = system.params.size
     field: MomentField | None = None
     for sys_l in system.chain():
-        m = np.array([stationary_moment(size, pts) for pts in sys_l.subsets])
+        m = _closed_form(size, sys_l.points)
         field = MomentField(k=sys_l.k, time=None, values=m, system=sys_l, lower=field)
     assert field is not None
     return field
+
+
+def _closed_form(size: int, rows: np.ndarray) -> np.ndarray:
+    """dual.stationary_moment of every row of an (n, k) array of interior points.
+
+    Below 2^53 the integer numerator prod_j (x_j - j), bounded by (S-k+1)^k,
+    and denominator prod_j (S+1-j) are exact float64s, so one division rounds
+    as stationary_moment does; past that, rows go through stationary_moment.
+    """
+    k = rows.shape[1]
+    den = math.perm(size + 1, k)
+    if den < _EXACT_FLOAT and (size - k + 1) ** k < _EXACT_FLOAT:
+        return np.prod(rows - np.arange(k), axis=1) / den
+    return np.array([stationary_moment(size, pts) for pts in rows.tolist()])
 
 
 def integrate_moments(
@@ -240,11 +273,10 @@ def integrate_moments(
             )
         n_steps = max(1, math.ceil(steps))
         dt = duration / n_steps
+        mats = [(s.a_matrix, s.b_matrix) for s in systems]
         for _ in range(n_steps):
             lowers = [np.ones(1)] + vals[:-1]
-            derivs = [
-                s.a_matrix @ v + s.b_matrix @ w for s, v, w in zip(systems, vals, lowers)
-            ]
+            derivs = [a @ v + b @ w for (a, b), v, w in zip(mats, vals, lowers)]
             for v, dv in zip(vals, derivs):
                 v += dt * dv
         for v in vals:

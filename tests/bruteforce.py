@@ -3,9 +3,12 @@
 Everything here is written from first principles in a deliberately plain
 style: states are occupancy tuples, generators are dense, Monte Carlo runs
 are scalar per-replica loops. None of it shares an algorithm with the
-package, so agreement is meaningful. The scalar reference walkers at the end
-take the package's value types (configurations, point sets, errors) so that
-their tests read like the package's own.
+package, so agreement is meaningful. The one exception is
+first_meeting_kernel, a test-only reader of the ladder's factored system. The
+loop-built moment hierarchy (moment_structure) is the oracle of the array
+code in sepsim.moments. The scalar reference walkers at the end take the
+package's value types (configurations, point sets, errors) so that their
+tests read like the package's own.
 """
 
 import enum
@@ -17,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, null_space
 
+from sepsim import ladder
 from sepsim.core import Configuration, validate_point_set
 from sepsim.errors import NumericError, ValidationError
 
@@ -273,6 +277,97 @@ def dense_ladder(size, x0, y0, k_max):
     p = np.full(k_max + 1, x0 * y0 / (size + 1) ** 2)
     p[1:] -= np.cumsum(c[1:]) / (2 * (size + 1) ** 2)
     return c, p
+
+
+@dataclass(frozen=True)
+class MeetingKernel:
+    """First-meeting distribution from one start: mass[n] for n in 1..S."""
+
+    start: tuple[int, int]
+    mass: np.ndarray  # length S+1, index n, entry 0 unused
+    no_meet_mass: float
+
+
+def first_meeting_kernel(params, x, y):
+    """Distribution of the lower position at the pair's first distance-1 state.
+
+    One transposed solve of the ladder's own factored first-meeting system
+    (ladder._kernel_table), so the kernel tests check that system; the dense
+    oracle above checks it independently.
+    """
+    s = params.size
+    if s < 3:
+        raise ValidationError("meeting kernel needs size >= 3")
+    ladder._check_start(s, x, y)
+    table = ladder._kernel_table(s)
+    unit = np.zeros(table.system.shape[0])
+    unit[table.index[x, y]] = 1.0
+    row = table.rhs.T @ table.solve(unit, trans="T")
+    mass = np.zeros(s + 1)
+    mass[1:] = row[:s]
+    return MeetingKernel(start=(x, y), mass=mass, no_meet_mass=float(row[s]))
+
+
+def cluster_decompose(points):
+    """Split a strictly increasing point set into maximal consecutive runs.
+
+    Example: (2, 3, 7) -> [(2, 3), (7,)].
+    """
+    pts = tuple(int(p) for p in points)
+    if any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ValidationError(f"points must be strictly increasing, got {pts}")
+    clusters = []
+    run = []
+    for p in pts:
+        if run and p != run[-1] + 1:
+            clusters.append(tuple(run))
+            run = []
+        run.append(p)
+    if run:
+        clusters.append(tuple(run))
+    return clusters
+
+
+def moment_structure(size, k):
+    """Subsets, A and B matrices and the most clusters of one moment level, by loops.
+
+    Row by row over the ordered k-subsets, with dict lookups: per cluster,
+    the left endpoint shifted down and the right endpoint shifted up enter
+    with +1 against -2 on the diagonal; a shift onto site 0 vanishes, one
+    onto S+1 enters B at the level-(k-1) subset of the other points.
+    """
+    subsets = tuple(itertools.combinations(range(1, size + 1), k))
+    index = {pts: i for i, pts in enumerate(subsets)}
+    lower = itertools.combinations(range(1, size + 1), k - 1)
+    lower_index = {pts: i for i, pts in enumerate(lower)}
+    rows_a, cols_a, vals_a, rows_b, cols_b = [], [], [], [], []
+    max_p = 0
+    for i, pts in enumerate(subsets):
+        clusters = cluster_decompose(pts)
+        max_p = max(max_p, len(clusters))
+        rows_a.append(i)
+        cols_a.append(i)
+        vals_a.append(-2.0 * len(clusters))
+        members = set(pts)
+        for cl in clusters:
+            lo, hi = cl[0], cl[-1]
+            if lo - 1 >= 1:
+                rows_a.append(i)
+                cols_a.append(index[tuple(sorted(members - {lo} | {lo - 1}))])
+                vals_a.append(1.0)
+            if hi + 1 <= size:
+                rows_a.append(i)
+                cols_a.append(index[tuple(sorted(members - {hi} | {hi + 1}))])
+                vals_a.append(1.0)
+            else:
+                rows_b.append(i)
+                cols_b.append(lower_index[tuple(x for x in pts if x != hi)])
+    n = len(subsets)
+    a = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(n, n)).tocsr()
+    b = sp.coo_matrix(
+        (np.ones(len(rows_b)), (rows_b, cols_b)), shape=(n, len(lower_index))
+    ).tocsr()
+    return subsets, a, b, max_p
 
 
 def apply_swap(config, bond):

@@ -1,9 +1,12 @@
 import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import sepsim.cli
+import sepsim.moments
 from sepsim.cli import build_parser, main
 
 
@@ -466,3 +469,92 @@ def test_command_has_no_rate_flag(name, tmp_path):
         argv += ["--format", "json"]
     assert run(argv) == 0
     assert "rate" not in json.loads(out.read_text())["config"]
+
+
+# md5 of every file a --deterministic run writes, taken from the output of the
+# row-by-row writer that the column writer replaced. A writer change that
+# moves a byte fails here.
+GOLDEN_MD5 = {
+    "exact --size 1 --format csv": {
+        "run_m1.csv": "2cfa821c113d0fbe65f6d6999200c0c9",
+        "run_m2.csv": "b88e4b2f0067bafc7ffa65f296a64af9",
+        "run_pi.csv": "067825d2e38192f38894f0b612271801",
+    },
+    "exact --size 1 --format json": {"run.json": "c123a0d2d84f2792bfad79aedbef608f"},
+    "exact --size 2 --format csv": {
+        "run_m1.csv": "92dd2ac54182c65590115e75dfd63209",
+        "run_m2.csv": "0c2300c20e399aa83bfe593b421d7b19",
+        "run_pi.csv": "d64bd5c8e53d21acfbba2110decb98e4",
+    },
+    "exact --size 2 --format json": {"run.json": "d56315c31895b15f74c9bf6c33ebc8ff"},
+    "exact --size 5 --format csv": {
+        "run_m1.csv": "fec66079bcddb0a305945e9cd54a4b3f",
+        "run_m2.csv": "256fb08142190aa2c5749f2876e3b7cd",
+        "run_pi.csv": "44ce46db5a14e789008df8fce86631d9",
+    },
+    "exact --size 5 --format json": {"run.json": "e3e68683f5478dfe663bfae8712b509f"},
+    "exact --size 12 --format csv": {
+        "run_m1.csv": "78befc1747b4f796a1aefafbbc8c28d8",
+        "run_m2.csv": "a2f95daf7f2662a9f6d16434d58da00c",
+        "run_pi.csv": "b758cc70e148cd8b9fdb367d2dde4307",
+    },
+    "exact --size 12 --format json": {"run.json": "2058ba209569f2dc940c92dd876b785e"},
+    "odes --size 1 --format csv": {"run_m1.csv": "5dfaa242f125b4c33ae8ee1482f514ef"},
+    "odes --size 1 --format json": {"run.json": "3c58d36f0102461c2a89d4cc54e0000f"},
+    "odes --size 2 --format csv": {
+        "run_m1.csv": "433bee76ba8380e51dea7d974e4096b2",
+        "run_m2.csv": "943064eecad6441cb8c6bac08b097c66",
+    },
+    "odes --size 2 --format json": {"run.json": "fdbcb26225d80750bf30f237f82d7302"},
+    "odes --size 6 --format csv": {
+        "run_m1.csv": "237518fc2cd631ffbed6548384eefefa",
+        "run_m2.csv": "02991796d9c25507b3746c9bc9bfd09c",
+    },
+    "odes --size 6 --format json": {"run.json": "dce0d7006f49fc0d7017de6da2f446b3"},
+    "odes --size 30 --format csv": {
+        "run_m1.csv": "ca8e6521915c3bdcd480025f5d4255b9",
+        "run_m2.csv": "307c8a723e966d88a7d7da93b8a92879",
+    },
+    "odes --size 30 --format json": {"run.json": "8b904323719f6dcb09d2448d09d500da"},
+    "odes --size 6 --time 5 --format csv": {
+        "run_m1.csv": "67c11f26971b317cc6b2c798e1b44282",
+        "run_m2.csv": "5770abb0056eb0c60c75fba6d09707ba",
+    },
+    "odes --size 6 --time 5 --format json": {"run.json": "91deaba93cdc436ec5b56adbae97bb68"},
+}
+
+
+@pytest.mark.parametrize("chunk", [7, sepsim.cli._CHUNK_ROWS])
+@pytest.mark.parametrize("command", sorted(GOLDEN_MD5))
+def test_deterministic_output_bytes_are_unchanged(command, chunk, monkeypatch, tmp_path):
+    monkeypatch.setattr(sepsim.cli, "_CHUNK_ROWS", chunk)  # 7: most tables span chunks
+    fmt = command.split()[-1]
+    assert run([*command.split(), "--deterministic", "--output", str(tmp_path / f"run.{fmt}")]) == 0
+    digests = {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GOLDEN_MD5[command]
+
+
+def test_odes_without_time_builds_no_matrix(monkeypatch, tmp_path):
+    def refuse(size, k):
+        raise AssertionError("odes built a moment matrix")
+
+    monkeypatch.setattr(sepsim.moments, "_structure", refuse)
+    assert run(["odes", "--size", "30", "--output", str(tmp_path / "m.csv")]) == 0
+    assert run(["odes", "--size", "30", "--format", "json", "--output", str(tmp_path / "m.json")]) == 0
+
+
+@pytest.mark.parametrize("fmt,calls", [("csv", 0), ("json", 1)])
+def test_exact_builds_the_pi_payload_only_for_json(fmt, calls, monkeypatch, tmp_path):
+    built = []
+    emit = sepsim.cli._emit
+
+    def spy(args, config, payload, tables=()):
+        make_pi = payload["pi"]
+        assert callable(make_pi)  # a built dict would cost its 2^S entries in CSV too
+        payload["pi"] = lambda: built.append(1) or make_pi()
+        emit(args, config, payload, tables)
+
+    monkeypatch.setattr(sepsim.cli, "_emit", spy)
+    out = tmp_path / f"ex.{fmt}"
+    assert run(["exact", "--size", "4", "--format", fmt, "--output", str(out)]) == 0
+    assert len(built) == calls

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bruteforce import apply_swap, enabled_bonds, sorted_poisson_quotas
+from bruteforce import apply_swap, cluster_decompose, enabled_bonds, sorted_poisson_quotas
 from sepsim.core import (
     Configuration,
     ModelParams,
     RngStream,
-    cluster_decompose,
     default_initial_configuration,
     ROUND_CAP,
     lockstep,

@@ -11,6 +11,7 @@ import sepsim.core
 from bruteforce import (
     dense_ladder,
     dense_meeting_table,
+    first_meeting_kernel,
     mc_first_meeting,
     mc_repeat_meetings,
     reflected_walk_reference,
@@ -22,7 +23,6 @@ from sepsim.ladder import (
     _CHUNK,
     MAX_KERNEL_ENTRIES,
     _walk_chunk,
-    first_meeting_kernel,
     gamma_closed_form,
     ladder_tables,
     p0_independent,
@@ -177,8 +177,6 @@ def test_kernel_table_size_cap():
     try:
         with pytest.raises(ResourceError):
             ladder_tables(ModelParams(size=513), 2, 5)
-        with pytest.raises(ResourceError):
-            first_meeting_kernel(ModelParams(size=513), 2, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import expm_state_distribution, moment_from_distribution
+from bruteforce import expm_state_distribution, moment_from_distribution, moment_structure
 from sepsim.core import Configuration, ModelParams, default_initial_configuration
-from sepsim.dual import pair_absorption_exact
+from sepsim.dual import pair_absorption_exact, stationary_moment
 from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.forward import transient_moment
 from sepsim.moments import (
+    _closed_form,
     build_moment_system,
     field_from_configuration,
     integrate_moments,
@@ -36,11 +37,11 @@ def test_level_one_is_dirichlet_laplacian():
 def test_adjacent_pair_row_structure():
     # {n, n+1} is one cluster: two neighbor terms and diagonal -2.
     sys2 = build_moment_system(ModelParams(size=6), 2)
-    i = sys2.index[(3, 4)]
+    i = sys2.rank((3, 4))
     row = sys2.a_matrix.toarray()[i]
     assert row[i] == -2.0
-    assert row[sys2.index[(2, 4)]] == 1.0
-    assert row[sys2.index[(3, 5)]] == 1.0
+    assert row[sys2.rank((2, 4))] == 1.0
+    assert row[sys2.rank((3, 5))] == 1.0
     assert row.sum() == 0.0
     assert sys2.b_matrix.toarray()[i].sum() == 0.0
 
@@ -48,25 +49,101 @@ def test_adjacent_pair_row_structure():
 def test_separated_pair_row_structure():
     # {x, y} with y > x+1 has two clusters: four neighbors, diagonal -4.
     sys2 = build_moment_system(ModelParams(size=6), 2)
-    i = sys2.index[(2, 5)]
+    i = sys2.rank((2, 5))
     row = sys2.a_matrix.toarray()[i]
     assert row[i] == -4.0
     for tgt in ((1, 5), (3, 5), (2, 4), (2, 6)):
-        assert row[sys2.index[tgt]] == 1.0
+        assert row[sys2.rank(tgt)] == 1.0
 
 
 def test_boundary_rows_route_to_sink_and_source():
     sys2 = build_moment_system(ModelParams(size=6), 2)
     # {1, 4}: the left shift of 1 hits the empty reservoir and vanishes
-    i = sys2.index[(1, 4)]
+    i = sys2.rank((1, 4))
     row = sys2.a_matrix.toarray()[i]
     assert row[i] == -4.0
     assert row.sum() == -1.0
     # {2, 6}: the right shift of 6 couples to the level-1 moment at 2
-    j = sys2.index[(2, 6)]
+    j = sys2.rank((2, 6))
     brow = sys2.b_matrix.toarray()[j]
-    assert brow[sys2.lower.index[(2,)]] == 1.0
+    assert brow[sys2.lower.rank((2,))] == 1.0
     assert brow.sum() == 1.0
+
+
+def _same_matrix(x, y):
+    return x.shape == y.shape and (x != y).nnz == 0
+
+
+def _assert_matches_loop_oracle(size, k):
+    for level in build_moment_system(ModelParams(size=size), k).chain():
+        subsets, a, b, max_p = moment_structure(size, level.k)
+        assert level.subsets == subsets
+        assert _same_matrix(level.a_matrix, a)
+        assert _same_matrix(level.b_matrix, b)
+        assert level.max_clusters == max_p
+
+
+@st.composite
+def _size_and_level(draw):
+    size = draw(st.integers(1, 14))
+    return size, draw(st.integers(1, min(4, size)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_size_and_level())
+def test_array_hierarchy_matches_loop_oracle(case):
+    _assert_matches_loop_oracle(*case)
+
+
+@pytest.mark.parametrize("size,k", [(600, 2), (100, 3)])
+def test_array_hierarchy_matches_loop_oracle_at_large_size(size, k):
+    _assert_matches_loop_oracle(size, k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 30), st.integers(1, 4))
+def test_rank_round_trips(size, k):
+    system = build_moment_system(ModelParams(size=size), min(k, size))
+    for level in system.chain():
+        assert np.array_equal(level.rank(level.points), np.arange(len(level.points)))
+        assert level.rank(level.points[-1]) == len(level.points) - 1
+
+
+@pytest.mark.parametrize("size,k", [(600, 2), (100, 3), (20, 10), (20, 15)])
+def test_stationary_moments_equal_scalar_closed_form(size, k):
+    # (20, 15) takes the row-by-row route from level 14 on; rows are sampled
+    # on levels of more than 5000 subsets
+    rng = np.random.default_rng(size * k)
+    field = stationary_moments(build_moment_system(ModelParams(size=size), k))
+    while field is not None:
+        n = len(field.values)
+        rows = np.sort(rng.choice(n, 5000, replace=False)) if n > 5000 else np.arange(n)
+        want = [stationary_moment(size, pts) for pts in field.system.points[rows].tolist()]
+        assert np.array_equal(field.values[rows], want)
+        field = field.lower
+
+
+def test_closed_form_falls_back_where_int64_wraps():
+    # (30, 25) is past the subset cap, so its rows are drawn, not enumerated
+    rng = np.random.default_rng(5)
+    rows = np.sort([rng.choice(30, 25, replace=False) + 1 for _ in range(200)])
+    want = [stationary_moment(30, pts) for pts in rows.tolist()]
+    assert np.array_equal(_closed_form(30, rows), want)
+
+
+def test_matrices_are_built_only_when_read(monkeypatch):
+    import sepsim.moments
+
+    def refuse(size, k):
+        raise AssertionError("matrix built")
+
+    monkeypatch.setattr(sepsim.moments, "_structure", refuse)
+    p = ModelParams(size=7)
+    system = build_moment_system(p, 3)
+    stationary_moments(system)
+    field_from_configuration(system, default_initial_configuration(p))
+    with pytest.raises(AssertionError):
+        system.a_matrix
 
 
 def test_build_validation_and_cap():
