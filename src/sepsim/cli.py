@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -187,19 +186,12 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    schedule = default_schedule(
-        params,
-        n_replicas=args.replicas,
-        n_samples=args.samples,
-        burn_in=args.burn_in,
-    )
+    schedule = default_schedule(params, n_replicas=args.replicas, n_samples=args.samples)
     if args.points is not None:
         sets = [tuple(args.points)]
     else:
         sets = [(x,) for x in range(1, params.size + 1)]
-    est = estimate_stationary_moments(
-        params, sets, schedule, params.stream(0), n_workers=args.threads
-    )
+    est = estimate_stationary_moments(params, sets, schedule, params.stream(0))
     if args.tol is not None:
         worst = float(np.nanmax(est.stderrs))
         if worst > args.tol:
@@ -213,7 +205,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "seed": params.seed,
         "replicas": schedule.n_replicas,
         "samples": schedule.n_samples,
-        "burn_in": schedule.burn_in,
         "sample_interval": schedule.sample_interval,
         "points": args.points,
     }
@@ -408,10 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--replicas", type=_count, default=32)
     p.add_argument("--samples", type=_count, default=200)
-    p.add_argument("--burn-in", type=float, default=None, help="burn-in model time")
     p.add_argument("--points", type=_int_list, default=None)
     p.add_argument("--tol", type=float, default=None, help="warn if stderr exceeds this")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     _add_output_flags(p)
     p.set_defaults(func=cmd_simulate)
 

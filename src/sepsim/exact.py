@@ -21,7 +21,10 @@ simultaneously occupied) is the sum of a view of pi with one axis per site,
 fixed at 1 on the axis of each point.
 
 Memory grows as 2^S so the module enforces a size cap; this path is meant for
-desk-scale verification, not production sizes.
+desk-scale verification, not production sizes. Exact draws from the law need
+no table and work at any S: fill site x exactly when sigma(x) < x for a
+uniform permutation sigma of {0, ..., S} (Corteel and Williams, Adv. Appl.
+Math. 39 (2007) 293, at q = 1 and unit rates, mirrored to these reservoirs).
 """
 
 from __future__ import annotations
@@ -141,3 +144,16 @@ def pair_moments(pi: StationaryVector) -> dict[tuple[int, int], float]:
         for x in range(1, s + 1)
         for y in range(x + 1, s + 1)
     }
+
+
+def sample_stationary(size: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n independent draws from the stationary law as an (n, S) bool array.
+
+    Column x-1 is site x, filled exactly when sigma(x) < x for the row's own
+    uniform permutation sigma of {0, ..., S}; see the module docstring.
+    """
+    if size < 1:
+        raise ValidationError(f"size must be >= 1, got {size}")
+    sigma = np.tile(np.arange(size + 1, dtype=np.min_scalar_type(size)), (n, 1))
+    gen.permuted(sigma, axis=1, out=sigma)
+    return sigma[:, 1:] < np.arange(1, size + 1, dtype=sigma.dtype)

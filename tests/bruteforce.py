@@ -149,6 +149,21 @@ def deficiency_counts(size):
     return counts
 
 
+def eulerian_numbers(n):
+    """Row n of the Eulerian triangle, A(n, j) for j = 0..n-1, as Python ints.
+
+    A(n, j) counts the permutations of n elements with j descents, or with j
+    deficiencies; A(n, j) = (j+1) A(n-1, j) + (n-j) A(n-1, j-1), A(1, 0) = 1.
+    """
+    row = [1]
+    for m in range(2, n + 1):
+        row = [
+            (j + 1) * (row[j] if j < m - 1 else 0) + (m - j) * (row[j - 1] if j else 0)
+            for j in range(m)
+        ]
+    return row
+
+
 def expm_state_distribution(size, interior, t, rate=1.0):
     """Distribution at time t from a deterministic interior start."""
     q = dense_generator(size, rate)

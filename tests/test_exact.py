@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from bruteforce import (
     _matrix_product_weights,
     deficiency_counts,
     dense_generator,
+    eulerian_numbers,
     moment_from_distribution,
     sparse_generator,
     stationary_null_space,
@@ -24,6 +27,7 @@ from sepsim.exact import (
     exact_moment,
     occupation_profile,
     pair_moments,
+    sample_stationary,
     stationary_distribution,
 )
 
@@ -226,3 +230,51 @@ def test_exact_refuses_size_before_allocating(monkeypatch, capsys, size, code):
     monkeypatch.setattr(sepsim.exact, "_weights", unreachable)
     assert main(["exact", "--size", str(size)]) == code
     assert "error:" in capsys.readouterr().err
+
+
+def _codes(draws):
+    """Bulk bitmask of each draw, site 1 in bit 0."""
+    return draws @ (1 << np.arange(draws.shape[1]))
+
+
+def _chi2_pvalue(counts, probs):
+    expected = counts.sum() * probs
+    return chi2.sf(((counts - expected) ** 2 / expected).sum(), len(probs) - 1)
+
+
+def test_sampler_matches_pi_by_chi_square():
+    # 64 states at S=6; the least likely has probability 1/5040.
+    pi = stationary_distribution(6).probabilities
+    draws = sample_stationary(6, 400_000, np.random.default_rng(11))
+    assert draws.shape == (400_000, 6) and draws.dtype == bool
+    counts = np.bincount(_codes(draws), minlength=64)
+    assert _chi2_pvalue(counts, pi) > 1e-3
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_particle_count_is_eulerian(size):
+    # P(N = j) = A(S+1, j)/(S+1)! under pi and under the sampler, and
+    # Var N = (S+2)/12 exactly.
+    law = np.array(eulerian_numbers(size + 1)) / math.factorial(size + 1)
+    pi = stationary_distribution(size).probabilities
+    n_of_state = np.bitwise_count(np.arange(1 << size))
+    assert np.allclose(np.bincount(n_of_state, weights=pi), law, rtol=1e-12, atol=0)
+    weights = [Fraction(a, math.factorial(size + 1)) for a in eulerian_numbers(size + 1)]
+    mean = sum(j * w for j, w in enumerate(weights))
+    assert sum(j * j * w for j, w in enumerate(weights)) - mean**2 == Fraction(size + 2, 12)
+    draws = sample_stationary(size, 100_000, np.random.default_rng(size))
+    counts = np.bincount(draws.sum(axis=1), minlength=size + 1)
+    assert _chi2_pvalue(counts, law) > 1e-3
+
+
+@pytest.mark.parametrize("size", [16, 100])
+def test_particle_count_variance_at_larger_sizes(size):
+    # (S+2)/12 is 1.5 at S=16, against 2.82 for independent sites.
+    n = sample_stationary(size, 100_000, np.random.default_rng(size)).sum(axis=1)
+    assert abs(n.mean() - size / 2) < 0.05
+    assert abs(n.var(ddof=1) / ((size + 2) / 12) - 1) < 0.03
+
+
+def test_sampler_refuses_empty_chain():
+    with pytest.raises(ValidationError):
+        sample_stationary(0, 1, np.random.default_rng(0))

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -7,25 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
-    all_states,
     enabled_bonds,
     expm_state_distribution,
     moment_from_distribution,
     step_ctmc,
     swap_result,
 )
-from sepsim.core import Configuration, ModelParams, default_initial_configuration
+from sepsim.core import Configuration, ModelParams
 import sepsim.forward
+from sepsim.dual import stationary_moment
 from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.forward import (
     MAX_FIRINGS,
     SimSchedule,
-    _fire,
     _fire_round,
-    _masks,
-    _pack,
-    _unpack,
+    _run_rounds,
     default_schedule,
     estimate_stationary_moments,
     transient_moment,
@@ -33,52 +29,49 @@ from sepsim.forward import (
 
 
 def test_schedule_validation():
-    SimSchedule(burn_in=0.0, n_samples=1, sample_interval=0.5, n_replicas=1)
+    SimSchedule(n_samples=1, sample_interval=0.5, n_replicas=1)
     with pytest.raises(ValidationError):
-        SimSchedule(burn_in=-1.0, n_samples=1, sample_interval=0.5, n_replicas=1)
+        SimSchedule(n_samples=0, sample_interval=0.5, n_replicas=1)
     with pytest.raises(ValidationError):
-        SimSchedule(burn_in=0.0, n_samples=0, sample_interval=0.5, n_replicas=1)
+        SimSchedule(n_samples=1, sample_interval=0.0, n_replicas=1)
     with pytest.raises(ValidationError):
-        SimSchedule(burn_in=0.0, n_samples=1, sample_interval=0.0, n_replicas=1)
-    with pytest.raises(ValidationError):
-        SimSchedule(burn_in=0.0, n_samples=1, sample_interval=0.5, n_replicas=0)
-    for bad in (math.nan, math.inf):
+        SimSchedule(n_samples=1, sample_interval=0.5, n_replicas=0)
+    for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            SimSchedule(burn_in=bad, n_samples=1, sample_interval=0.5, n_replicas=1)
-        with pytest.raises(ValidationError):
-            SimSchedule(burn_in=0.0, n_samples=1, sample_interval=bad, n_replicas=1)
+            SimSchedule(n_samples=1, sample_interval=bad, n_replicas=1)
 
 
 def test_firing_cap_refuses_before_drawing(monkeypatch):
-    # The default schedule at S=1000 (about 1.8e10 firings per replica) is
-    # admitted; a burn-in one firing over the cap is refused. The block
-    # runner is stubbed out, so nothing is simulated either way.
+    # At S=3 the clock runs 4 rounds per unit time, so an interval of 25000
+    # is 1e5 rounds per lane: 1000 x 1000 lanes are exactly the cap of lane-
+    # rounds and are admitted, one sample more is refused. The engine is
+    # stubbed out, so nothing is simulated either way.
+    assert MAX_FIRINGS == 10**11
     ran = []
-    monkeypatch.setattr(
-        sepsim.forward,
-        "_run_block",
-        lambda job: ran.append(job) or (np.zeros((job[5] - job[4], 1)), 0, 0),
-    )
-    p = ModelParams(size=1000)
-    sched = default_schedule(p, n_samples=200)
-    estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
-    assert len(ran) == 1
-    over = SimSchedule(
-        burn_in=MAX_FIRINGS / 1001 * (1 + 1e-9),
-        n_samples=1,
-        sample_interval=1.0,
-        n_replicas=1,
-    )
+
+    def start(size, n_words, gen):
+        ran.append(n_words)
+        return np.zeros((size + 2, n_words), dtype=np.uint64)
+
+    monkeypatch.setattr(sepsim.forward, "_exact_start", start)
+    monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
+    p = ModelParams(size=3)
+    at_cap = SimSchedule(n_samples=1000, sample_interval=25_000.0, n_replicas=1000)
+    est = estimate_stationary_moments(p, [(1,)], at_cap, p.stream(0))
+    assert est.rounds == 100_000 and sum(ran) == 10**6 // 64
+    over = SimSchedule(n_samples=1001, sample_interval=25_000.0, n_replicas=1000)
     with pytest.raises(ResourceError):
         estimate_stationary_moments(p, [(1,)], over, p.stream(0))
-    assert len(ran) == 1
+    assert sum(ran) == 10**6 // 64
 
 
 def test_default_schedule_in_bond_time_units():
-    # 10 S^2 of burn-in and S^2/25 between samples, bonds ringing at rate 1
-    schedule = default_schedule(ModelParams(size=6))
-    assert schedule.burn_in == 360.0
+    # S^2/25 time units between samples, bonds ringing at rate 1: at S=6 the
+    # clock runs 2^3 rounds per unit time, so each lane fires ceil(8 * 1.44).
+    p = ModelParams(size=6)
+    schedule = default_schedule(p, n_replicas=2, n_samples=3)
     assert schedule.sample_interval == 1.44
+    assert estimate_stationary_moments(p, [(1,)], schedule, p.stream(0)).rounds == 12
 
 
 def test_step_ctmc_is_reproducible():
@@ -131,48 +124,43 @@ def test_step_ctmc_holding_time_scales():
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(1, 40),
-    width=st.integers(1, 130),
+    n_lanes=st.integers(1, 130),
     n_rounds=st.integers(0, 25),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_round_kernel_matches_scalar_replay(size, width, n_rounds, seed):
-    # Random starts, bonds and per-lane sample rounds, repeats included. A lane
-    # idles after its last sample and, in a fifth of the lanes, at random
-    # rounds before it. Each replica replayed alone must match every snapshot
-    # taken of it, and the block must count its state changes exactly.
+def test_round_kernel_matches_scalar_replay(size, n_lanes, n_rounds, seed):
+    # Random starts in every lane of the words, padding lanes included, and
+    # the engine's own random planes drawn again from the same seed. Each lane
+    # replayed alone must match, and only lanes below n_lanes may count.
     rng = np.random.default_rng(seed)
-    interior = rng.integers(0, 2, size=(size, width))
-    bonds = rng.integers(0, size + 1, size=(n_rounds, width))
-    samples = [
-        np.sort(rng.integers(0, n_rounds + 1, size=rng.integers(1, 5))) for _ in range(width)
+    n_words, n_planes = -(-n_lanes // 64), size.bit_length()
+    interior = rng.integers(0, 2, size=(size, 64 * n_words), dtype=np.uint8)
+    occ = np.vstack(
+        [
+            np.zeros(n_words, np.uint64),
+            np.packbits(interior, axis=1, bitorder="little").view("<u8"),
+            np.full(n_words, 2**64 - 1, np.uint64),
+        ]
+    )
+    events = _run_rounds(occ, n_rounds, n_lanes, np.random.default_rng(seed + 1))
+    gen = np.random.default_rng(seed + 1)
+    planes = [gen.bit_generator.random_raw((n_planes, n_words)) for _ in range(n_rounds)]
+    values = [
+        (np.unpackbits(pl.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+         << np.arange(n_planes)[:, None]).sum(axis=0)
+        for pl in planes
     ]
-    live = np.arange(n_rounds)[:, None] < [c[-1] for c in samples]
-    live[:, rng.random(width) < 0.2] &= rng.random((n_rounds, 1)) < 0.5
-    at = sorted({int(j) for c in samples for j in c})
-    start = np.vstack([np.zeros(width, int), interior, np.ones(width, int)])
-    bulk = ((1 << (size * width)) - 1) << width
-    scratch = np.zeros((n_rounds, -(-(size + 1) * width // 8) * 8), dtype=bool)
-    masks = _masks(bonds, scratch, live)
-    assert not scratch.any()
-    occ, events, snaps = _fire(_pack(start), masks, at, width, bulk)
-    final = _unpack([occ], size + 2, width)[0]
-    shots = _unpack(snaps, size + 2, width)
-    assert len(snaps) == len(at)
-    assert not final[0].any() and final[-1].all()
-    assert not shots[:, 0].any() and shots[:, -1].all()
+    after = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not after[0].any() and after[-1].all()
     changes = 0
-    for r in range(width):
-        state = tuple(int(v) for v in interior[:, r])
-        path = [state]
-        for b, fires in zip(bonds[:, r], live[:, r]):
-            if fires:
-                new = swap_result(state, int(b), size)
-                changes += new != state
+    for lane in range(64 * n_words):
+        state = tuple(int(v) for v in interior[:, lane])
+        for value in values:
+            if value[lane] <= size:
+                new = swap_result(state, int(value[lane]), size)
+                changes += new != state and lane < n_lanes
                 state = new
-            path.append(state)
-        for j in samples[r]:
-            assert tuple(int(v) for v in shots[at.index(j), 1:-1, r]) == path[j]
-        assert tuple(int(v) for v in final[1:-1, r]) == state
+        assert tuple(int(v) for v in after[1:-1, lane]) == state
     assert events == changes
 
 
@@ -204,20 +192,6 @@ def test_profile_shares_trajectories():
     assert prof.total_events == single.total_events
 
 
-def test_worker_split_does_not_change_results():
-    # 70 replicas span two lockstep blocks, so 3 workers really split them.
-    p = ModelParams(size=4, seed=6)
-    sets = [(1,), (2, 4)]
-    for reps in (8, 70):
-        sched = default_schedule(p, n_replicas=reps, n_samples=30)
-        serial = estimate_stationary_moments(p, sets, sched, p.stream(0), n_workers=1)
-        pooled = estimate_stationary_moments(p, sets, sched, p.stream(0), n_workers=3)
-        assert np.array_equal(serial.estimates, pooled.estimates)
-        assert np.array_equal(serial.stderrs, pooled.stderrs)
-        assert serial.total_events == pooled.total_events
-        assert serial.rounds == pooled.rounds
-
-
 def test_stationary_single_site_matches_exact():
     # S=1: both bonds are boundary bonds and the only bulk field is pinned
     # on both sides.
@@ -226,7 +200,7 @@ def test_stationary_single_site_matches_exact():
     sched = default_schedule(p, n_replicas=24, n_samples=200)
     est = estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
-    assert 0 < est.total_events <= est.rounds * 24
+    assert 0 < est.total_events <= est.rounds * 24 * 200
 
 
 def test_single_replica_has_nan_stderr():
@@ -235,85 +209,75 @@ def test_single_replica_has_nan_stderr():
     est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], sched, p.stream(0))
     assert np.all((est.estimates >= 0) & (est.estimates <= 1))
     assert np.isnan(est.stderrs).all()
-    assert 0 < est.total_events <= est.rounds
+    assert 0 < est.total_events <= est.rounds * 50
 
 
-def test_zero_burn_in_samples_the_start():
-    p = ModelParams(size=5, seed=1)
-    sched = SimSchedule(burn_in=0.0, n_samples=1, sample_interval=1.0, n_replicas=3)
-    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], sched, p.stream(0))
-    assert est.estimates.tolist() == [1, 1, 1, 0, 0]
-    assert est.total_events == 0 and est.rounds == 0
+def test_replica_means_pool_their_own_lanes(monkeypatch):
+    # Lane i starts with site 1 full exactly when i is a multiple of 3, and
+    # nothing fires. With 7 lanes a replica, 70 lanes in two chunks of one
+    # word, replica r's mean is its share of multiples of 3 among lanes
+    # 7r..7r+6: a lane read under the wrong replica, or a padding lane read,
+    # moves some mean.
+    monkeypatch.setattr(sepsim.forward, "CHUNK_WORDS", 1)
+    lane = iter(range(128))
+
+    def start(size, n_words, gen):
+        bits = np.array([[next(lane) % 3 == 0 for _ in range(64 * n_words)]], dtype=np.uint8)
+        words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        return np.vstack([np.zeros(n_words, np.uint64), words, ~np.zeros(n_words, np.uint64)])
+
+    monkeypatch.setattr(sepsim.forward, "_exact_start", start)
+    monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
+    p = ModelParams(size=1)
+    sched = SimSchedule(n_samples=7, sample_interval=1.0, n_replicas=10)
+    est = estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
+    means = [sum(i % 3 == 0 for i in range(7 * r, 7 * r + 7)) / 7 for r in range(10)]
+    assert est.estimates[0] == pytest.approx(np.mean(means), abs=1e-15)
+    assert est.stderrs[0] == pytest.approx(np.std(means, ddof=1) / np.sqrt(10), abs=1e-15)
+
+
+def test_forward_run_keeps_exact_draws_stationary():
+    # 64 replicas of 16 exact draws each fire S time units at S=128. Every
+    # site and adjacent pair must stay within 4 sigma of the closed form,
+    # sigma the binomial error of the 1024 independent lanes.
+    s = 128
+    p = ModelParams(size=s, seed=7)
+    sched = SimSchedule(n_samples=16, sample_interval=float(s), n_replicas=64)
+    sets = [(x,) for x in range(1, s + 1)] + [(x, x + 1) for x in range(1, s)]
+    est = estimate_stationary_moments(p, sets, sched, p.stream(0))
+    want = np.array([stationary_moment(s, pts) for pts in sets])
+    sigma = np.sqrt(want * (1 - want) / 1024)
+    assert est.rounds == 256 * s
+    assert np.all(np.abs(est.estimates - want) < 4 * sigma)
 
 
 def test_burn_in_and_masks_are_streamed():
-    # About 130k firings per replica in the burn-in: materialising them, or
-    # their round masks, would take tens of MB.
+    # 1024 lanes (16 words) fire 50 time units at S=64, 6400 rounds: the
+    # rounds' 7 bit planes alone would take 5.7 MB, their firings 53 MB.
     p = ModelParams(size=64, seed=3)
-    sched = SimSchedule(burn_in=2000.0, n_samples=2, sample_interval=1.0, n_replicas=8)
+    sched = SimSchedule(n_samples=128, sample_interval=50.0, n_replicas=8)
     tracemalloc.start()
     try:
         est = estimate_stationary_moments(p, [(5,), (30, 31)], sched, p.stream(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est.rounds > 65 * 2000
+    assert est.rounds == 128 * 50 and est.total_events > 0
     assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def test_short_run_matches_expm_oracle_at_both_sample_times():
-    # At S=3 the first sample falls after Poisson(4 t) rounds and the second
-    # Poisson(1) rounds later, at the same round in 37% of the replicas. The
-    # pooled estimates must match the mean of the moments at t and t + dt;
-    # capturing one round late or early, or a clock at rate S+2, moves some
-    # estimate by 6 sigma or more. A replica fires only up to its last
-    # sample, so its expected events are the integral over [0, t + dt] of the
-    # expected number of unbalanced bonds.
-    p = ModelParams(size=3, seed=4)
-    c0 = default_initial_configuration(p).interior()
-    sets = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
-    t, dt, reps = 0.3, 0.25, 3200
-    dists = [expm_state_distribution(3, c0, u) for u in (t, t + dt)]
-    want = [np.mean([moment_from_distribution(d, pts, 3) for d in dists]) for pts in sets]
-    sched = SimSchedule(burn_in=t, n_samples=2, sample_interval=dt, n_replicas=reps)
-    est = estimate_stationary_moments(p, sets, sched, p.stream(0))
-    assert np.all(np.abs(est.estimates - want) < 4 * est.stderrs)
-    full = np.array([(0, *c, 1) for c in all_states(3)])
-    unbalanced = (full[:, 1:] != full[:, :-1]).sum(axis=1)
-    grid = np.linspace(0.0, t + dt, 201)
-    rate = np.array([expm_state_distribution(3, c0, u) @ unbalanced for u in grid])
-    mean_events = np.sum((rate[1:] + rate[:-1]) / 2 * np.diff(grid))
-    lam = 4 * (t + dt)  # a replica's events are at most its Poisson(lam) firings
-    spread = math.sqrt(reps * (lam + lam**2))
-    assert abs(est.total_events - reps * mean_events) < 4 * spread
-
-
-def test_samples_at_one_round_each_count():
-    # Three samples 1e-12 apart share a round in every lane, so each replica's
-    # mean is 0 or 1 and the stderr is that of a coin; counting a repeated
-    # sample once would leave means of 0 or 2/3.
-    p = ModelParams(size=3, seed=2)
-    reps = 40
-    sched = SimSchedule(burn_in=0.7, n_samples=3, sample_interval=1e-12, n_replicas=reps)
-    est = estimate_stationary_moments(p, [(1,), (3,)], sched, p.stream(0))
-    m = est.estimates
-    assert np.all((0 < m) & (m < 1))
-    assert np.allclose(m * reps, np.round(m * reps))
-    assert np.allclose(est.stderrs, np.sqrt(m * (1 - m) / (reps - 1)))
-
-
 def test_sample_rounds_are_streamed():
-    # 2e5 samples per replica, most of them at the same round as the one
-    # before: their rounds alone would take 6.4 MB as int64.
-    p = ModelParams(size=4, seed=5)
-    sched = SimSchedule(burn_in=1.0, n_samples=200_000, sample_interval=0.01, n_replicas=4)
+    # 2e5 samples at S=64, one lane each: their words and round scratch
+    # alone would take 5 MB, their exact-draw permutations 13 MB.
+    p = ModelParams(size=64, seed=3)
+    sched = SimSchedule(n_samples=25_000, sample_interval=1.0, n_replicas=8)
     tracemalloc.start()
     try:
-        est = estimate_stationary_moments(p, [(1,), (2, 4)], sched, p.stream(0))
+        est = estimate_stationary_moments(p, [(5,), (30, 31)], sched, p.stream(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est.rounds > 5 * 0.01 * 200_000 * 0.9
+    assert est.rounds == 128 and est.total_events > 0
     assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 

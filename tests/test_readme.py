@@ -1,19 +1,22 @@
 """The limits README states must be the limits the code enforces."""
 
+import argparse
 import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sepsim.core
+import sepsim.forward
 import sepsim.moments
-from sepsim.cli import main
+from sepsim.cli import build_parser, main
 from sepsim.core import ROUND_CAP, Configuration, ModelParams
 from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
 from sepsim.exact import MAX_EXACT_SIZE
-from sepsim.forward import transient_moment
+from sepsim.forward import CHUNK_WORDS, transient_moment
 from sepsim.ladder import MAX_KERNEL_ENTRIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -101,3 +104,36 @@ def test_odes_euler_step_cap(monkeypatch, tmp_path):
         argv = ["odes", "--size", size, "--format", "json", "--output", out, "--time"]
         assert main([*argv, str(float(limit))]) == 0
         assert main([*argv, str(float(limit) * 1.001)]) == 4
+
+
+def test_simulate_lane_round_cap(monkeypatch, tmp_path):
+    size = int(stated(r"at the default 32 replicas and 200 samples, every size above `S = (\d+)`"))
+    # The engine is stubbed: only the cap decides.
+    monkeypatch.setattr(
+        sepsim.forward, "_exact_start", lambda s, w, gen: np.zeros((s + 2, w), np.uint64)
+    )
+    monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
+    out = str(tmp_path / "sim.json")
+    argv = ["simulate", "--points", "1", "--format", "json", "--output", out, "--size"]
+    assert main([*argv, str(size)]) == 0
+    assert main([*argv, str(size + 1)]) == 4
+
+
+def test_simulate_chunk_size():
+    chunks = re.findall(r"(\d+,\d{3}) (?:lanes )?at a time", text())
+    assert len(chunks) == 2
+    assert {int(c.replace(",", "")) for c in chunks} == {64 * CHUNK_WORDS}
+
+
+def test_simulate_flags_in_readme_are_accepted():
+    # Every flag the README's simulate example and bullet name must parse.
+    doc = text()
+    named = re.findall(r"sepsim simulate [^`]*?(?= sepsim )", doc)
+    named += re.findall(r"\* `simulate` .*?(?= \* `)", doc)
+    assert len(named) == 2
+    flags = set(re.findall(r"--[a-z][a-z-]*", " ".join(named)))
+    actions = build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = sub.choices["simulate"]._option_string_actions
+    assert {"--size", "--replicas", "--samples", "--points", "--threads"} <= flags
+    assert flags <= set(accepted), flags - set(accepted)
