@@ -30,11 +30,7 @@ from .core import Configuration, ModelParams, default_initial_configuration, val
 from .dual import estimate_absorption, stationary_moment, transient_dual_moment
 from .errors import SepsimError, ValidationError
 from .exact import occupation_profile, pair_moments, stationary_distribution
-from .forward import (
-    default_schedule,
-    estimate_stationary_moments,
-    transient_moment,
-)
+from .forward import estimate_stationary_moments, transient_moment
 from .ladder import gamma_closed_form, ladder_tables, simulate_aux_walk
 from .moments import (
     build_moment_system,
@@ -186,15 +182,21 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params(args)
-    schedule = default_schedule(params, n_replicas=args.replicas, n_samples=args.samples)
     if args.points is not None:
         sets = [tuple(args.points)]
     else:
         sets = [(x,) for x in range(1, params.size + 1)]
-    est = estimate_stationary_moments(params, sets, schedule, params.stream(0))
+    est = estimate_stationary_moments(
+        params, sets, args.replicas, args.samples, params.stream(0)
+    )
     if args.tol is not None:
-        worst = float(np.nanmax(est.stderrs))
-        if worst > args.tol:
+        if est.n_replicas < 2:
+            print(
+                "warning: one replica has no standard error, so --tol is not "
+                "checked; raise --replicas",
+                file=sys.stderr,
+            )
+        elif (worst := float(est.stderrs.max())) > args.tol:
             print(
                 f"warning: achieved stderr {worst:.3e} exceeds requested "
                 f"tolerance {args.tol:.3e}; raise --replicas or --samples",
@@ -203,9 +205,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = {
         "size": params.size,
         "seed": params.seed,
-        "replicas": schedule.n_replicas,
-        "samples": schedule.n_samples,
-        "sample_interval": schedule.sample_interval,
+        "replicas": args.replicas,
+        "samples": args.samples,
+        "sample_interval": est.sample_interval,
         "points": args.points,
     }
     labels = [";".join(str(p) for p in pts) for pts in est.point_sets]
@@ -324,15 +326,11 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
 
 
 def cmd_aux(args: argparse.Namespace) -> int:
-    result = simulate_aux_walk(
-        args.size,
-        args.kmax,
-        args.replicas,
-        ModelParams(size=args.size, seed=args.seed).stream(0),
-    )
+    params = _params(args)
+    result = simulate_aux_walk(params.size, args.kmax, args.replicas, params.stream(0))
     config = {
-        "size": args.size,
-        "seed": args.seed,
+        "size": params.size,
+        "seed": params.seed,
         "kmax": args.kmax,
         "replicas": args.replicas,
     }
@@ -439,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_duality_check)
 
     p = sub.add_parser("aux", help="reflected-walk return counts against the closed form")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
+    _add_model_flags(p)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--replicas", type=_count, default=1_000_000)
     _add_output_flags(p)

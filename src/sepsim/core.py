@@ -84,10 +84,6 @@ class RngStream:
         )
         return np.random.Generator(np.random.PCG64(ss))
 
-    def offset(self, k: int) -> "RngStream":
-        """Stream for the k-th replica of a block anchored at this stream."""
-        return RngStream(self.seed, self.stream_id + k)
-
 
 def site_dtype(top: int) -> type[np.signedinteger]:
     """Narrowest signed integer dtype that holds every site index -1..top."""
@@ -104,14 +100,21 @@ def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return est, float(vals.std(ddof=1) / math.sqrt(n))
 
 
-def lane_mean_stderr(words: np.ndarray, n: int) -> tuple[float, float]:
-    """mean_stderr of the 0/1 values of replicas 0..n-1 held in uint64 words.
+def count_mean_stderr(c, n: int):
+    """mean_stderr of c ones and n - c zeros: c/n and sqrt(c (n - c) / (n - 1)) / n.
 
-    Both follow from the count c of ones: c/n and sqrt(c (n - c) / (n - 1)) / n.
+    c is a count or an array of counts; the errors are NaN when n < 2.
     """
+    se = np.sqrt(c * (n - c) / (n - 1)) / n if n > 1 else c * math.nan
+    return c / n, se
+
+
+def lane_mean_stderr(words: np.ndarray, n: int) -> tuple[float, float]:
+    """mean_stderr of the 0/1 values of replicas 0..n-1 held in uint64 words."""
     c = int(np.bitwise_count(words[: n >> 6]).sum())
     c += (int(words[n >> 6]) & ((1 << (n & 63)) - 1)).bit_count() if n & 63 else 0
-    return c / n, math.sqrt(c * (n - c) / (n - 1)) / n if n > 1 else math.nan
+    mean, se = count_mean_stderr(c, n)
+    return mean, float(se)
 
 
 def check_residual(what: str, residual: float, bound: float) -> None:

@@ -238,8 +238,6 @@ def transient_dual_moment(
     if n_replicas < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     env = initial_env.as_array()
-    if t == 0:
-        return float(env[list(pts)].prod()), 0.0
     k = len(pts)
     gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k

@@ -9,14 +9,16 @@ nothing. Against a sampler moving one byte row per replica the round is no
 slower up to S = 511, and 1.5-2 times slower at S = 512 (whose clock idles
 half the time) to 1000.
 
-* Stationary sampling starts every lane from an exact stationary draw
-  (exact.sample_stationary) and fires ceil(2^L sample_interval) rounds in
-  all of them. A fixed number of uniformized jumps leaves the stationary
-  law invariant, so no burn-in or clock is needed, and the run is a forward
-  check of that invariance. Sample i of replica r is lane r*n_samples + i,
-  read at every point set after its last round. Lanes run CHUNK_WORDS words
-  at a time and their starts are drawn _DRAW_LANES at a time, so memory is
-  bounded however many lanes a run asks for.
+* Stationary sampling starts n_replicas * n_samples lanes from exact
+  stationary draws (exact.sample_stationary) and fires
+  ceil(2^L sample_interval) rounds in all of them; the interval is
+  max(1, S^2/25) time units unless the caller gives one. A fixed number of
+  uniformized jumps leaves the stationary law invariant, so no burn-in or
+  clock is needed, and the run is a forward check of that invariance.
+  Sample i of replica r is lane r*n_samples + i, read at every point set
+  after its last round. Lanes run CHUNK_WORDS words at a time and their
+  starts are drawn _DRAW_LANES at a time, so memory is bounded however many
+  lanes a run asks for.
 * Transient moments run every replica from one fixed start for its own
   Poisson number of rounds: each round moves the lanes from its first open
   replica of core.poisson_rounds on.
@@ -56,40 +58,6 @@ CHUNK_WORDS = 1024  # words of 64 lanes that a stationary run fires together
 _DRAW_LANES = 8192  # exact starts drawn at a time
 
 
-@dataclass(frozen=True)
-class SimSchedule:
-    """Sampling plan for one stationary estimate."""
-
-    n_samples: int
-    sample_interval: float
-    n_replicas: int
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not (self.sample_interval > 0 and math.isfinite(self.sample_interval)):
-            raise ValidationError(
-                f"sample_interval must be finite and positive, got {self.sample_interval}"
-            )
-        if self.n_replicas < 1:
-            raise ValidationError(f"n_replicas must be >= 1, got {self.n_replicas}")
-
-
-def default_schedule(
-    params: ModelParams,
-    n_replicas: int = 32,
-    n_samples: int = 1000,
-    sample_interval: float | None = None,
-) -> SimSchedule:
-    if sample_interval is None:
-        sample_interval = max(1.0, params.size**2 / DEFAULT_INTERVAL_DIVISOR)
-    return SimSchedule(
-        n_samples=n_samples,
-        sample_interval=sample_interval,
-        n_replicas=n_replicas,
-    )
-
-
 def _exact_start(size: int, n_words: int, gen: np.random.Generator) -> np.ndarray:
     """(S+2, n_words) occupancy words whose 64 n_words lanes are exact stationary draws."""
     occ = np.empty((size + 2, n_words), dtype=np.uint64)
@@ -126,8 +94,8 @@ class StationaryEstimate:
     """Pooled moment estimates with their between-replica standard errors.
 
     total_events counts state-changing firings over all lanes, and rounds is
-    the number of rounds each lane fires, so total_events is at most
-    rounds * n_replicas * n_samples.
+    the number of rounds each lane fires in its sample_interval time units,
+    so total_events is at most rounds * n_replicas * n_samples.
     """
 
     point_sets: tuple[PointSet, ...]
@@ -136,33 +104,45 @@ class StationaryEstimate:
     total_events: int
     n_replicas: int
     rounds: int
+    sample_interval: float
 
 
 def estimate_stationary_moments(
     params: ModelParams,
     point_sets: list[PointSet] | tuple[PointSet, ...],
-    schedule: SimSchedule,
+    n_replicas: int,
+    n_samples: int,
     rng: RngStream,
+    sample_interval: float | None = None,
 ) -> StationaryEstimate:
-    """Estimate several occupation moments from the same lanes.
+    """Estimate several occupation moments from n_replicas * n_samples lanes.
 
+    Each lane runs sample_interval time units, by default max(1, S^2/25).
     All draws come from one generator of rng, chunk after chunk in lane
     order, so the result is reproducible bit for bit.
     """
-    sets = tuple(
-        validate_point_set(pts, params.size, interior_only=True) for pts in point_sets
-    )
+    if n_replicas < 1 or n_samples < 1:
+        raise ValidationError(
+            f"n_replicas and n_samples must be >= 1, got {n_replicas} and {n_samples}"
+        )
+    s = params.size
+    if sample_interval is None:
+        sample_interval = max(1.0, s**2 / DEFAULT_INTERVAL_DIVISOR)
+    if not (sample_interval > 0 and math.isfinite(sample_interval)):
+        raise ValidationError(
+            f"sample_interval must be finite and positive, got {sample_interval}"
+        )
+    sets = tuple(validate_point_set(pts, s, interior_only=True) for pts in point_sets)
     if not sets:
         raise ValidationError("need at least one point set")
-    s, per = params.size, schedule.n_samples
-    rounds = math.ceil((1 << s.bit_length()) * schedule.sample_interval)
-    n_lanes = schedule.n_replicas * per
+    rounds = math.ceil((1 << s.bit_length()) * sample_interval)
+    n_lanes, per = n_replicas * n_samples, n_samples
     if n_lanes * rounds > MAX_FIRINGS:
         raise ResourceError(
             f"run asks for {n_lanes * rounds:.3g} lane-rounds, cap is {MAX_FIRINGS:.0e}"
         )
     gen = rng.generator()
-    hits = np.zeros((len(sets), schedule.n_replicas), dtype=np.int64)
+    hits = np.zeros((len(sets), n_replicas), dtype=np.int64)
     events = 0
     for lo in range(0, n_lanes, 64 * CHUNK_WORDS):
         n = min(64 * CHUNK_WORDS, n_lanes - lo)
@@ -181,8 +161,9 @@ def estimate_stationary_moments(
         estimates=estimates,
         stderrs=stderrs,
         total_events=events,
-        n_replicas=schedule.n_replicas,
+        n_replicas=n_replicas,
         rounds=rounds,
+        sample_interval=sample_interval,
     )
 
 
@@ -207,11 +188,6 @@ def transient_moment(
         raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
     s = params.size
     pts = validate_point_set(points, s)
-    if t == 0.0:
-        value = 1.0
-        for p in pts:
-            value *= initial.occupancy[p]
-        return value, 0.0
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
     firsts = poisson_rounds(gen, (1 << n_planes) * t, n_replicas)

@@ -50,7 +50,6 @@ counts behind them.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +63,7 @@ from .core import (
     ModelParams,
     RngStream,
     check_residual,
+    count_mean_stderr,
     lockstep,
     site_dtype,
 )
@@ -396,22 +396,13 @@ def simulate_aux_walk(
     k_max = _early_stop(size, k_max)
     lockstep(n_replicas, step)
     gamma = np.array([gamma_closed_form(size, j) for j in range(k_max + 1)])
-    gamma_mc = np.zeros(k_max + 1)
-    gamma_se = np.zeros(k_max + 1)
-    gamma_mc[0] = 1.0
-    top = min(k_max, int(visits.max()))
-    # c_j, the replicas with at least j returns, for j = 1..top from one histogram
-    c = np.cumsum(np.bincount(visits)[::-1])[::-1][1 : top + 1].astype(np.float64)
-    n = n_replicas
-    gamma_mc[1 : top + 1] = c / n
-    if n < 2:
-        gamma_se[1:] = math.nan  # mean_stderr's value below two samples
-    else:  # mean_stderr of c_j ones and n - c_j zeros
-        gamma_se[1 : top + 1] = np.sqrt(c * (n - c) / (n - 1)) / n
+    # c_j, the replicas with at least j returns, for j = 1..k_max from one histogram
+    c = np.cumsum(np.bincount(visits, minlength=k_max + 1)[::-1])[::-1][1 : k_max + 1]
+    mc, se = count_mean_stderr(c, n_replicas)
     return AuxWalkResult(
         size=size,
         n_replicas=n_replicas,
         gamma=gamma,
-        gamma_mc=gamma_mc,
-        gamma_stderr=gamma_se,
+        gamma_mc=np.concatenate(([1.0], mc)),
+        gamma_stderr=np.concatenate(([0.0], se)),
     )

@@ -17,7 +17,7 @@ from sepsim.exact import (
     occupation_profile,
     stationary_distribution,
 )
-from sepsim.forward import default_schedule, estimate_stationary_moments, transient_moment
+from sepsim.forward import estimate_stationary_moments, transient_moment
 from sepsim.ladder import gamma_closed_form, ladder_tables, simulate_aux_walk
 from sepsim.moments import build_moment_system, stationary_moments
 
@@ -86,8 +86,7 @@ def test_criterion_03_closed_s2_values():
 def test_criterion_04_forward_mc_profile():
     t0 = time.perf_counter()
     p = ModelParams(size=16, seed=1)
-    sched = default_schedule(p, n_replicas=32, n_samples=4800)
-    est = estimate_stationary_moments(p, [(x,) for x in range(1, 17)], sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 17)], 32, 4800, p.stream(0))
     elapsed = time.perf_counter() - t0
     target = np.arange(1, 17) / 17
     err = np.abs(est.estimates - target)

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +115,21 @@ def test_simulate_budget_warning(tmp_path, capsys):
     ])
     assert code == 0
     assert "warning" in capsys.readouterr().err
+
+
+def test_simulate_tol_with_one_replica_warns_without_numpy(capsys):
+    # One replica has no standard error: sepsim says so in place of numpy's
+    # all-NaN warning, and the run still succeeds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([
+            "simulate", "--size", "4", "--replicas", "1", "--samples", "10",
+            "--tol", "1e-6", "--deterministic",
+        ])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "warning: one replica has no standard error" in err
 
 
 def test_dual_csv_has_exact_column(tmp_path):
@@ -315,6 +332,17 @@ def test_duality_check_refuses_unusable_time(time, code, capsys):
         "--replicas", "10",
     ]) == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_duality_check_at_time_zero_with_one_replica_has_nan_z(capsys):
+    # Both samplers read the start, and one replica has no standard error.
+    assert run([
+        "duality-check", "--size", "10", "--points", "3,7", "--time", "0",
+        "--replicas", "1", "--deterministic",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lhs"] == doc["rhs"] == 0.0
+    assert all(math.isnan(doc[key]) for key in ("lhs_se", "rhs_se", "z"))
 
 
 def test_duality_check_rejects_points_before_sampling(monkeypatch, capsys):

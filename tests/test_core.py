@@ -9,6 +9,7 @@ from bruteforce import apply_swap, cluster_decompose, enabled_bonds, sorted_pois
 from sepsim.core import (
     Configuration,
     ModelParams,
+    count_mean_stderr,
     RngStream,
     default_initial_configuration,
     ROUND_CAP,
@@ -41,6 +42,17 @@ def test_mean_stderr_matches_statistics():
     assert se == pytest.approx(statistics.stdev(values) / math.sqrt(257), rel=1e-12)
     est, se = mean_stderr(np.array([0.25]))
     assert est == 0.25 and math.isnan(se)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_count_mean_stderr_is_mean_stderr_of_zeros_and_ones(n):
+    counts = np.arange(n + 1)
+    means, errs = count_mean_stderr(counts, n)
+    for c in range(n + 1):
+        want = mean_stderr(np.arange(n) < c)
+        for got in ((means[c], errs[c]), count_mean_stderr(c, n)):
+            assert got[0] == want[0]
+            assert got[1] == pytest.approx(want[1], rel=1e-12, nan_ok=True)
 
 
 def test_configuration_pins_boundaries():
@@ -194,13 +206,6 @@ def test_rng_streams_differ():
     c = RngStream(seed=43, stream_id=0).generator().random(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_rng_offset_matches_stream_arithmetic():
-    base = ModelParams(size=4, seed=9).stream(2)
-    x = base.offset(5).generator().random(4)
-    y = RngStream(seed=base.seed, stream_id=base.stream_id + 5).generator().random(4)
-    assert np.array_equal(x, y)
 
 
 def test_lockstep_absorbing_runs_until_absorbed():

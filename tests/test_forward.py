@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,31 +15,43 @@ from bruteforce import (
 )
 from sepsim.core import Configuration, ModelParams
 import sepsim.forward
-from sepsim.dual import stationary_moment
+from sepsim.dual import stationary_moment, transient_dual_moment
 from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.forward import (
     MAX_FIRINGS,
-    SimSchedule,
     _fire_round,
     _run_rounds,
-    default_schedule,
     estimate_stationary_moments,
     transient_moment,
 )
 
 
 def test_schedule_validation():
-    SimSchedule(n_samples=1, sample_interval=0.5, n_replicas=1)
+    # The counts and the interval are checked before anything is drawn.
+    p = ModelParams(size=2)
+
+    def run(n_replicas, n_samples, sample_interval):
+        return estimate_stationary_moments(
+            p, [(1,)], n_replicas, n_samples, _NoDraws(), sample_interval
+        )
+
+    with pytest.raises(AssertionError, match="drew"):
+        run(1, 1, 0.5)
     with pytest.raises(ValidationError):
-        SimSchedule(n_samples=0, sample_interval=0.5, n_replicas=1)
+        run(1, 0, 0.5)
     with pytest.raises(ValidationError):
-        SimSchedule(n_samples=1, sample_interval=0.0, n_replicas=1)
+        run(1, 1, 0.0)
     with pytest.raises(ValidationError):
-        SimSchedule(n_samples=1, sample_interval=0.5, n_replicas=0)
+        run(0, 1, 0.5)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            SimSchedule(n_samples=1, sample_interval=bad, n_replicas=1)
+            run(1, 1, bad)
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("the estimator drew")
 
 
 def test_firing_cap_refuses_before_drawing(monkeypatch):
@@ -56,22 +69,23 @@ def test_firing_cap_refuses_before_drawing(monkeypatch):
     monkeypatch.setattr(sepsim.forward, "_exact_start", start)
     monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
     p = ModelParams(size=3)
-    at_cap = SimSchedule(n_samples=1000, sample_interval=25_000.0, n_replicas=1000)
-    est = estimate_stationary_moments(p, [(1,)], at_cap, p.stream(0))
+    est = estimate_stationary_moments(p, [(1,)], 1000, 1000, p.stream(0), 25_000.0)
     assert est.rounds == 100_000 and sum(ran) == 10**6 // 64
-    over = SimSchedule(n_samples=1001, sample_interval=25_000.0, n_replicas=1000)
     with pytest.raises(ResourceError):
-        estimate_stationary_moments(p, [(1,)], over, p.stream(0))
+        estimate_stationary_moments(p, [(1,)], 1000, 1001, p.stream(0), 25_000.0)
     assert sum(ran) == 10**6 // 64
 
 
-def test_default_schedule_in_bond_time_units():
+def test_default_sample_interval_in_bond_time_units():
     # S^2/25 time units between samples, bonds ringing at rate 1: at S=6 the
     # clock runs 2^3 rounds per unit time, so each lane fires ceil(8 * 1.44).
+    # Below S=5 the interval is one time unit.
     p = ModelParams(size=6)
-    schedule = default_schedule(p, n_replicas=2, n_samples=3)
-    assert schedule.sample_interval == 1.44
-    assert estimate_stationary_moments(p, [(1,)], schedule, p.stream(0)).rounds == 12
+    est = estimate_stationary_moments(p, [(1,)], 2, 3, p.stream(0))
+    assert est.sample_interval == 1.44 and est.rounds == 12
+    p = ModelParams(size=3)
+    est = estimate_stationary_moments(p, [(1,)], 2, 3, p.stream(0))
+    assert est.sample_interval == 1.0 and est.rounds == 4
 
 
 def test_step_ctmc_is_reproducible():
@@ -167,8 +181,7 @@ def test_round_kernel_matches_scalar_replay(size, n_lanes, n_rounds, seed):
 def test_stationary_estimate_matches_exact():
     p = ModelParams(size=3, seed=1)
     pi = stationary_distribution(p.size)
-    sched = default_schedule(p, n_replicas=24, n_samples=150)
-    est = estimate_stationary_moments(p, [(2,)], sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(2,)], 24, 150, p.stream(0))
     want = exact_moment(pi, (2,))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
 
@@ -176,17 +189,15 @@ def test_stationary_estimate_matches_exact():
 def test_stationary_pair_estimate_matches_exact():
     p = ModelParams(size=4, seed=8)
     pi = stationary_distribution(p.size)
-    sched = default_schedule(p, n_replicas=24, n_samples=150)
-    est = estimate_stationary_moments(p, [(1, 3)], sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(1, 3)], 24, 150, p.stream(0))
     want = exact_moment(pi, (1, 3))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
 
 
 def test_profile_shares_trajectories():
     p = ModelParams(size=4, seed=3)
-    sched = default_schedule(p, n_replicas=6, n_samples=40)
-    prof = estimate_stationary_moments(p, [(x,) for x in range(1, 5)], sched, p.stream(0))
-    single = estimate_stationary_moments(p, [(2,)], sched, p.stream(0))
+    prof = estimate_stationary_moments(p, [(x,) for x in range(1, 5)], 6, 40, p.stream(0))
+    single = estimate_stationary_moments(p, [(2,)], 6, 40, p.stream(0))
     # same stream, same replica count: site 2 must agree exactly
     assert prof.estimates[1] == single.estimates[0]
     assert prof.total_events == single.total_events
@@ -197,16 +208,14 @@ def test_stationary_single_site_matches_exact():
     # on both sides.
     p = ModelParams(size=1, seed=2)
     want = exact_moment(stationary_distribution(p.size), (1,))
-    sched = default_schedule(p, n_replicas=24, n_samples=200)
-    est = estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(1,)], 24, 200, p.stream(0))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
     assert 0 < est.total_events <= est.rounds * 24 * 200
 
 
 def test_single_replica_has_nan_stderr():
     p = ModelParams(size=5, seed=4)
-    sched = default_schedule(p, n_replicas=1, n_samples=50)
-    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], 1, 50, p.stream(0))
     assert np.all((est.estimates >= 0) & (est.estimates <= 1))
     assert np.isnan(est.stderrs).all()
     assert 0 < est.total_events <= est.rounds * 50
@@ -229,8 +238,7 @@ def test_replica_means_pool_their_own_lanes(monkeypatch):
     monkeypatch.setattr(sepsim.forward, "_exact_start", start)
     monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
     p = ModelParams(size=1)
-    sched = SimSchedule(n_samples=7, sample_interval=1.0, n_replicas=10)
-    est = estimate_stationary_moments(p, [(1,)], sched, p.stream(0))
+    est = estimate_stationary_moments(p, [(1,)], 10, 7, p.stream(0), 1.0)
     means = [sum(i % 3 == 0 for i in range(7 * r, 7 * r + 7)) / 7 for r in range(10)]
     assert est.estimates[0] == pytest.approx(np.mean(means), abs=1e-15)
     assert est.stderrs[0] == pytest.approx(np.std(means, ddof=1) / np.sqrt(10), abs=1e-15)
@@ -242,9 +250,8 @@ def test_forward_run_keeps_exact_draws_stationary():
     # sigma the binomial error of the 1024 independent lanes.
     s = 128
     p = ModelParams(size=s, seed=7)
-    sched = SimSchedule(n_samples=16, sample_interval=float(s), n_replicas=64)
     sets = [(x,) for x in range(1, s + 1)] + [(x, x + 1) for x in range(1, s)]
-    est = estimate_stationary_moments(p, sets, sched, p.stream(0))
+    est = estimate_stationary_moments(p, sets, 64, 16, p.stream(0), float(s))
     want = np.array([stationary_moment(s, pts) for pts in sets])
     sigma = np.sqrt(want * (1 - want) / 1024)
     assert est.rounds == 256 * s
@@ -255,10 +262,9 @@ def test_burn_in_and_masks_are_streamed():
     # 1024 lanes (16 words) fire 50 time units at S=64, 6400 rounds: the
     # rounds' 7 bit planes alone would take 5.7 MB, their firings 53 MB.
     p = ModelParams(size=64, seed=3)
-    sched = SimSchedule(n_samples=128, sample_interval=50.0, n_replicas=8)
     tracemalloc.start()
     try:
-        est = estimate_stationary_moments(p, [(5,), (30, 31)], sched, p.stream(0))
+        est = estimate_stationary_moments(p, [(5,), (30, 31)], 8, 128, p.stream(0), 50.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -270,10 +276,9 @@ def test_sample_rounds_are_streamed():
     # 2e5 samples at S=64, one lane each: their words and round scratch
     # alone would take 5 MB, their exact-draw permutations 13 MB.
     p = ModelParams(size=64, seed=3)
-    sched = SimSchedule(n_samples=25_000, sample_interval=1.0, n_replicas=8)
     tracemalloc.start()
     try:
-        est = estimate_stationary_moments(p, [(5,), (30, 31)], sched, p.stream(0))
+        est = estimate_stationary_moments(p, [(5,), (30, 31)], 8, 25_000, p.stream(0), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -283,11 +288,10 @@ def test_sample_rounds_are_streamed():
 
 def test_estimate_validates_points():
     p = ModelParams(size=4, seed=1)
-    sched = default_schedule(p, n_replicas=2, n_samples=5)
     with pytest.raises(ValidationError):
-        estimate_stationary_moments(p, [(0, 2)], sched, p.stream(0))
+        estimate_stationary_moments(p, [(0, 2)], 2, 5, p.stream(0))
     with pytest.raises(ValidationError):
-        estimate_stationary_moments(p, [], sched, p.stream(0))
+        estimate_stationary_moments(p, [], 2, 5, p.stream(0))
 
 
 def test_transient_moment_at_time_zero():
@@ -297,6 +301,28 @@ def test_transient_moment_at_time_zero():
     assert est == 1.0 and se == 0.0
     est, se = transient_moment(p, c0, 0.0, (3,), 10, p.stream(0))
     assert est == 0.0 and se == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_transient_samplers_read_the_start_at_time_zero(data):
+    # No round fires at t = 0, so every replica of both samplers reads the
+    # start: the estimate is the start's product exactly, and the standard
+    # error is 0 from two replicas on and NaN, as in mean_stderr, for one.
+    s = data.draw(st.integers(1, 12))
+    bits = st.lists(st.integers(0, 1), min_size=s, max_size=s)
+    c0 = Configuration.from_interior(data.draw(bits))
+    n = data.draw(st.sampled_from([1, 2, 64, 70]))
+    p = ModelParams(size=s, seed=data.draw(st.integers(0, 2**32)))
+    forward_pts = tuple(sorted(data.draw(st.sets(st.integers(0, s + 1), min_size=1))))
+    dual_pts = tuple(sorted(data.draw(st.sets(st.integers(1, s), min_size=1))))
+    runs = [
+        (forward_pts, transient_moment(p, c0, 0.0, forward_pts, n, p.stream(1))),
+        (dual_pts, transient_dual_moment(p, dual_pts, c0, 0.0, n, p.stream(2))),
+    ]
+    for pts, (est, se) in runs:
+        assert est == math.prod(c0.occupancy[x] for x in pts)
+        assert math.isnan(se) if n == 1 else se == 0.0
 
 
 @pytest.mark.parametrize("t,points", [(0.5, (2,)), (1.5, (1, 3)), (3.0, (4,))])

@@ -2,6 +2,7 @@
 
 import argparse
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,15 +126,34 @@ def test_simulate_chunk_size():
     assert {int(c.replace(",", "")) for c in chunks} == {64 * CHUNK_WORDS}
 
 
+def command_lines():
+    """argv of each `sepsim ...` line in README's command-line block, comments cut."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("sepsim ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_readme_command_lines_parse():
+    # Every example parses as it stands, so a renamed or removed flag cannot
+    # leave a stale one; every command has an example.
+    lines = command_lines()
+    assert {argv[0] for argv in lines} == set(subcommands())
+    parser = build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 def test_simulate_flags_in_readme_are_accepted():
     # Every flag the README's simulate example and bullet name must parse.
-    doc = text()
-    named = re.findall(r"sepsim simulate [^`]*?(?= sepsim )", doc)
-    named += re.findall(r"\* `simulate` .*?(?= \* `)", doc)
-    assert len(named) == 2
-    flags = set(re.findall(r"--[a-z][a-z-]*", " ".join(named)))
-    actions = build_parser()._actions
-    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
-    accepted = sub.choices["simulate"]._option_string_actions
+    (bullet,) = re.findall(r"\* `simulate` .*?(?= \* `)", text())
+    examples = [" ".join(argv) for argv in command_lines() if argv[0] == "simulate"]
+    assert len(examples) == 1
+    flags = set(re.findall(r"--[a-z][a-z-]*", " ".join([bullet, *examples])))
+    accepted = subcommands()["simulate"]._option_string_actions
     assert {"--size", "--replicas", "--samples", "--points", "--threads"} <= flags
     assert flags <= set(accepted), flags - set(accepted)
