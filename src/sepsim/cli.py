@@ -54,6 +54,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """Finite tolerance above 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         items = [int(part) for part in text.split(",") if part.strip()]
@@ -280,10 +291,10 @@ def cmd_odes(args: argparse.Namespace) -> int:
         field = integrate_moments(system, start, args.time)
     payload = {"m2": [], "time": args.time}
     tables = []
-    for f in (field.lower, field) if field.lower is not None else (field,):
-        name, columns = f"m{f.k}", (*f.system.points.T, f.values)
+    for level, values in zip(system.chain(), field.levels):
+        name, columns = f"m{level.k}", (*level.points.T, values)
         payload[name] = lambda columns=columns: _rows(*columns)
-        tables.append((name, ["x", "y"][: f.k] + [name], columns))
+        tables.append((name, ["x", "y"][: level.k] + [name], columns))
     _emit(args, {"size": params.size, "time": args.time}, payload, tables)
     return 0
 
@@ -352,6 +363,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"fractions must satisfy 0 < a1 < a2 < 1, got ({a1}, {a2})"
         )
+    if len(set(args.grid)) < len(args.grid):
+        raise ValidationError(f"grid sizes must be distinct, got {args.grid}")
     target = a1 * a2
     rows = []
     for s in args.grid:
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=_count, default=32)
     p.add_argument("--samples", type=_count, default=200)
     p.add_argument("--points", type=_int_list, default=None)
-    p.add_argument("--tol", type=float, default=None, help="warn if stderr exceeds this")
+    p.add_argument("--tol", type=_tolerance, default=None, help="warn if stderr exceeds this")
     p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     _add_output_flags(p)
     p.set_defaults(func=cmd_simulate)

@@ -25,7 +25,8 @@ half the time) to 1000.
 
 Only state-changing firings are counted as events. Stationary estimates pool
 replica means and report the between-replica standard error. A stationary
-run of more than MAX_FIRINGS lane-rounds is refused before anything is drawn.
+run of more than core.ROUND_CAP rounds per lane, or of more than MAX_FIRINGS
+lane-rounds, is refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from .core import (
     ALL_LANES,
+    ROUND_CAP,
     Configuration,
     ModelParams,
     PointSet,
@@ -137,6 +139,8 @@ def estimate_stationary_moments(
         raise ValidationError("need at least one point set")
     rounds = math.ceil((1 << s.bit_length()) * sample_interval)
     n_lanes, per = n_replicas * n_samples, n_samples
+    if rounds > ROUND_CAP:
+        raise ResourceError(f"run asks for {rounds} rounds per lane, cap is {ROUND_CAP}")
     if n_lanes * rounds > MAX_FIRINGS:
         raise ResourceError(
             f"run asks for {n_lanes * rounds:.3g} lane-rounds, cap is {MAX_FIRINGS:.0e}"

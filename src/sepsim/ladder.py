@@ -179,8 +179,6 @@ class LadderTable:
     """
 
     size: int
-    x0: int
-    y0: int
     k_max: int
     c_start: np.ndarray
     p: np.ndarray
@@ -277,8 +275,6 @@ def ladder_tables(
         p[k] = p[k - 1] - c_start[k] * cost
     return LadderTable(
         size=s,
-        x0=x0,
-        y0=y0,
         k_max=eff_k,
         c_start=c_start,
         p=p,
@@ -326,7 +322,6 @@ def simulate_hybrid_pair(
 class AuxWalkResult:
     """Closed-form and empirical return-count tail for the reflected walk."""
 
-    size: int
     n_replicas: int
     gamma: np.ndarray  # index k, entry 0 = 1
     gamma_mc: np.ndarray
@@ -400,7 +395,6 @@ def simulate_aux_walk(
     c = np.cumsum(np.bincount(visits, minlength=k_max + 1)[::-1])[::-1][1 : k_max + 1]
     mc, se = count_mean_stderr(c, n_replicas)
     return AuxWalkResult(
-        size=size,
         n_replicas=n_replicas,
         gamma=gamma,
         gamma_mc=np.concatenate(([1.0], mc)),

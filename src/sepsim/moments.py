@@ -7,13 +7,15 @@ coefficient +1, against a diagonal -2 per cluster. A shifted point landing on
 site 0 contributes zero; one landing on S+1 contributes the level-(k-1)
 moment of the remaining points, which for k = 1 is the constant 1. The
 hierarchy is therefore lower-triangular in k and is built and integrated
-bottom-up. A level holds its ordered k-subsets as the rows of one (n, k) int
-array in lex order, and a subset's row is its lex rank. The matrices are built
-on first use, from cluster ends read off rows padded with sentinels and from
-the ranks of the shifted rows. The stationary field is the closed form of
-dual.stationary_moment, so nothing is solved or built for it; time
-integration uses explicit Euler steps, whose error is first order in the step
-size.
+bottom-up. A system is its lattice size and top level k, from which its
+levels, their ordered subsets and their matrices are derived; a field holds
+one value array per level, level 1 first. A level holds its ordered k-subsets
+as the rows of one (n, k) int array in lex order, and a subset's row is its
+lex rank. The matrices are built on first use, from cluster ends read off
+rows padded with sentinels and from the ranks of the shifted rows. The
+stationary field is the closed form of dual.stationary_moment, so nothing is
+solved or built for it; time integration uses explicit Euler steps, whose
+error is first order in the step size.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ _BOUNDS_SLACK = 1e-9
 _EXACT_FLOAT = 2**53  # every integer below it is a float64
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MomentSystem:
     """Linear generator of one moment level plus its boundary source.
 
@@ -42,14 +44,25 @@ class MomentSystem:
     a_matrix holds the closed part (off-diagonal +1 shifts, diagonal -2 per
     cluster); b_matrix maps the level-(k-1) moment vector to the source terms
     created by right shifts onto S+1. Time is in units of the bond rate, so
-    a m + b m_lower is the time derivative itself. lower chains down to level
-    1, whose source level has the single state m_0 = 1.
+    a m + b m_lower is the time derivative itself. Level 1's source level has
+    the single state m_0 = 1. Systems of equal size and k are equal.
     """
 
-    params: ModelParams
+    size: int
     k: int
-    points: np.ndarray
-    lower: "MomentSystem | None"
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= self.size:
+            raise ValidationError(f"k must lie in [1, {self.size}], got {self.k}")
+        for level in range(1, self.k + 1):
+            if (n := math.comb(self.size, level)) > MAX_SUBSET_COUNT:
+                raise ResourceError(
+                    f"level {level} needs {n} subsets, cap is {MAX_SUBSET_COUNT}"
+                )
+
+    @property
+    def points(self) -> np.ndarray:
+        return _subsets(self.size, self.k)
 
     @property
     def subsets(self) -> tuple[tuple[int, ...], ...]:
@@ -58,19 +71,23 @@ class MomentSystem:
 
     @property
     def a_matrix(self) -> sp.csr_matrix:
-        return _structure(self.params.size, self.k)[0]
+        return _structure(self.size, self.k)[0]
 
     @property
     def b_matrix(self) -> sp.csr_matrix:
-        return _structure(self.params.size, self.k)[1]
+        return _structure(self.size, self.k)[1]
 
     @property
     def max_clusters(self) -> int:
-        return _structure(self.params.size, self.k)[2]
+        return _structure(self.size, self.k)[2]
+
+    @property
+    def lower(self) -> "MomentSystem | None":
+        return MomentSystem(self.size, self.k - 1) if self.k > 1 else None
 
     def rank(self, points) -> np.ndarray:
         """Row of each ordered k-subset of 1..S: one subset, or an (m, k) array."""
-        rows, s, k = np.asarray(points, dtype=np.int64), self.params.size, self.k
+        rows, s, k = np.asarray(points, dtype=np.int64), self.size, self.k
         if rows.ndim not in (1, 2) or rows.shape[-1] != k or not (
             (rows >= 1).all() and (rows <= s).all() and (np.diff(rows) > 0).all()
         ):
@@ -79,28 +96,37 @@ class MomentSystem:
 
     def chain(self) -> list["MomentSystem"]:
         """Systems from level 1 up to this level."""
-        out: list[MomentSystem] = []
-        node: MomentSystem | None = self
-        while node is not None:
-            out.append(node)
-            node = node.lower
-        out.reverse()
-        return out
+        return [MomentSystem(self.size, level) for level in range(1, self.k + 1)]
 
 
 @dataclass(frozen=True, eq=False)
 class MomentField:
-    """Moment values over the ordered k-subsets at one time.
+    """Moment values of every level of a system at one time.
 
-    time is None for stationary fields. lower chains down to level 1 so the
-    hierarchy can be advanced jointly.
+    levels holds one value array per level, level 1 first, each over that
+    level's ordered subsets. time is None for stationary fields.
     """
 
-    k: int
-    time: float | None
-    values: np.ndarray
     system: MomentSystem
-    lower: "MomentField | None"
+    time: float | None
+    levels: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.levels) != self.system.k:
+            raise ValidationError(f"{len(self.levels)} levels for a level-{self.k} system")
+
+    @property
+    def k(self) -> int:
+        return self.system.k
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.levels[-1]
+
+    @property
+    def lower(self) -> "MomentField | None":
+        below = self.system.lower
+        return None if below is None else MomentField(below, self.time, self.levels[:-1])
 
     def value(self, points) -> float:
         return float(self.values[self.system.rank(points)])
@@ -166,40 +192,19 @@ def _structure(size: int, k: int):
 
 
 def build_moment_system(params: ModelParams, k: int) -> MomentSystem:
-    """Build the moment hierarchy down from level k to level 1."""
-    if not 1 <= k <= params.size:
-        raise ValidationError(
-            f"k must lie in [1, {params.size}], got {k}"
-        )
-    for level in range(1, k + 1):
-        if math.comb(params.size, level) > MAX_SUBSET_COUNT:
-            raise ResourceError(
-                f"level {level} needs {math.comb(params.size, level)} subsets, "
-                f"cap is {MAX_SUBSET_COUNT}"
-            )
-    system: MomentSystem | None = None
-    for level in range(1, k + 1):
-        system = MomentSystem(
-            params=params, k=level, points=_subsets(params.size, level), lower=system
-        )
-    assert system is not None
-    return system
+    """The moment hierarchy of params' lattice up to level k."""
+    return MomentSystem(params.size, k)
 
 
 def field_from_configuration(system: MomentSystem, config: Configuration) -> MomentField:
-    """Indicator moments of a deterministic configuration, whole chain, t=0."""
-    if config.size != system.params.size:
+    """Indicator moments of a deterministic configuration, every level, t=0."""
+    if config.size != system.size:
         raise ValidationError(
-            f"configuration size {config.size} does not match system size "
-            f"{system.params.size}"
+            f"configuration size {config.size} does not match system size {system.size}"
         )
     occ = np.asarray(config.occupancy, dtype=bool)
-    field: MomentField | None = None
-    for sys_l in system.chain():
-        vals = occ[sys_l.points].all(axis=1).astype(np.float64)
-        field = MomentField(k=sys_l.k, time=0.0, values=vals, system=sys_l, lower=field)
-    assert field is not None
-    return field
+    levels = tuple(occ[s.points].all(axis=1).astype(np.float64) for s in system.chain())
+    return MomentField(system, 0.0, levels)
 
 
 def stationary_moments(system: MomentSystem) -> MomentField:
@@ -208,13 +213,8 @@ def stationary_moments(system: MomentSystem) -> MomentField:
     Each value is the closed form of dual.stationary_moment, the solution of
     a m + b m_lower = 0 at every level. It depends only on the lattice size.
     """
-    size = system.params.size
-    field: MomentField | None = None
-    for sys_l in system.chain():
-        m = _closed_form(size, sys_l.points)
-        field = MomentField(k=sys_l.k, time=None, values=m, system=sys_l, lower=field)
-    assert field is not None
-    return field
+    levels = tuple(_closed_form(system.size, s.points) for s in system.chain())
+    return MomentField(system, None, levels)
 
 
 def _closed_form(size: int, rows: np.ndarray) -> np.ndarray:
@@ -244,7 +244,7 @@ def integrate_moments(
     level's value from the start of the step. A run needing more than
     core.ROUND_CAP steps is refused before the first one.
     """
-    if initial.k != system.k or initial.system.params.size != system.params.size:
+    if initial.system != system:
         raise ValidationError("initial field does not match the system")
     if dt_max <= 0:
         raise ValidationError(f"dt_max must be positive, got {dt_max}")
@@ -254,15 +254,7 @@ def integrate_moments(
     if t < t0:
         raise ValidationError(f"target time {t} is before the field time {t0}")
     systems = system.chain()
-    fields = initial
-    vals: list[np.ndarray] = []
-    node: MomentField | None = fields
-    while node is not None:
-        vals.append(node.values.copy())
-        node = node.lower
-    vals.reverse()
-    if len(vals) != len(systems):
-        raise ValidationError("initial field chain does not reach level 1")
+    vals = [v.copy() for v in initial.levels]
     duration = t - t0
     if duration > 0:
         max_diag = 2.0 * max(s.max_clusters for s in systems)
@@ -281,11 +273,5 @@ def integrate_moments(
                 v += dt * dv
         for v in vals:
             if float(v.min()) < -_BOUNDS_SLACK or float(v.max()) > 1.0 + _BOUNDS_SLACK:
-                raise NumericError(
-                    "moment integration left [0, 1]; reduce dt_max"
-                )
-    out: MomentField | None = None
-    for sys_l, v in zip(systems, vals):
-        out = MomentField(k=sys_l.k, time=t, values=v, system=sys_l, lower=out)
-    assert out is not None
-    return out
+                raise NumericError("moment integration left [0, 1]; reduce dt_max")
+    return MomentField(system, t, tuple(vals))

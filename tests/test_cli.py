@@ -132,6 +132,29 @@ def test_simulate_tol_with_one_replica_warns_without_numpy(capsys):
     assert "warning: one replica has no standard error" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_simulate_tol_must_be_finite_and_positive(tol, monkeypatch, capsys):
+    # Refused while parsing, before anything is drawn.
+    monkeypatch.setattr(sepsim.forward, "_exact_start", None)
+    with pytest.raises(SystemExit) as exc:
+        # "=" so that argparse hands "-1" to the tolerance parser
+        run(["simulate", "--size", "4", "--replicas", "4", "--samples", "5", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and > 0" in capsys.readouterr().err
+
+
+def test_simulate_refuses_rounds_past_the_round_cap(monkeypatch, capsys):
+    # One lane at S = 700 asks for 20,070,400 rounds, far below the lane-round
+    # cap but past ROUND_CAP: refused before any lane is drawn or fired.
+    def refuse(*_):
+        raise AssertionError("engine ran")
+
+    monkeypatch.setattr(sepsim.forward, "_exact_start", refuse)
+    monkeypatch.setattr(sepsim.forward, "_run_rounds", refuse)
+    assert run(["simulate", "--size", "700", "--replicas", "1", "--samples", "1"]) == 4
+    assert "20070400 rounds per lane" in capsys.readouterr().err
+
+
 def test_dual_csv_has_exact_column(tmp_path):
     out = tmp_path / "du.csv"
     code = run([
@@ -389,6 +412,16 @@ def test_sweep_beyond_former_solver_limits(tmp_path):
 def test_sweep_rejects_equal_alphas(capsys):
     assert run(["sweep", "--alphas", "0.4,0.4", "--grid", "8,16"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_rejects_repeated_sizes(capsys):
+    # A repeated size would fit the slope through fewer distinct points than rows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["sweep", "--grid", "8,16,8"]) == 2
+    err = capsys.readouterr().err
+    assert "error: grid sizes must be distinct" in err
+    assert "Warning" not in err
 
 
 def test_aux_table(tmp_path):

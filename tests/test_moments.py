@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from sepsim.errors import ResourceError, ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
 from sepsim.forward import transient_moment
 from sepsim.moments import (
+    MomentField,
+    MomentSystem,
     _closed_form,
     build_moment_system,
     field_from_configuration,
@@ -153,6 +157,48 @@ def test_build_validation_and_cap():
         build_moment_system(ModelParams(size=4), 5)
     with pytest.raises(ResourceError):
         build_moment_system(ModelParams(size=60), 5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_size_and_level(), st.integers(0, 2**32 - 1))
+def test_field_holds_one_array_per_level(case, seed):
+    size, k = case
+    system = build_moment_system(ModelParams(size=size), k)
+    bits = np.random.default_rng(seed).integers(0, 2, size)
+    occ = np.concatenate(([0], bits, [1])).astype(bool)
+    config = Configuration.from_interior_string("".join(map(str, bits)))
+    stat, start = stationary_moments(system), field_from_configuration(system, config)
+    for field in (stat, start):
+        assert len(field.levels) == k
+        for level, values in zip(system.chain(), field.levels):
+            assert values.shape == (math.comb(size, level.k),)
+        # walking .lower from the top gives back the same arrays, top first
+        node = field
+        for level, values in zip(system.chain()[::-1], field.levels[::-1]):
+            assert node.system == level and node.k == level.k and node.values is values
+            node = node.lower
+        assert node is None
+    # level j lists its values in the order of that level's points
+    for level, on, fixed in zip(system.chain(), start.levels, stat.levels):
+        assert np.array_equal(on, occ[level.points].all(axis=1))
+        assert np.array_equal(fixed, [stationary_moment(size, p) for p in level.subsets])
+    # an equal system built separately drives the same integration
+    twin = build_moment_system(ModelParams(size=size, seed=seed + 1), k)
+    assert twin == system and twin is not system
+    out = integrate_moments(twin, start, 0.1)
+    assert out.system == system and len(out.levels) == k
+
+
+def test_direct_construction_is_checked():
+    for size, k in [(4, 0), (4, 5), (1, 2), (3, -1)]:
+        with pytest.raises(ValidationError):
+            MomentSystem(size, k)
+    # the cap holds at every level, not only the top one
+    for size, k in [(60, 5), (60, 58)]:
+        with pytest.raises(ResourceError):
+            MomentSystem(size, k)
+    with pytest.raises(ValidationError):
+        MomentField(MomentSystem(5, 2), None, (np.zeros(5),))
 
 
 def test_stationary_level_one_is_linear():
