@@ -3,16 +3,17 @@
 Every command computes its configuration fields, a JSON payload and its CSV
 tables, each table a list of columns, and hands them to one writer, _emit.
 A payload value needed only in JSON may be a function that builds it, so
-CSV output never builds it. CSV rows are formatted and written in chunks of
-_CHUNK_ROWS, each float by its repr. The writer echoes the
-configuration, with the command name and a timestamp (left out under
---deterministic, so repeated runs are byte-identical), into every file: CSV
-files start with a `# config: {...}` comment line, JSON files carry a
-`config` key. JSON output is the payload in one file; duality-check always
-writes JSON. CSV output writes a table of suffix None to --output and any
-other table to `<stem>_<suffix>.csv`, the stem being --output without a .csv
-or .json extension, plus `<stem>_summary.json` when the payload has a
-"summary". Without --output everything goes to stdout.
+CSV output never builds it; a generator it builds is its own JSON text. CSV
+rows, and exact's JSON pi object, go out in chunks of _CHUNK_ROWS, each
+float by its repr. The writer echoes the configuration, with the command
+name and a timestamp (left out under --deterministic, so repeated runs are
+byte-identical), into every file: CSV files start with a `# config: {...}`
+comment line, JSON files carry a `config` key. JSON output is the payload in
+one file; duality-check always writes JSON. CSV output writes a table of
+suffix None to --output and any other table to `<stem>_<suffix>.csv`, the
+stem being --output without a .csv or .json extension, plus
+`<stem>_summary.json` when the payload has a "summary". Without --output
+everything goes to stdout.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Generator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -92,6 +94,28 @@ def _json_text(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
 
+def _json_object(keys: np.ndarray, values: np.ndarray):
+    """json.dumps text of a dict one level deep: sorted plain bytes keys, finite floats."""
+    sep = ",\n    "
+    for lo in range(0, len(keys), _CHUNK_ROWS):
+        chunk = slice(lo, lo + _CHUNK_ROWS)
+        kv = zip(keys[chunk].tolist(), values[chunk].tolist())
+        yield ("{\n    " if lo == 0 else sep) + sep.join(f'"{k.decode()}": {v!r}' for k, v in kv)
+    yield "\n  }" if len(keys) else "{}"
+
+
+def _json_parts(config: dict, payload: dict):
+    """_json_text(config, payload) in parts; a generator value is its own text."""
+    yield "{"
+    for j, (key, value) in enumerate(sorted({"config": config, **payload}.items())):
+        yield ("\n  " if j == 0 else ",\n  ") + json.dumps(key) + ": "
+        if isinstance(value, Generator):
+            yield from value
+        else:
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
 def _write(path: str | None, parts) -> None:
     """Write an iterable of strings to path, or to stdout when path is None."""
     if path is None:
@@ -127,7 +151,7 @@ def _emit(args: argparse.Namespace, config: dict, payload: dict, tables=()) -> N
     out = args.output
     if getattr(args, "format", "json") == "json":
         payload = {key: v() if callable(v) else v for key, v in payload.items()}
-        _write(out, [_json_text(config, payload)])
+        _write(out, _json_parts(config, payload))
         return
     stem = out
     if out is not None and Path(out).suffix in (".csv", ".json"):
@@ -172,14 +196,16 @@ def cmd_exact(args: argparse.Namespace) -> int:
     m2 = (x + 1, y + 1, np.array(list(pair_moments(pi).values())))  # x < y, lex order
     codes = np.arange(1 << s, dtype=np.uint32)
     chars = np.empty((1 << s, s), dtype=np.uint8)
+    in_key_order = np.zeros(1, dtype=np.int64)  # codes bit-reversed: states sorted
     for j in range(s):  # site j+1 is bit j, written leftmost first
         chars[:, j] = ord("0") + (codes >> j & 1)
+        in_key_order = np.concatenate((2 * in_key_order, 2 * in_key_order + 1))
     states, probs = chars.view(f"S{s}")[:, 0], pi.probabilities
     payload = {
         "max_m1_deviation": max_dev,
         "m1": _rows(*m1),
         "m2": _rows(*m2),
-        "pi": lambda: dict(zip(map(bytes.decode, states.tolist()), probs.tolist())),
+        "pi": lambda: _json_object(states[in_key_order], probs[in_key_order]),
         "residual": pi.residual,
     }
     tables = [

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with sepsim, not on the first draw
 
 from .errors import NumericError, ResourceError, ValidationError
 
@@ -45,7 +46,7 @@ _MASK64 = (1 << 64) - 1
 # accepts, and the most Euler steps a moment integration takes.
 ROUND_CAP = 5_000_000
 
-# Largest accepted residual of a direct solve or a certified exact vector.
+# Largest accepted relative residual of a checked identity or a certified exact vector.
 MAX_RESIDUAL = 1e-10
 
 # A word of the bit-sliced samplers with every lane set: bit r of word w is

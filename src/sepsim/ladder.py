@@ -6,14 +6,14 @@ independent pair only while the walkers sit next to each other, so the gap
 between the two success probabilities can be organized by the number of such
 meetings. The pieces:
 
-* the first-meeting kernel: the distribution of the lower position n when the
-  pair first reaches distance 1. The lower walker touching 0 ends the family,
-  while the upper walker freezes at S+1 and the lower walks on, so a meeting
-  at (S, S+1) is possible and is recorded as n = S;
-* the repeat-meeting factors: C[1] sums the kernel over interior meeting
-  positions n <= S-1, and C[k] chains the kernel through the two distance-2
-  restart points around each meeting. C[k] is the probability of at least k
-  interior meetings before the family ends;
+* the first-meeting masses: the chance that the pair first reaches distance
+  1 at (n, n+1), for each interior n <= S-1. The lower walker touching 0 ends
+  the family; once the upper walker freezes at S+1, no interior meeting is
+  left;
+* the repeat-meeting factors: C[1] sums the masses from the start, and C[k]
+  chains them through the two distance-2 restart points around each
+  meeting. C[k] is the probability of at least k interior meetings before
+  the family ends;
 * the ladder: each extra required meeting costs exactly C[k]/(2(S+1)^2), so
   the success probability after k meetings is P[k] = P[0] - sum of those
   costs, and P[k] converges to the exclusion-pair value from above;
@@ -22,16 +22,15 @@ meetings. The pieces:
   bounds C[k] and gives the geometric tail estimate and the closing bound
   P[0] - P[inf] <= 1/(2(S+1)) - 1/(S+1)^2.
 
-All of it comes from one sparse first-passage system A m = R over the
-n_states = S(S-1)/2 transient pair states, R holding one column per meeting
-position plus one for death. It is factored once per size (minimum-degree
-ordering on A + A^T) and the masses are never tabulated: a ladder rung
-needs only the S restart and start rows of A^-1 R applied to one vector, so
-it costs one solve. Ladders deeper than S-2 rungs tabulate those S rows
-instead, with S-1 solves in column blocks and two more that refine the
-leading mode. No route takes more than S+1 solves. MAX_KERNEL_ENTRIES caps
-n_states x (S+1), the system size times the solve count, and admits
-S <= 512.
+All of it comes from one table, the masses from the S-1 restart points
+(m, m+2) and from the start, and each rung is one product of the table with
+a vector. Before its first meeting the pair is two independent walkers
+killed when they meet (Karlin and McGregor, Pacific J. Math. 9 (1959) 1141),
+so in (a, b) = (x, y-1) a combination of masses is harmonic on the chamber
+1 <= a < b <= S-1, zero at death (a = 0) and at freezing (b = S). Reflected
+across the diagonal, it solves a Dirichlet problem on a square, whose sine
+series _meeting_masses sums in O(S^3) flops. Two harmonic functions that
+vanish at death and at freezing check every row. MAX_LADDER_SIZE caps S.
 
 Two Monte Carlo samplers check the pieces, both on core.lockstep until every
 replica is closed. simulate_hybrid_pair moves the pair on the bit-sliced
@@ -49,12 +48,9 @@ counts behind them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import core
 from .core import (
@@ -71,10 +67,12 @@ from .dual import absorbing_run, stationary_moment
 from .errors import NumericError, ResourceError, ValidationError
 
 _EARLY_STOP_GAMMA = 1e-12
-# Caps n_states x (S+1): the system has n_states = S(S-1)/2 unknowns and a
-# ladder takes at most S+1 solves of it. 2**26 admits S <= 512.
-MAX_KERNEL_ENTRIES = 2**26
-_SOLVE_BLOCK = 64  # right-hand sides per solve when tabulating restart masses
+MAX_LADDER_SIZE = 512
+_BLOCK = 64  # table rows per pair of matrix products
+# BLAS runs a product of this many multiply-adds on one thread; threaded, a
+# 64 x 255 x 254 one took 11-16 ms on a busy two-core host, not 0.2-0.6 ms.
+_SERIAL_MACS = 1 << 18
+_EXP_FLOOR = -500.0  # least decay exponent: nothing underflows, and less is negligible
 _CHUNK = 32  # reflected-walk moves per open walker and lockstep round
 
 
@@ -94,64 +92,6 @@ def gamma_closed_form(size: int, k: int) -> float:
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     return ((size - 1) / size) ** k
-
-
-class _KernelTable:
-    """Sparse LU factor of the first-meeting system for one size.
-
-    The unknowns are the transient pair states; column n-1 of the right-hand
-    side matrix collects the one-step mass into a meeting at n (n = 1..S) and
-    column S the mass into the lower walker's death. Masses are never
-    tabulated: callers solve for the combinations they need.
-    """
-
-    def __init__(self, size: int) -> None:
-        s = size
-        n_states = s * (s - 1) // 2  # gap >= 2 pairs plus (a, S+1) states
-        if n_states * (s + 1) > MAX_KERNEL_ENTRIES:
-            raise ResourceError(
-                f"meeting-kernel system needs {n_states} states x {s + 1} solves "
-                f"at size {s}, cap is {MAX_KERNEL_ENTRIES}"
-            )
-        a, b = np.triu_indices(s + 2, k=2)
-        a, b = a[a >= 1].astype(np.int16), b[a >= 1].astype(np.int16)
-        self.index = np.full((s + 2, s + 2), -1, dtype=np.int32)
-        self.index[a, b] = np.arange(n_states)
-        # Moves (a-1, b), (a+1, b) for every state, then (a, b-1), (a, b+1)
-        # while the upper walker is in the bulk; it is frozen at S+1.
-        bulk = np.flatnonzero(b <= s).astype(np.int32)
-        src = np.concatenate([np.arange(n_states, dtype=np.int32)] * 2 + [bulk] * 2)
-        to_a = np.concatenate([a - 1, a + 1, a[bulk], a[bulk]])
-        to_b = np.concatenate([b, b, b[bulk] - 1, b[bulk] + 1])
-        w = np.where(b <= s, 0.25, 0.5)[src]
-        hit = (to_a == 0) | (to_b - to_a == 1)  # death, or a meeting at (n, n+1)
-        col = np.where(to_a == 0, s, to_a - 1)
-        self.rhs = sp.csr_matrix((w[hit], (src[hit], col[hit])), shape=(n_states, s + 1))
-        step = ~hit
-        src, dst, w = src[step], self.index[to_a[step], to_b[step]], w[step]
-        del to_a, to_b, col, hit, step  # keeps the traced build peak low
-        diag = np.arange(n_states, dtype=np.int32)
-        self.system = sp.csc_matrix(
-            (
-                np.concatenate([np.ones(n_states), -w]),
-                (np.concatenate([diag, src]), np.concatenate([diag, dst])),
-            ),
-            shape=(n_states, n_states),
-        )
-        self.lu = splu(self.system, permc_spec="MMD_AT_PLUS_A")
-
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """One checked solve of the system (trans="T": its transpose)."""
-        x = self.lu.solve(rhs, trans=trans)
-        matrix = self.system if trans == "N" else self.system.T
-        residual = float(np.abs(matrix @ x - rhs).max())
-        check_residual("meeting-kernel solve", residual, MAX_RESIDUAL)
-        return x
-
-
-@functools.lru_cache(maxsize=8)
-def _kernel_table(size: int) -> _KernelTable:
-    return _KernelTable(size)
 
 
 def _check_start(size: int, x: int, y: int) -> None:
@@ -196,29 +136,51 @@ class LadderTable:
         return gamma_closed_form(s, self.k_max + 1) * s / (2 * (s + 1) ** 2)
 
 
-def _pair_sum(v: np.ndarray) -> np.ndarray:
-    """Sum over the restart points (n-1, n+1) and (n, n+2) of a meeting at n."""
-    return v + np.concatenate(([0.0], v[:-1]))
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T in pieces of at most _SERIAL_MACS multiply-adds."""
+    step = max(1, _SERIAL_MACS // a.size)
+    return np.hstack([a @ b[j : j + step].T for j in range(0, max(len(b), 1), step)])
 
 
-def _leading_correction(
-    table: _KernelTable, masses: np.ndarray, r_int: sp.csr_matrix, rows: np.ndarray
-) -> np.ndarray:
-    """Rank-one update that refines the restart masses along the leading mode.
+def _meeting_masses(size: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mass of a first interior meeting at n = 1..S-1 from each pair start (x, y).
 
-    Deep rungs scale like lambda^k, so a relative error e in the leading
-    eigenvalue of the restart recurrence grows to k*e in c_start[k]. LU
-    rounding leaves e at a few 1e-16, about 3e-12 by rung 7060 at S=256. One
-    solve along the leading restart vector, refined once on its residual,
-    removes most of it for two more solves.
+    Entry n is K(n-1) + K(n), K(p) = G((a, b), (p, p+1)) - G((a, b), (p+1, p))
+    with (a, b) = (x, y-1) and K(0) = K(S-1) = 0. The square's Green function
+    is G(u, v) = sum_i V[u1, i] V[v1, i] g_i(u2, v2), V[x, i] = sqrt(2/S)
+    sin(pi x i / S), g_i(u, v) = sinh(min(u, v) t) sinh((S - max(u, v)) t) /
+    (sinh t sinh S t), cosh t = 2 - cos(i pi / S). K subtracts per mode, so
+    nothing cancels across modes. g_i(b, q) splits on each side of q = b, so
+    blocks of _BLOCK rows sorted by b take one product per side, exponents
+    split at the block's edge on that side.
     """
-    pair = np.eye(masses.shape[1]) + np.eye(masses.shape[1], k=-1)
-    w, vecs = np.linalg.eig(masses[:-1] @ pair)
-    u = pair @ np.real(vecs[:, np.argmax(np.abs(w))])
-    b = r_int @ u
-    y = table.solve(b)
-    y += table.solve(b - table.system @ y)
-    return np.outer(y[rows] - masses @ u, u) / (u @ u)
+    s, order = size, np.argsort(y, kind="stable")
+    a, b = x[order], y[order] - 1  # rows sorted by b
+    sites, i = np.arange(s + 1), np.arange(1, s)
+    v = np.sqrt(2 / s) * np.sin(np.pi * (np.outer(sites, i) % (2 * s)) / s)
+    theta = np.arccosh(2 - np.cos(np.pi * i / s))
+
+    def half(d):  # sinh(d theta) e^(-d theta), one column per mode
+        return -np.expm1(-2 * np.multiply.outer(d, theta)) / 2
+
+    den = np.sinh(theta) * half(s)
+    decay = np.exp(np.maximum(-np.outer(sites, theta), _EXP_FLOOR))
+    p = np.arange(1, s - 1)
+    # K's mode terms over V[a, i]: e^((b-p) theta) half(b) up[p] for p >= b,
+    # e^((p-b) theta) half(S-b) down[p] / den below
+    up = (v[p] * decay[1] * half(s - p - 1) - v[p + 1] * half(s - p)) / den
+    down = v[p] * half(p + 1) / decay[1] - v[p + 1] * half(p)
+    green = np.zeros((len(a), s))  # K(p), p = 0..S-1
+    for j in range(0, len(a), _BLOCK):
+        ar, br, block = a[j : j + _BLOCK], b[j : j + _BLOCK], green[j : j + _BLOCK]
+        lo, hi = min(int(br[0]), s - 1), int(br[-1])
+        top = min(hi, s - 1)  # columns p >= lo take above, p < top below
+        above = _product(v[ar] * half(br) / decay[br - lo], decay[: s - 1 - lo] * up[lo - 1 :])
+        scaled = v[ar] * half(s - br) / (decay[hi - br] * den)
+        below = _product(scaled, decay[hi - 1 : hi - top : -1] * down[: top - 1])
+        block[:, lo : s - 1] = above
+        block[:, 1:top] = np.where(p[: top - 1] < br[:, None], below, block[:, 1:top])
+    return (green[:, 1:] + green[:, :-1])[np.argsort(order)]
 
 
 def ladder_tables(
@@ -239,47 +201,30 @@ def ladder_tables(
     _check_start(s, x0, y0)
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    if s > MAX_LADDER_SIZE:
+        raise ResourceError(f"ladder size {s} exceeds the cap of {MAX_LADDER_SIZE}")
     eff_k = _early_stop(s, k_max)
-    # The rows of A^-1 R_int the ladder reads: the restart points (m, m+2)
-    # for m = 1..S-1, then the user's start.
-    table = _kernel_table(s)
-    rows = np.append(table.index[np.arange(1, s), np.arange(3, s + 2)], table.index[x0, y0])
-    r_int = table.rhs[:, : s - 1]
-    if eff_k < s - 1:  # one solve per rung
-
-        def restart(combo: np.ndarray) -> np.ndarray:
-            return table.solve(r_int @ combo)[rows]
-
-    else:  # S-1 solves, in column blocks, tabulate the S rows once
-        masses = np.hstack(
-            [
-                table.solve(r_int[:, j : j + _SOLVE_BLOCK].toarray())[rows]
-                for j in range(0, s - 1, _SOLVE_BLOCK)
-            ]
-        )
-        masses += _leading_correction(table, masses, r_int, rows)
-
-        def restart(combo: np.ndarray) -> np.ndarray:
-            return masses @ combo
-
+    # The rows the ladder reads: the restart points (m, m+2) for m = 1..S-1,
+    # then the user's start.
+    x = np.append(np.arange(1, s), x0)
+    y = np.append(np.arange(3, s + 2), y0)
+    masses = _meeting_masses(s, x, y)
+    # h = x w and x w (x^2 - w^2), w = S+1-y, vanish at death and at freezing,
+    # so each is its mean over the first meetings (n, n+1), where w = S-n.
+    n, w = np.arange(1, s), s + 1 - y
+    meet = n * (s - n)
+    for h, at_meeting in ((x * w, meet), (x * w * (x**2 - w**2), meet * (2 * n - s) * s)):
+        residual = np.abs(masses @ at_meeting - h).max() / max(np.abs(h).max(), 1)
+        check_residual("meeting-mass identity", float(residual), MAX_RESIDUAL)
     c_start = np.full(eff_k + 1, np.nan)
-    z = restart(np.ones(s - 1))
+    z = masses @ np.ones(s - 1)
     cvec, c_start[1] = z[:-1], z[-1]
-    for k in range(2, eff_k + 1):
-        z = 0.5 * restart(_pair_sum(cvec))
+    for k in range(2, eff_k + 1):  # restarts (n-1, n+1) and (n, n+2) follow a meeting at n
+        z = 0.5 * (masses @ (cvec + np.append(0.0, cvec[:-1])))
         cvec, c_start[k] = z[:-1], z[-1]
-    p = np.zeros(eff_k + 1)
-    p[0] = p0_independent(params, x0, y0)
-    cost = 1.0 / (2 * (s + 1) ** 2)
-    for k in range(1, eff_k + 1):
-        p[k] = p[k - 1] - c_start[k] * cost
-    return LadderTable(
-        size=s,
-        k_max=eff_k,
-        c_start=c_start,
-        p=p,
-        p_inf=stationary_moment(s, (x0, y0)),
-    )
+    spent = np.append(0.0, np.cumsum(c_start[1:])) / (2 * (s + 1) ** 2)
+    p = p0_independent(params, x0, y0) - spent
+    return LadderTable(s, eff_k, c_start, p, stationary_moment(s, (x0, y0)))
 
 
 def simulate_hybrid_pair(

@@ -12,7 +12,8 @@ levels, their ordered subsets and their matrices are derived; a field holds
 one value array per level, level 1 first. A level holds its ordered k-subsets
 as the rows of one (n, k) int array in lex order, and a subset's row is its
 lex rank. The matrices are built on first use, from cluster ends read off
-rows padded with sentinels and from the ranks of the shifted rows. The
+rows padded with sentinels and from the ranks of the shifted rows, and held
+as numpy arrays of column indices and coefficients, one row per row. The
 stationary field is the closed form of dual.stationary_moment, so nothing is
 solved or built for it; time integration uses explicit Euler steps, whose
 error is first order in the step size.
@@ -23,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import ROUND_CAP, Configuration, ModelParams
 from .dual import stationary_moment
@@ -70,11 +71,11 @@ class MomentSystem:
         return tuple(map(tuple, self.points.tolist()))
 
     @property
-    def a_matrix(self) -> sp.csr_matrix:
+    def a_matrix(self) -> "RowMatrix":
         return _structure(self.size, self.k)[0]
 
     @property
-    def b_matrix(self) -> sp.csr_matrix:
+    def b_matrix(self) -> "RowMatrix":
         return _structure(self.size, self.k)[1]
 
     @property
@@ -97,6 +98,26 @@ class MomentSystem:
     def chain(self) -> list["MomentSystem"]:
         """Systems from level 1 up to this level."""
         return [MomentSystem(self.size, level) for level in range(1, self.k + 1)]
+
+
+class RowMatrix(NamedTuple):
+    """Row i holds coef[i, j] at column cols[i, j]; nonzero ones' columns ascend."""
+
+    cols: np.ndarray
+    coef: np.ndarray
+    shape: tuple[int, int]
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """Each row summed from 0.0 in slot order, so in ascending column order."""
+        out = np.zeros(len(self.cols))
+        for cols, coef in zip(self.cols.T, self.coef.T):
+            out += coef * v[cols]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (np.arange(len(self.cols))[:, None], self.cols), self.coef)
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,28 +188,34 @@ def _rank(size: int, rows: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _structure(size: int, k: int):
-    """Unscaled A and B matrices and the most clusters of a row, for one (size, level)."""
+    """Unscaled A and B matrices and the most clusters of a row, for one (size, level).
+
+    A's slots are the left shifts of a row's points, first point first, its
+    diagonal, and its right shifts, last point first, so the columns ascend;
+    a shift that does not exist has a zero coefficient, which adds nothing.
+    """
     rows = _subsets(size, k)
     n = len(rows)
     padded = np.pad(rows, ((0, 0), (1, 1)), constant_values=(-1, size + 2))
     gap = np.diff(padded) > 1
     first, last = gap[:, :-1], gap[:, 1:]  # point j starts, ends a cluster
     clusters = first.sum(axis=1)
-    entries = [(np.arange(n), np.arange(n), -2.0 * clusters)]
+    cols = np.zeros((n, 2 * k + 1), dtype=np.int64)
+    coef = np.zeros(cols.shape)
+    cols[:, k], coef[:, k] = np.arange(n), -2.0 * clusters
     # a left shift onto site 0 vanishes; a right shift onto S+1 feeds b
     for ends, step in ((first & (rows > 1), -1), (last & (rows < size), 1)):
         i, j = np.nonzero(ends)
         shifted = rows[i].copy()
         shifted[np.arange(len(i)), j] += step
-        entries.append((i, _rank(size, shifted), np.ones(len(i))))
-    i, c, v = (np.concatenate(parts) for parts in zip(*entries))
-    a = sp.csr_matrix((v, (i, c)), shape=(n, n))
-    src = np.flatnonzero(rows[:, -1] == size)
-    dst = _rank(size, rows[src, :-1]) if k > 1 else np.zeros(len(src), dtype=np.int64)
-    b = sp.csr_matrix(
-        (np.ones(len(src)), (src, dst)), shape=(n, math.comb(size, k - 1))
-    )
-    return a, b, int(clusters.max())
+        slot = k + step * (k - j)
+        cols[i, slot], coef[i, slot] = _rank(size, shifted), 1.0
+    fed = rows[:, -1] == size
+    b_cols = np.zeros((n, 1), dtype=np.int64)
+    if k > 1:
+        b_cols[fed, 0] = _rank(size, rows[fed, :-1])
+    b = RowMatrix(b_cols, fed[:, None].astype(np.float64), (n, math.comb(size, k - 1)))
+    return RowMatrix(cols, coef, (n, n)), b, int(clusters.max())
 
 
 def build_moment_system(params: ModelParams, k: int) -> MomentSystem:

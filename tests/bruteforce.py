@@ -3,15 +3,17 @@
 Everything here is written from first principles in a deliberately plain
 style: states are occupancy tuples, generators are dense, Monte Carlo runs
 are scalar per-replica loops. None of it shares an algorithm with the
-package, so agreement is meaningful. The one exception is
-first_meeting_kernel, a test-only reader of the ladder's factored system. The
-loop-built moment hierarchy (moment_structure) is the oracle of the array
-code in sepsim.moments. The scalar reference walkers at the end take the
+package, so agreement is meaningful. The sparse first-meeting system, one
+unknown per transient pair state and LU-factored once per size, is the
+oracle of the ladder's sine-series meeting masses. The loop-built moment
+hierarchy (moment_structure) is the oracle of the array code in
+sepsim.moments. The scalar reference walkers at the end take the
 package's value types (configurations, point sets, errors) so that their
 tests read like the package's own.
 """
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, null_space
+from scipy.sparse.linalg import splu
 
 from sepsim import ladder
-from sepsim.core import Configuration, validate_point_set
+from sepsim.core import MAX_RESIDUAL, Configuration, check_residual, validate_point_set
 from sepsim.errors import NumericError, ValidationError
 
 
@@ -282,6 +285,11 @@ def dense_ladder(size, x0, y0, k_max):
     index, masses = dense_meeting_table(size)
     user = masses[index[(x0, y0)], : size - 1]
     interior = masses[[index[(m, m + 2)] for m in range(1, size)], : size - 1]
+    return _ladder_from_masses(size, x0, y0, k_max, user, interior)
+
+
+def _ladder_from_masses(size, x0, y0, k_max, user, interior):
+    """The ladder recurrence on the interior meeting masses of the start and restart rows."""
     c = np.full(k_max + 1, np.nan)
     cvec = interior.sum(axis=1)
     c[1] = user.sum()
@@ -303,24 +311,90 @@ class MeetingKernel:
     no_meet_mass: float
 
 
+class MeetingSystem:
+    """Sparse LU factor of the first-meeting system A m = R for one size.
+
+    The unknowns are the transient pair states (a, b), 1 <= a and
+    b - a >= 2, with b = S+1 for a frozen upper walker; column n-1 of R
+    collects the one-step mass into a meeting at n (n = 1..S) and column S
+    the mass into the lower walker's death.
+    """
+
+    def __init__(self, size):
+        s = size
+        n_states = s * (s - 1) // 2  # gap >= 2 pairs plus (a, S+1) states
+        a, b = np.triu_indices(s + 2, k=2)
+        a, b = a[a >= 1], b[a >= 1]
+        self.index = np.full((s + 2, s + 2), -1, dtype=np.int64)
+        self.index[a, b] = np.arange(n_states)
+        # Moves (a-1, b), (a+1, b) for every state, then (a, b-1), (a, b+1)
+        # while the upper walker is in the bulk; it is frozen at S+1.
+        bulk = np.flatnonzero(b <= s)
+        src = np.concatenate([np.arange(n_states)] * 2 + [bulk] * 2)
+        to_a = np.concatenate([a - 1, a + 1, a[bulk], a[bulk]])
+        to_b = np.concatenate([b, b, b[bulk] - 1, b[bulk] + 1])
+        w = np.where(b <= s, 0.25, 0.5)[src]
+        hit = (to_a == 0) | (to_b - to_a == 1)  # death, or a meeting at (n, n+1)
+        col = np.where(to_a == 0, s, to_a - 1)
+        self.rhs = sp.csr_matrix((w[hit], (src[hit], col[hit])), shape=(n_states, s + 1))
+        step = ~hit
+        src, dst, w = src[step], self.index[to_a[step], to_b[step]], w[step]
+        diag = np.arange(n_states)
+        self.system = sp.csc_matrix(
+            (
+                np.concatenate([np.ones(n_states), -w]),
+                (np.concatenate([diag, src]), np.concatenate([diag, dst])),
+            ),
+            shape=(n_states, n_states),
+        )
+        self.lu = splu(self.system, permc_spec="MMD_AT_PLUS_A")
+
+    def solve_transposed(self, rhs):
+        """One checked solve of A^T z = rhs."""
+        z = self.lu.solve(rhs, trans="T")
+        check_residual(
+            "meeting-kernel solve", float(np.abs(self.system.T @ z - rhs).max()), MAX_RESIDUAL
+        )
+        return z
+
+    def masses(self, x, y):
+        """Rows (x, y) of A^-1 R, one column per meeting position n = 1..S, then death."""
+        rows = self.index[np.asarray(x), np.asarray(y)]
+        out = []
+        for block in np.array_split(rows, -(-len(rows) // 64)):  # 64 unit vectors a solve
+            unit = np.zeros((self.system.shape[0], len(block)))
+            unit[block, np.arange(len(block))] = 1.0
+            out.append((self.rhs.T @ self.solve_transposed(unit)).T)
+        return np.vstack(out)
+
+
+@functools.lru_cache(maxsize=4)
+def meeting_system(size):
+    return MeetingSystem(size)
+
+
 def first_meeting_kernel(params, x, y):
     """Distribution of the lower position at the pair's first distance-1 state.
 
-    One transposed solve of the ladder's own factored first-meeting system
-    (ladder._kernel_table), so the kernel tests check that system; the dense
+    One transposed solve of the sparse first-meeting system; the dense
     oracle above checks it independently.
     """
     s = params.size
     if s < 3:
         raise ValidationError("meeting kernel needs size >= 3")
     ladder._check_start(s, x, y)
-    table = ladder._kernel_table(s)
-    unit = np.zeros(table.system.shape[0])
-    unit[table.index[x, y]] = 1.0
-    row = table.rhs.T @ table.solve(unit, trans="T")
+    row = meeting_system(s).masses([x], [y])[0]
     mass = np.zeros(s + 1)
     mass[1:] = row[:s]
     return MeetingKernel(start=(x, y), mass=mass, no_meet_mass=float(row[s]))
+
+
+def lu_ladder(size, x0, y0, k_max):
+    """Meeting factors and ladder, as dense_ladder, from the sparse system's masses."""
+    x = np.append(np.arange(1, size), x0)
+    y = np.append(np.arange(3, size + 2), y0)
+    masses = meeting_system(size).masses(x, y)[:, : size - 1]
+    return _ladder_from_masses(size, x0, y0, k_max, masses[-1], masses[:-1])
 
 
 def cluster_decompose(points):

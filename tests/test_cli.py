@@ -2,7 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,3 +624,32 @@ def test_exact_builds_the_pi_payload_only_for_json(fmt, calls, monkeypatch, tmp_
     out = tmp_path / f"ex.{fmt}"
     assert run(["exact", "--size", "4", "--format", fmt, "--output", str(out)]) == 0
     assert len(built) == calls
+
+
+@pytest.mark.parametrize("chunk", [7, sepsim.cli._CHUNK_ROWS])
+def test_exact_json_streams_what_json_dumps_writes(chunk, monkeypatch, tmp_path):
+    # The "pi" object goes out in chunks; the file must still be the
+    # json.dumps text of its own content, sorted keys and indent included.
+    monkeypatch.setattr(sepsim.cli, "_CHUNK_ROWS", chunk)
+    out = tmp_path / "ex.json"
+    assert run(["exact", "--size", "10", "--format", "json", "--output", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert len(doc["pi"]) == 1 << 10
+    assert text == sepsim.cli._json_text(doc.pop("config"), doc)
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    # A command imports nothing inside main that loading sepsim.cli could
+    # have imported, and sepsim runs on numpy alone.
+    src = Path(sepsim.cli.__file__).parent
+    code = (
+        "import sys, sepsim.cli; "
+        "print([m for m in sys.modules if m.startswith('scipy')], 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "True"]
+    for module in src.glob("*.py"):
+        assert "scipy" not in module.read_text(), module.name

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
 
 import sepsim.ladder
 import sepsim.core
@@ -12,8 +11,10 @@ from bruteforce import (
     dense_ladder,
     dense_meeting_table,
     first_meeting_kernel,
+    lu_ladder,
     mc_first_meeting,
     mc_repeat_meetings,
+    meeting_system,
     reflected_walk_reference,
 )
 from sepsim.core import ModelParams, lockstep, mean_stderr, site_dtype
@@ -21,7 +22,8 @@ from sepsim.dual import estimate_absorption
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
     _CHUNK,
-    MAX_KERNEL_ENTRIES,
+    MAX_LADDER_SIZE,
+    _meeting_masses,
     _walk_chunk,
     gamma_closed_form,
     ladder_tables,
@@ -171,8 +173,8 @@ def test_ladder_validation():
 
 
 def test_kernel_table_size_cap():
-    # n_states = S(S-1)/2 rows of S+1 entries: S=512 fits the cap, S=513 not
-    assert 511 * 512 * 513 // 2 <= MAX_KERNEL_ENTRIES < 512 * 513 * 514 // 2
+    # S=512 fits the cap, S=513 not
+    assert MAX_LADDER_SIZE == 512
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError):
@@ -184,58 +186,21 @@ def test_kernel_table_size_cap():
 
 
 def test_kernel_residual_check(monkeypatch):
-    class ZeroSolve:
-        def __init__(self, matrix, **options):
-            pass
+    # All-zero masses break both harmonic identities by their full size.
+    def zeros(size, x, y):
+        return np.zeros((len(x), size - 1))
 
-        def solve(self, rhs, trans="N"):
-            return np.zeros_like(rhs)
-
-    monkeypatch.setattr(sepsim.ladder, "splu", ZeroSolve)
-    sepsim.ladder._kernel_table.cache_clear()
-    try:
-        for k_max in (3, 40):  # one solve per rung; tabulated restart rows
-            with pytest.raises(NumericError):
-                ladder_tables(ModelParams(size=6), 2, 5, k_max=k_max)
+    monkeypatch.setattr(sepsim.ladder, "_meeting_masses", zeros)
+    for k_max in (3, 40):
         with pytest.raises(NumericError):
-            first_meeting_kernel(ModelParams(size=6), 2, 5)
-    finally:
-        sepsim.ladder._kernel_table.cache_clear()
-
-
-def test_solve_count_is_at_most_s_plus_1(monkeypatch):
-    solves = []
-
-    class CountingSolve:
-        def __init__(self, matrix, **options):
-            self.lu = splu(matrix, **options)
-
-        def solve(self, rhs, trans="N"):
-            solves.append(1 if rhs.ndim == 1 else rhs.shape[1])
-            return self.lu.solve(rhs, trans=trans)
-
-    monkeypatch.setattr(sepsim.ladder, "splu", CountingSolve)
-    sepsim.ladder._kernel_table.cache_clear()
-    size = 12
-    try:
-        for k_max, expected in ((5, 5), (size - 2, size - 2), (size - 1, size + 1), (40, size + 1)):
-            solves.clear()
-            ladder_tables(ModelParams(size=size), 3, 8, k_max=k_max)
-            assert sum(solves) == expected
-        solves.clear()
-        first_meeting_kernel(ModelParams(size=size), 3, 8)
-        assert solves == [1]
-    finally:
-        sepsim.ladder._kernel_table.cache_clear()
+            ladder_tables(ModelParams(size=6), 2, 5, k_max=k_max)
 
 
 def test_ladder_allocates_no_dense_table():
-    # tracemalloc sees numpy's buffers, not SuperLU's own allocations, so the
-    # factor is not counted. Everything else the ladder builds from a cold
-    # cache must stay far below one n_states x (S+1) float64 table.
+    # Everything the ladder builds must stay far below one
+    # n_states x (S+1) float64 table of the sparse first-meeting system.
     size = 128
     n_states = size * (size - 1) // 2
-    sepsim.ladder._kernel_table.cache_clear()
     tracemalloc.start()
     try:
         ladder_tables(ModelParams(size=size), 32, 96, k_max=40)
@@ -243,6 +208,53 @@ def test_ladder_allocates_no_dense_table():
     finally:
         tracemalloc.stop()
     assert peak < n_states * (size + 1) * 8 / 4
+
+
+@st.composite
+def _pair_starts(draw):
+    size = draw(st.integers(3, 40))
+    starts = draw(
+        st.lists(
+            st.integers(1, size - 1).flatmap(
+                lambda x: st.tuples(st.just(x), st.integers(x + 2, size + 1))
+            ),
+            min_size=1,
+            max_size=70,
+        )
+    )
+    return size, np.array(starts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_pair_starts())
+def test_meeting_masses_match_lu_oracle(case):
+    # Random starts, frozen ones (y = S+1) and repeats included, in more
+    # than one block of rows.
+    size, starts = case
+    x, y = starts.T
+    masses = _meeting_masses(size, x, y)
+    want = meeting_system(size).masses(x, y)[:, : size - 1]
+    assert np.abs(masses - want).max() <= 1e-14
+    n = np.arange(1, size)
+    w, m = size + 1 - y, size - n
+    assert np.allclose(masses @ (n * m), x * w, rtol=0, atol=1e-12 * size**2)
+    h2 = x * w * (x**2 - w**2)
+    assert np.allclose(masses @ (n * m * (n**2 - m**2)), h2, rtol=0, atol=1e-12 * size**4)
+
+
+def test_deep_ladder_matches_lu_oracle_route():
+    size, x, y = 256, 64, 192
+    t = ladder_tables(ModelParams(size=size), x, y, k_max=100_000)
+    assert t.k_max == 7060  # the early stop
+    c, p = lu_ladder(size, x, y, t.k_max)
+    assert np.allclose(t.c_start[1:], c[1:], rtol=1e-10, atol=0)
+    assert np.abs(t.p - p).max() <= 1e-14
+
+
+def test_ladder_at_the_size_cap_raises_no_floating_point_flag():
+    with np.errstate(all="raise"):
+        t = ladder_tables(ModelParams(size=MAX_LADDER_SIZE), 100, 400, k_max=40)
+    assert np.isfinite(t.c_start[1:]).all() and (np.diff(t.p) <= 0).all()
 
 
 @st.composite

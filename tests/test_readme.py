@@ -18,7 +18,7 @@ from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
 from sepsim.exact import MAX_EXACT_SIZE
 from sepsim.forward import CHUNK_WORDS, transient_moment
-from sepsim.ladder import MAX_KERNEL_ENTRIES
+from sepsim.ladder import MAX_LADDER_SIZE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,9 +89,7 @@ def test_aux_size_cap():
 
 def test_ladder_size_cap():
     size = int(stated(r"so sizes above `S = (\d+)` are refused with exit code 4\. \* `odes`"))
-    # transient pair states times the most solves a ladder takes
-    entries = [s * (s - 1) // 2 * (s + 1) for s in (size, size + 1)]
-    assert entries[0] <= MAX_KERNEL_ENTRIES < entries[1]
+    assert size == MAX_LADDER_SIZE
 
 
 def test_odes_euler_step_cap(monkeypatch, tmp_path):
