@@ -46,6 +46,11 @@ _MASK64 = (1 << 64) - 1
 # accepts, and the most Euler steps a moment integration takes.
 ROUND_CAP = 5_000_000
 
+# Most replicas a replica sampler holds at once. The aux walk holds about 13
+# bytes per walker in a round (a coin word, a return count, a position), so
+# this is about 1.3 GB there; the defaults of 10^6 replicas stay well inside.
+MAX_REPLICAS = 10**8
+
 # Largest accepted relative residual of a checked identity or a certified exact vector.
 MAX_RESIDUAL = 1e-10
 
@@ -90,6 +95,14 @@ def site_dtype(top: int) -> type[np.signedinteger]:
     """Narrowest signed integer dtype that holds every site index -1..top."""
     widths = (np.int8, np.int16, np.int32, np.int64)
     return next(t for t in widths if np.iinfo(t).max >= top)
+
+
+def check_replicas(n: int) -> None:
+    """Refuse a replica count below 1 or above MAX_REPLICAS, before any draw."""
+    if n < 1:
+        raise ValidationError(f"n_replicas must be >= 1, got {n}")
+    if n > MAX_REPLICAS:
+        raise ResourceError(f"{n} replicas asked for, cap is {MAX_REPLICAS:.0e}")
 
 
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:

@@ -49,9 +49,10 @@ core.lockstep with words as its rows. After each round a close rule runs on
 whole words: a lane closes once its lowest walker is dead or walker min(k, 2)
 is frozen, so at most one walker is left in the bulk (a hybrid lane also at
 the end of its k-th meeting episode). Whenever the open lanes fit in half the
-words, the held lanes are decoded once: closed lanes are scored, and open
-ones packed densely again in lane order into the first words, so no word
-waits for its slowest lane. estimate_absorption scores the lowest walker's
+words, the held lanes are decoded once into one byte per lane and bit: closed
+lanes are gathered by index and scored, and open ones gathered by index and
+packed densely again in lane order into the first words, so no word waits
+for its slowest lane. estimate_absorption scores the lowest walker's
 ruin line x/(S+1), its exact chance to freeze given the path so far, since
 frozen walkers stop excluding; by the tower rule the estimate stays unbiased.
 A one-point family still walks until it is absorbed. With few replicas the
@@ -77,6 +78,7 @@ from .core import (
     ModelParams,
     PointSet,
     RngStream,
+    check_replicas,
     lane_mean_stderr,
     lockstep,
     mean_stderr,
@@ -113,8 +115,7 @@ def estimate_absorption(
     """
     s = params.size
     pts = validate_point_set(initial, s, interior_only=True)
-    if n_replicas < 1:
-        raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    check_replicas(n_replicas)
     return absorbing_run(s, pts, n_replicas, rng.generator(), lambda x: x[0] / (s + 1))
 
 
@@ -174,8 +175,13 @@ def absorbing_run(
 
 
 def _first_lanes(n: int, n_words: int) -> np.ndarray:
-    """(n_words,) uint64 words with lanes 0..n-1 set."""
-    return np.packbits(np.arange(64 * n_words) < n, bitorder="little").view("<u8")
+    """(n_words,) uint64 words with lanes 0..n-1 set, n <= 64 n_words."""
+    words = np.zeros(n_words, dtype=np.uint64)
+    full, rest = divmod(n, 64)
+    words[:full] = ALL_LANES
+    if rest:
+        words[full] = (1 << rest) - 1
+    return words
 
 
 def _repack(state: np.ndarray, open_: np.ndarray, held: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,9 +192,11 @@ def _repack(state: np.ndarray, open_: np.ndarray, held: int) -> tuple[np.ndarray
     """
     bits = np.unpackbits(state.astype("<u8").view(np.uint8), 1, held, bitorder="little")
     is_open = np.unpackbits(open_.astype("<u8").view(np.uint8), -1, held, "little") == 1
-    kept = np.zeros((len(state), 64 * -(-is_open.sum() // 64)), dtype=np.uint8)
-    kept[:, : is_open.sum()] = bits[:, is_open]
-    return np.packbits(kept, axis=1, bitorder="little").view("<u8"), bits[:, ~is_open]
+    lanes = np.flatnonzero(is_open)
+    kept = np.zeros((len(state), 64 * -(-lanes.size // 64)), dtype=np.uint8)
+    kept[:, : lanes.size] = bits.take(lanes, axis=1)
+    closed = bits.take(np.flatnonzero(~is_open), axis=1)
+    return np.packbits(kept, axis=1, bitorder="little").view("<u8"), closed
 
 
 def _count_episodes(
@@ -235,8 +243,7 @@ def transient_dual_moment(
         raise ValidationError("environment configuration size does not match params")
     if not (t >= 0 and math.isfinite(t)):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    if n_replicas < 1:
-        raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    check_replicas(n_replicas)
     env = initial_env.as_array()
     k = len(pts)
     gen = rng.generator()

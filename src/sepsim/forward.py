@@ -43,6 +43,7 @@ from .core import (
     ModelParams,
     PointSet,
     RngStream,
+    check_replicas,
     lane_mean_stderr,
     mean_stderr,
     poisson_rounds,
@@ -188,8 +189,7 @@ def transient_moment(
         raise ValidationError("initial configuration size does not match params")
     if not (t >= 0 and math.isfinite(t)):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    if n_replicas < 1:
-        raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    check_replicas(n_replicas)
     s = params.size
     pts = validate_point_set(points, s)
     gen = rng.generator()

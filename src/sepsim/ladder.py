@@ -43,11 +43,15 @@ and exits. simulate_aux_walk runs the reflected walk behind gamma_k on
 narrow positions, _CHUNK moves a round, each a bit of a random word, until
 every walk has reached S or made as many returns as the table has rows; the
 open walks stay first, in order, and the closed ones keep their return
-counts behind them.
+counts behind them. The moves go a byte of coins at a time: _byte_table
+holds, for every state and byte, the state after those moves and the
+returns made on the way, so a round is four table lookups per walker, not
+32 moves of several array passes each.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +62,7 @@ from .core import (
     ROUND_CAP,
     ModelParams,
     RngStream,
+    check_replicas,
     check_residual,
     count_mean_stderr,
     lockstep,
@@ -74,6 +79,7 @@ _BLOCK = 64  # table rows per pair of matrix products
 _SERIAL_MACS = 1 << 18
 _EXP_FLOOR = -500.0  # least decay exponent: nothing underflows, and less is negligible
 _CHUNK = 32  # reflected-walk moves per open walker and lockstep round
+_WALK_BLOCK = 1 << 15  # walkers moved together through a chunk
 
 
 def p0_independent(params: ModelParams, x: int, y: int) -> float:
@@ -252,8 +258,7 @@ def simulate_hybrid_pair(
     _check_start(s, x0, y0)
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
-    if n_replicas < 1:
-        raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    check_replicas(n_replicas)
     if k == 0:  # independent from the start
         return p0_independent(params, x0, y0), 0.0
 
@@ -273,18 +278,50 @@ class AuxWalkResult:
     gamma_stderr: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
+def _byte_table(size: int, moves: int) -> np.ndarray:
+    """Flat (S+2) * 256 table of the reflected walk over one byte of coins.
+
+    Entry 256 q + c is the state after `moves` <= 8 moves from state q, coin j
+    being bit j of c, plus 2^12 times the returns to 0 made on the way. State
+    S+1 is parked: S parks on arrival and stays parked. Built on first use and
+    read-only; uint16 while every index 256 q + c fits in 16 bits, else uint32.
+    The aux size cap keeps S + 1 below 2^12.
+    """
+    pos = np.repeat(np.arange(size + 2)[:, None], 256, axis=1)
+    returns = np.zeros_like(pos)
+    coins = np.arange(256)
+    for j in range(moves):
+        step = np.abs(pos + 2 * (coins >> j & 1) - 1)  # 0 steps to 1 whatever the coin
+        returns += step == 0
+        pos = np.where((pos >= size) | (step == size), size + 1, step)
+    table = (pos + (returns << 12)).astype(np.uint16 if size + 1 < 256 else np.uint32)
+    table.flags.writeable = False
+    return table.ravel()
+
+
 def _walk_chunk(p: np.ndarray, coins: np.ndarray, n: int, size: int) -> np.ndarray:
     """Move walkers n times in place, p <- |p + 2 coin - 1|; count their returns to 0.
 
-    Coin j is bit j of a walker's words, low first; one reaching S parks at S + n + 1.
+    Coin j is bit j of a walker's words, low first; one reaching S parks at S + 1.
+    Each byte of coins is one lookup in _byte_table, the last one in the table
+    of the moves left. Walkers go _WALK_BLOCK at a time, so the work stays in
+    cache.
     """
-    octets = np.ascontiguousarray(coins.astype("<u8", copy=False).view(np.int8).T)
-    returns = np.zeros(p.size, dtype=np.int8)
-    for j in range(n):
-        p += 2 * (octets[j >> 3] >> (j & 7) & 1) - 1
-        np.abs(p, out=p)
-        returns += p == 0
-        np.putmask(p, p == size, size + n + 1)
+    octets = coins.astype("<u8", copy=False).view(np.uint8)
+    dtype = _byte_table(size, 8).dtype  # states, indices and counts alike
+    returns = np.empty(p.size, dtype=np.int8)
+    for lo in range(0, p.size, _WALK_BLOCK):
+        block = slice(lo, lo + _WALK_BLOCK)
+        state = p[block].astype(dtype)
+        count = np.zeros_like(state)
+        for j in range(0, n, 8):
+            index = state << 8
+            index |= octets[block, j >> 3]
+            entry = _byte_table(size, min(8, n - j)).take(index)
+            count += entry >> 12
+            np.bitwise_and(entry, 0xFFF, out=state)
+        p[block], returns[block] = state, count
     return returns
 
 
@@ -303,21 +340,21 @@ def simulate_aux_walk(
     A walk closes at the end of the round in which it reaches S or makes its
     k_max-th return for that last k_max, when every count c_j, j <= k_max, is
     settled. Run to S the walk takes S^2 - 1 moves on average: a larger mean
-    than ROUND_CAP is refused before any draw, and walks open after
-    core.ROUND_CAP moves raise NumericError.
+    than ROUND_CAP, like more replicas than core.MAX_REPLICAS, is refused
+    before any draw, and walks open after core.ROUND_CAP moves raise
+    NumericError.
     """
     if size < 2:
         raise ValidationError(f"size must be >= 2, got {size}")
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    if n_replicas < 1:
-        raise ValidationError(f"n_replicas must be >= 1, got {n_replicas}")
+    check_replicas(n_replicas)
     if size**2 - 1 > ROUND_CAP:
         raise ResourceError(
             f"{size**2 - 1} moves per replica expected, cap is {ROUND_CAP} moves"
         )
     gen = rng.generator()
-    pos = np.ones(n_replicas, dtype=site_dtype(size + 2 * _CHUNK + 1))
+    pos = np.ones(n_replicas, dtype=site_dtype(size + 1))
     visits = np.zeros(n_replicas, dtype=np.int32)  # returns <= moves <= ROUND_CAP
     left = iter(range(core.ROUND_CAP, 0, -_CHUNK))  # moves left before each round
 
@@ -327,11 +364,11 @@ def simulate_aux_walk(
         p, v = pos[:n_open], visits[:n_open]
         v += _walk_chunk(p, gen.bit_generator.random_raw((n_open, -(-n // 64))), n, size)
         keep = (p <= size) & (v < k_max)
-        n_keep = int(np.count_nonzero(keep))
-        if n_keep < n_open:  # open walks first, in order, closed counts behind them
-            p[:n_keep] = p[keep]
-            v[:] = np.concatenate((v[keep], v[~keep]))
-        return n_keep
+        kept = np.flatnonzero(keep)
+        if kept.size < n_open:  # open walks first, in order, closed counts behind them
+            p[: kept.size] = p.take(kept)
+            v[:] = np.concatenate((v.take(kept), v.take(np.flatnonzero(~keep))))
+        return kept.size
 
     k_max = _early_stop(size, k_max)
     lockstep(n_replicas, step)

@@ -581,14 +581,15 @@ def walker_move(positions, u, size):
     return tuple(pos), there == 0
 
 
-def reflected_walk_reference(size, coins):
+def reflected_walk_reference(size, coins, start=1):
     """The reflected walk behind gamma_k, one coin at a time.
 
-    The walk starts at 1 on {0..S}: coin 1 steps up, coin 0 steps down, and
-    from 0 the step goes to 1 whatever the coin. It stops at S, and coins
-    after that are ignored. Returns (position, returns to 0, moves made).
+    The walk starts at `start` (1 for gamma_k) on {0..S}: coin 1 steps up,
+    coin 0 steps down, and from 0 the step goes to 1 whatever the coin. It
+    stops at S, and coins after that are ignored. Returns (position, returns
+    to 0, moves made).
     """
-    pos, returns, moves = 1, 0, 0
+    pos, returns, moves = start, 0, 0
     for coin in coins:
         if pos == size:
             break
@@ -596,6 +597,24 @@ def reflected_walk_reference(size, coins):
         returns += pos == 0
         moves += 1
     return pos, returns, moves
+
+
+def walk_chunk_reference(p, coins, n, size):
+    """ladder._walk_chunk one move at a time across all walkers, in place.
+
+    Move j reads bit j of a walker's uint64 words, low first, as p <- |p + 2
+    coin - 1|; a walker reaching S parks at S + n + 1, above S for the rest
+    of the n moves. p must be a signed dtype that holds S + 2n + 1. Returns
+    each walker's returns to 0.
+    """
+    octets = np.ascontiguousarray(coins.astype("<u8", copy=False).view(np.int8).T)
+    returns = np.zeros(p.size, dtype=np.int8)
+    for j in range(n):
+        p += 2 * (octets[j >> 3] >> (j & 7) & 1) - 1
+        np.abs(p, out=p)
+        returns += p == 0
+        np.putmask(p, p == size, size + n + 1)
+    return returns
 
 
 def sorted_poisson_quotas(gen, mean, n):

@@ -447,6 +447,21 @@ def test_aux_refuses_size_beyond_round_cap(capsys):
     assert "moves per replica expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aux", "--size", "10", "--replicas", "1e13"],
+        ["dual", "--size", "10", "--points", "3,7", "--replicas", "1e15"],
+        ["duality-check", "--size", "10", "--points", "3,7", "--time", "1", "--replicas", "1e15"],
+    ],
+    ids=["aux", "dual", "duality-check"],
+)
+def test_replica_count_above_the_cap_exits_4(argv, capsys):
+    # Refused before any replica array is allocated, so no MemoryError.
+    assert run(argv) == 4
+    assert "replicas asked for, cap is 1e+08" in capsys.readouterr().err
+
+
 def test_aux_exits_3_when_walks_outlast_the_move_cap(monkeypatch, capsys):
     # 45 moves is not a whole number of chunks. At the default --kmax 3 a walk
     # at S = 10 closes at S or at its third return, after 26.1 moves on
@@ -598,6 +613,31 @@ def test_deterministic_output_bytes_are_unchanged(command, chunk, monkeypatch, t
     assert run([*command.split(), "--deterministic", "--output", str(tmp_path / f"run.{fmt}")]) == 0
     digests = {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == GOLDEN_MD5[command]
+
+
+# md5 of the JSON each sampler writes under --deterministic, taken before the
+# aux walk moved to byte tables and the dual repack to index gathers. Both
+# keep every draw, so a kernel change that moves a bit fails here.
+SAMPLER_MD5 = {
+    "aux --size 10 --kmax 3 --replicas 1e5 --format json": "bcd5d996ba610a154f5794fc5fef91e8",
+    "aux --size 200 --kmax 100000 --replicas 1000 --format json": (
+        "f6e6488f9499e4e59e6f15af6d7567d5"
+    ),
+    "dual --size 10 --points 3,7 --format json": "0ddc25fbff8a53c7eef6f76b1ac10c34",
+    "dual --size 40 --points 10,20,30 --replicas 2e4 --format json": (
+        "aade1b7c3828aadd07ee137686e8c8ea"
+    ),
+    "duality-check --size 10 --points 3,7 --time 5 --replicas 1e5": (
+        "2cf2dfc05ab909896380e3a50a3e7bf2"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLER_MD5))
+def test_deterministic_sampler_output_bytes_are_unchanged(command, tmp_path):
+    out = tmp_path / "run.json"
+    assert run([*command.split(), "--deterministic", "--output", str(out)]) == 0
+    assert hashlib.md5(out.read_bytes()).hexdigest() == SAMPLER_MD5[command]
 
 
 def test_odes_without_time_builds_no_matrix(monkeypatch, tmp_path):

@@ -20,8 +20,9 @@ from sepsim.core import (
     validate_point_set,
 )
 import sepsim.core
-from sepsim.dual import estimate_absorption
+from sepsim.dual import estimate_absorption, transient_dual_moment
 from sepsim.errors import NumericError, ResourceError, ValidationError
+from sepsim.forward import transient_moment
 from sepsim.ladder import simulate_aux_walk, simulate_hybrid_pair
 
 
@@ -258,6 +259,36 @@ def test_absorbing_samplers_respect_round_cap(monkeypatch, run):
     monkeypatch.setattr(sepsim.core, "ROUND_CAP", 10)
     with pytest.raises(NumericError):
         run()
+
+
+class _NoDraws:
+    def generator(self):
+        raise AssertionError("the sampler drew before refusing its replica count")
+
+
+C0 = Configuration.from_interior_string("1100")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda n, rng: estimate_absorption(SMALL, (20, 21), n, rng),
+        lambda n, rng: simulate_hybrid_pair(SMALL, 10, 30, 2, n, rng),
+        lambda n, rng: simulate_aux_walk(4, 2, n, rng),
+        lambda n, rng: transient_moment(ModelParams(size=4), C0, 1.0, (2,), n, rng),
+        lambda n, rng: transient_dual_moment(ModelParams(size=4), (2,), C0, 1.0, n, rng),
+    ],
+    ids=["absorption", "hybrid", "aux", "forward-transient", "dual-transient"],
+)
+def test_replica_samplers_refuse_counts_above_the_cap(monkeypatch, run):
+    # One replica past the cap is refused before the stream is opened, so
+    # before any draw and before any replica array exists; the cap itself runs.
+    monkeypatch.setattr(sepsim.core, "MAX_REPLICAS", 100)
+    with pytest.raises(ResourceError, match="cap is 1e"):
+        run(101, _NoDraws())
+    with pytest.raises(ValidationError):
+        run(0, _NoDraws())
+    run(100, ModelParams(size=4, seed=1).stream(0))
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from sepsim.core import ROUND_CAP, Configuration, ModelParams
 from sepsim.dual import (
     _at,
     _count_episodes,
+    _first_lanes,
     _hop_round,
     _on_zero,
     _repack,
@@ -465,6 +466,15 @@ def test_sliced_round_matches_scalar_move(case):
     again = _sites(pos)
     for lane in np.flatnonzero(dead_now):
         assert again[lane] == after[lane]
+
+
+def test_first_lanes_matches_packbits_form():
+    # The words built directly against the 64 W booleans they replaced.
+    for n_words in range(1, 5):
+        for n in range(min(200, 64 * n_words) + 1):
+            want = np.packbits(np.arange(64 * n_words) < n, bitorder="little").view("<u8")
+            got = _first_lanes(n, n_words)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 @st.composite

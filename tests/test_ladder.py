@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from bruteforce import (
     mc_repeat_meetings,
     meeting_system,
     reflected_walk_reference,
+    walk_chunk_reference,
 )
 from sepsim.core import ModelParams, lockstep, mean_stderr, site_dtype
 from sepsim.dual import estimate_absorption
@@ -23,6 +28,7 @@ from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
     _CHUNK,
     MAX_LADDER_SIZE,
+    _byte_table,
     _meeting_masses,
     _walk_chunk,
     gamma_closed_form,
@@ -262,10 +268,9 @@ def _ladder_case(draw):
     size = draw(st.integers(3, 14))
     x = draw(st.integers(1, size - 2))
     y = draw(st.integers(x + 2, size))
-    if size > 3 and draw(st.booleans()):
-        k_max = draw(st.integers(1, size - 2))  # one solve per rung
-    else:
-        k_max = draw(st.integers(size - 1, 3 * size))  # tabulated restart rows
+    # Every rung is one product of the mass table with a vector, so one draw
+    # covers short ladders and ones past S rungs, up to 3S, below the early stop.
+    k_max = draw(st.integers(1, 3 * size))
     return size, x, y, k_max
 
 
@@ -309,6 +314,14 @@ def test_hybrid_pair_matches_ladder(k):
         assert est == t.p[0] and se == 0.0
     else:
         assert abs(est - t.p[k]) < 3.5 * se
+
+
+def test_hybrid_pair_value_is_unchanged():
+    # The mc_replicas hybrid run, bit for bit, as before the dual repack
+    # moved to index gathers.
+    p = ModelParams(size=16, seed=1)
+    est, se = simulate_hybrid_pair(p, 4, 9, 2, 100_000, p.stream(0))
+    assert (est.hex(), se.hex()) == ("0x1.f77d89bac9066p-4", "0x1.e7f4bfc7304abp-12")
 
 
 def test_hybrid_pair_law_over_seeds():
@@ -509,31 +522,94 @@ def _coins(words, n):
     return [[(int(row[j // 64]) >> (j % 64)) & 1 for j in range(n)] for row in words]
 
 
-@pytest.mark.parametrize("size", [2, 3, 5, 17])
+@pytest.mark.parametrize("size", [2, 3, 5, 17, 254, 255, 300])
 def test_walk_chunk_matches_scalar_reference(size):
     # 100 walkers, not a multiple of 64, on two words of coins each, checked
-    # after every move count n = 1..70: each walker is absorbed on the last
-    # move of one chunk length and in the middle of every longer one.
+    # after every move count n = 1..70. From 1, each small-S walker is
+    # absorbed on the last move of one chunk length and in the middle of
+    # every longer one. At S >= 254 no walk from 1 reaches S in 70 moves, so
+    # the walkers start at S-1, S-2, ..., S-70 and reach it mid-chunk.
     words = np.random.default_rng(size).integers(0, 2**64, size=(100, 2), dtype=np.uint64)
-    # Straight up to S, then straight down: absorbed mid-chunk, and a walker
-    # that went on would return to 0 within 2S moves.
-    words[0] = [(1 << (size - 1)) - 1, 0]
-    if size % 2:  # r (down, forced) pairs then S-1 ups: absorbed on move 32
-        words[1] = [((1 << (size - 1)) - 1) << (32 - size + 1), 0]
-        assert reflected_walk_reference(size, _coins(words[1:2], 32)[0]) == (
-            size, (32 - size + 1) // 2, 32
-        )
-    assert reflected_walk_reference(size, _coins(words[:1], 70)[0])[2] == size - 1
+    if size < 70:
+        starts = np.ones(len(words), dtype=int)
+        # Straight up to S, then straight down: absorbed mid-chunk, and a
+        # walker that went on would return to 0 within 2S moves.
+        words[0] = [(1 << (size - 1)) - 1, 0]
+        if size % 2:  # r (down, forced) pairs then S-1 ups: absorbed on move 32
+            words[1] = [((1 << (size - 1)) - 1) << (32 - size + 1), 0]
+            assert reflected_walk_reference(size, _coins(words[1:2], 32)[0]) == (
+                size, (32 - size + 1) // 2, 32
+            )
+        assert reflected_walk_reference(size, _coins(words[:1], 70)[0])[2] == size - 1
+    else:
+        starts = size - 1 - np.arange(len(words)) % 70
     coins = _coins(words, 70)
     for n in range(1, 71):
-        p = np.ones(len(words), dtype=site_dtype(size + 2 * n + 1))
+        p = starts.astype(site_dtype(size + 2 * n + 1))
         returns = _walk_chunk(p, words.copy(), n, size)
-        want = [reflected_walk_reference(size, c[:n]) for c in coins]
+        want = [reflected_walk_reference(size, c[:n], int(q)) for c, q in zip(coins, starts)]
         absorbed = np.array([w[0] == size for w in want])
         assert ((p > size) == absorbed).all()
         assert (p[~absorbed] == [w[0] for w in want if w[0] != size]).all()
         assert (p >= 0).all()
         assert returns.tolist() == [w[1] for w in want]
+    assert absorbed.any() and (size < 70 or not absorbed.all())  # both kinds at n = 70
+
+
+@pytest.mark.parametrize("size", [2, 3, 17, 254, 255, 300])
+def test_byte_table_matches_scalar_reference(size):
+    # Entry 256 q + c of the table for m moves is the walk from q over the
+    # first m coins of byte c: its end (S+1 once it reached S) plus 2^12
+    # times its returns. The parked state S+1 stays put. The table is uint16
+    # up to S + 1 = 255, where 256 q + c still fits in 16 bits, else uint32.
+    sepsim.ladder._byte_table.cache_clear()
+    for moves in range(1, 9):
+        table = _byte_table(size, moves)
+        assert table.dtype == (np.uint16 if size + 1 < 256 else np.uint32)
+        assert not table.flags.writeable and table.shape == ((size + 2) * 256,)
+        entries = table.reshape(size + 2, 256).tolist()
+        want = {}
+        for q in range(size + 1):
+            for c in range(256):
+                low = c & ((1 << moves) - 1)  # coins past the m-th are never read
+                if (q, low) not in want:
+                    coins = [low >> j & 1 for j in range(moves)]
+                    end, returns, _ = reflected_walk_reference(size, coins, q)
+                    want[q, low] = (size + 1 if end == size else end) + (returns << 12)
+                assert entries[q][c] == want[q, low]
+        assert entries[size + 1] == [size + 1] * 256
+    assert _byte_table(size, 8) is _byte_table(size, 8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(2, 300), n=st.integers(1, _CHUNK), seed=st.integers(0, 2**16))
+def test_walk_chunk_matches_per_move_oracle(size, n, seed):
+    # 5000 walkers from every open state 0..S-1, across several walker
+    # blocks (patched small), against the per-move loop over all walkers.
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, size, 5000)
+    words = rng.integers(0, 2**64, size=(5000, 1), dtype=np.uint64)
+    p = start.astype(site_dtype(size + 1))
+    want = start.astype(site_dtype(size + 2 * n + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sepsim.ladder, "_WALK_BLOCK", 1000)
+        returns = _walk_chunk(p, words, n, size)
+    want_returns = walk_chunk_reference(want, words, n, size)
+    assert np.array_equal(returns, want_returns)
+    open_ = want <= size
+    assert np.array_equal(p[open_], want[open_])
+    assert (p[~open_] == size + 1).all()
+
+
+def test_ladder_does_not_build_byte_tables_at_import():
+    # The aux tables are built on first use, so importing the package (and
+    # every command that runs no aux walk) builds none.
+    code = (
+        "import sepsim.cli, sepsim.ladder; "
+        "assert sepsim.ladder._byte_table.cache_info().currsize == 0"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sepsim.ladder.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_aux_walk_caps_moves_not_chunks(monkeypatch):

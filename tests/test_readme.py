@@ -13,7 +13,7 @@ import sepsim.core
 import sepsim.forward
 import sepsim.moments
 from sepsim.cli import build_parser, main
-from sepsim.core import ROUND_CAP, Configuration, ModelParams
+from sepsim.core import MAX_REPLICAS, ROUND_CAP, Configuration, ModelParams
 from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
 from sepsim.exact import MAX_EXACT_SIZE
@@ -80,6 +80,11 @@ def test_exact_size_cap():
     sizes = re.findall(r"`S <= (\d+)`", text())
     assert len(sizes) == 2
     assert {int(size) for size in sizes} == {MAX_EXACT_SIZE}
+
+
+def test_replica_cap():
+    exponent = stated(r"refuse more than `10\^(\d+)` replicas")
+    assert 10 ** int(exponent) == MAX_REPLICAS
 
 
 def test_aux_size_cap():
