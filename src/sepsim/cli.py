@@ -90,10 +90,6 @@ def _float_pair(text: str) -> tuple[float, float]:
 _CHUNK_ROWS = 65_536  # CSV rows formatted and written at a time
 
 
-def _json_text(config: dict, payload: dict) -> str:
-    return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
-
-
 def _json_object(keys: np.ndarray, values: np.ndarray):
     """json.dumps text of a dict one level deep: sorted plain bytes keys, finite floats."""
     sep = ",\n    "
@@ -105,7 +101,11 @@ def _json_object(keys: np.ndarray, values: np.ndarray):
 
 
 def _json_parts(config: dict, payload: dict):
-    """_json_text(config, payload) in parts; a generator value is its own text."""
+    """The JSON document {"config": config, **payload} and a newline, in parts.
+
+    The text is that of json.dumps(..., sort_keys=True, indent=2); a generator
+    value is its own text.
+    """
     yield "{"
     for j, (key, value) in enumerate(sorted({"config": config, **payload}.items())):
         yield ("\n  " if j == 0 else ",\n  ") + json.dumps(key) + ": "
@@ -161,7 +161,7 @@ def _emit(args: argparse.Namespace, config: dict, payload: dict, tables=()) -> N
         _write(path, _csv_lines(config, header, columns))
     if "summary" in payload:
         path = None if out is None else f"{stem}_summary.json"
-        _write(path, [_json_text(config, {"summary": payload["summary"]})])
+        _write(path, _json_parts(config, {"summary": payload["summary"]}))
 
 
 def _params(args: argparse.Namespace) -> ModelParams:

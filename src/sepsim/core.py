@@ -19,20 +19,22 @@ J. Comput. Phys. 17 (1975) 10): every open replica takes one move or one
 chunk of moves per round, moves that change nothing included, so all
 replicas advance together and a round is a handful of array operations.
 A timed run gives each replica a Poisson number of rounds; sorted, the open
-replicas of a round are a suffix, so the transient samplers loop over the
-first open replica of each round from poisson_rounds. An absorbing run calls
+replicas of a round are a suffix, and timed_rounds yields each round's open
+words from the first open replica of poisson_rounds. An absorbing run calls
 lockstep, which steps until no row is open: each step keeps its open rows
 packed at the front, in order, and returns how many stay open. The
 bit-sliced samplers hold 64 replicas per uint64 word (multi-spin coding,
-Jacobs and Rebbi, J. Comput. Phys. 41 (1981) 203) and read their 0/1 results
-from counts of set bits; the absorbing ones hand lockstep words, not replicas.
+Jacobs and Rebbi, J. Comput. Phys. 41 (1981) 203), mask lanes 0..n-1 with
+first_lanes, pick each lane's bond or walker by split_lanes from random bit
+planes, and read their 0/1 results from counts of set bits; the absorbing
+ones hand lockstep words, not replicas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with sepsim, not on the first draw
@@ -91,12 +93,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def site_dtype(top: int) -> type[np.signedinteger]:
-    """Narrowest signed integer dtype that holds every site index -1..top."""
-    widths = (np.int8, np.int16, np.int32, np.int64)
-    return next(t for t in widths if np.iinfo(t).max >= top)
-
-
 def check_replicas(n: int) -> None:
     """Refuse a replica count below 1 or above MAX_REPLICAS, before any draw."""
     if n < 1:
@@ -125,10 +121,34 @@ def count_mean_stderr(c, n: int):
 
 def lane_mean_stderr(words: np.ndarray, n: int) -> tuple[float, float]:
     """mean_stderr of the 0/1 values of replicas 0..n-1 held in uint64 words."""
-    c = int(np.bitwise_count(words[: n >> 6]).sum())
-    c += (int(words[n >> 6]) & ((1 << (n & 63)) - 1)).bit_count() if n & 63 else 0
+    c = int(np.bitwise_count(words & first_lanes(n, len(words))).sum())
     mean, se = count_mean_stderr(c, n)
     return mean, float(se)
+
+
+def first_lanes(n: int, n_words: int) -> np.ndarray:
+    """(n_words,) uint64 words with lanes 0..n-1 set, n <= 64 n_words."""
+    words = np.zeros(n_words, dtype=np.uint64)
+    full, rest = divmod(n, 64)
+    words[:full] = ALL_LANES
+    if rest:
+        words[full] = (1 << rest) - 1
+    return words
+
+
+def split_lanes(masks: np.ndarray, planes: np.ndarray) -> None:
+    """Split the lanes of masks[0] by the values that the bit planes spell, in place.
+
+    Plane l holds bit l of each lane's value, and 2^len(planes) >= len(masks).
+    Afterwards row v of masks holds the lanes of the old masks[0] whose value
+    is v; a lane whose value is len(masks) or more is in no row.
+    """
+    filled = 1
+    for plane in planes:  # rows past len(masks) - 1 are only cut at the last plane
+        cut = min(filled, len(masks) - filled)
+        np.bitwise_and(masks[:cut], plane, out=masks[filled : filled + cut])
+        masks[:filled] &= ~plane
+        filled += cut
 
 
 def check_residual(what: str, residual: float, bound: float) -> None:
@@ -160,6 +180,29 @@ def poisson_rounds(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
     counts = gen.multinomial(n, w / w.sum())
     last = values[np.flatnonzero(counts)[-1]]  # the largest round count
     return np.concatenate((np.zeros(values[0], dtype=np.int64), np.cumsum(counts)))[:last]
+
+
+def timed_rounds(
+    gen: np.random.Generator, mean: float, n: int, n_planes: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Rounds of a timed run of n replicas held in uint64 lanes.
+
+    Each round is the first word w with an open lane, the open-lane words
+    from w on and (n_planes, ceil(n/64) - w) random bit planes; padding lanes
+    past n-1 are open too. The round counts are drawn on the call, by
+    poisson_rounds(gen, mean, n), so a mean past ROUND_CAP is refused before
+    the caller allocates its lanes; each round's planes are drawn, as
+    gen.bit_generator.random_raw, when the round is reached.
+    """
+    n_words = -(-n // 64)
+
+    def round_(first: int) -> tuple[int, np.ndarray, np.ndarray]:
+        w = first >> 6
+        planes = gen.bit_generator.random_raw((n_planes, n_words - w))
+        return w, ~first_lanes(first & 63, n_words - w), planes
+
+    # Python ints: first_lanes's 1 << 63 would overflow as a numpy int64
+    return map(round_, poisson_rounds(gen, mean, n).tolist())
 
 
 def lockstep(n_open: int, step: Callable[[int], int]) -> None:

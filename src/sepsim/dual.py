@@ -36,13 +36,11 @@ frozen walker, a hop onto a walker at a bulk site, an idle index) are no-ops,
 so the event rate does not depend on the state. A hop is a carry or borrow
 chain over the planes; equality tests are an OR over the planes of an XOR.
 
-transient_dual_moment gives each family a Poisson number of moves: each
-round moves the families from its first open one of core.poisson_rounds on,
-and a lane whose lowest walker reaches 0 is dead. A round costs about 45
-numpy calls against about 20 for a sampler that moves one walker row per
-replica, so below about 10^4 replicas it is slower (10^4 at S = 10, t = 200:
-about 0.1 s against 0.075 s); duality-check defaults to 10^6 replicas, where
-it is about 8 times faster.
+transient_dual_moment gives each family a Poisson number of moves, in the
+rounds of core.timed_rounds, and a lane whose lowest walker reaches 0 is
+dead. A round costs about 45 numpy calls whatever its width, so below about
+10^4 replicas the call overhead dominates: at S = 10, points (3, 7), a round
+takes about 45 us on one word, 65 us at 10^4 replicas and 125 us at 10^5.
 
 estimate_absorption and the ladder's hybrid pair share absorbing_run, on
 core.lockstep with words as its rows. After each round a close rule runs on
@@ -56,10 +54,9 @@ for its slowest lane. estimate_absorption scores the lowest walker's
 ruin line x/(S+1), its exact chance to freeze given the path so far, since
 frozen walkers stop excluding; by the tower rule the estimate stays unbiased.
 A one-point family still walks until it is absorbed. With few replicas the
-per-round call overhead dominates: against the walker-row sampler the engine
-wins from about 3*10^4 replicas at S = 10, points (3, 7), and about 10^5 at
-S = 40, points (10, 20, 30); 2*10^4 replicas there take 0.87 s against
-0.46 s, and 2*10^5 at S = 100, points (30, 70), 3.9 s against 9.8 s.
+per-round call overhead dominates, most of all in the last rounds, on one or
+two words: 2*10^4 replicas at S = 40, points (10, 20, 30), take 0.59-0.67 s,
+and 2*10^5 at S = 100, points (30, 70), 3.5-3.8 s, on two shared cores.
 """
 
 from __future__ import annotations
@@ -79,11 +76,12 @@ from .core import (
     PointSet,
     RngStream,
     check_replicas,
+    first_lanes,
     lane_mean_stderr,
     lockstep,
     mean_stderr,
-    poisson_rounds,
-    site_dtype,
+    split_lanes,
+    timed_rounds,
     validate_point_set,
 )
 from .errors import ValidationError
@@ -142,7 +140,7 @@ def absorbing_run(
     # the count never exceeds the round count, so a target past ROUND_CAP never closes
     target = min(2 * episodes, ROUND_CAP + 1)
     count = np.zeros((target.bit_length(), n_words), dtype=np.uint64)
-    lanes = _first_lanes(n_replicas, n_words)
+    lanes = first_lanes(n_replicas, n_words)
     scores = np.empty(n_replicas)
     held, done = n_replicas, 0
 
@@ -160,28 +158,18 @@ def absorbing_run(
             return w
         state = np.concatenate((live[1:-1].reshape(k * n_planes, w), count[:, :w]))
         kept, closed = _repack(state, open_, held)
-        sites = np.zeros((top, closed.shape[1]), dtype=site_dtype(size + 1))
+        sites = np.zeros((top, closed.shape[1]), dtype=np.min_scalar_type(size + 1))
         for b in range(n_planes):  # row j * L + b holds plane b of walker j + 1
             sites |= closed[b : top * n_planes : n_planes].astype(sites.dtype) << b
         scores[done : done + sites.shape[1]] = score(sites)
         held, done, w_kept = n_open, done + sites.shape[1], kept.shape[1]
         pos[1:-1, :, :w_kept] = kept[: k * n_planes].reshape(k, n_planes, w_kept)
         count[:, :w_kept] = kept[k * n_planes :]
-        lanes[:w_kept] = _first_lanes(n_open, w_kept)
+        lanes[:w_kept] = first_lanes(n_open, w_kept)
         return w_kept
 
     lockstep(n_words, step)
     return mean_stderr(scores)
-
-
-def _first_lanes(n: int, n_words: int) -> np.ndarray:
-    """(n_words,) uint64 words with lanes 0..n-1 set, n <= 64 n_words."""
-    words = np.zeros(n_words, dtype=np.uint64)
-    full, rest = divmod(n, 64)
-    words[:full] = ALL_LANES
-    if rest:
-        words[full] = (1 << rest) - 1
-    return words
 
 
 def _repack(state: np.ndarray, open_: np.ndarray, held: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,15 +236,12 @@ def transient_dual_moment(
     k = len(pts)
     gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k
-    firsts = poisson_rounds(gen, 2.0 * (1 << n_index) * t, n_replicas)
+    rounds = timed_rounds(gen, 2.0 * (1 << n_index) * t, n_replicas, 1 + n_index)
     n_planes = (s + 1).bit_length()
     start = _planes((s + 1, *pts, s + 1), n_planes)
     pos = np.repeat(start[..., None], -(-n_replicas // 64), axis=2)
-    for first in firsts:
-        live = pos[:, :, first >> 6 :]
-        open_ = np.full(live.shape[2], ALL_LANES)
-        open_[0] <<= np.uint64(first & 63)
-        _hop_round(live, open_, gen.bit_generator.random_raw((1 + n_index, live.shape[2])), s)
+    for w, open_, planes in rounds:
+        _hop_round(pos[:, :, w:], open_, planes, s)
     return lane_mean_stderr(~_on_zero(pos[1:-1], env), n_replicas)
 
 
@@ -317,12 +302,7 @@ def _hop_round(pos: np.ndarray, open_: np.ndarray, planes: np.ndarray, size: int
     sel = np.empty((k, width), dtype=np.uint64)
     np.bitwise_or.reduce(walk[0], axis=0, out=sel[0])  # lowest walker not at 0
     sel[0] &= open_
-    filled = 1
-    for plane in planes[1:]:  # rows past k - 1 are only cut at the last plane
-        cut = min(filled, k - filled)
-        np.bitwise_and(sel[:cut], plane, out=sel[filled : filled + cut])
-        sel[:filled] &= ~plane
-        filled += cut
+    split_lanes(sel, planes[1:])
     # +-1 as a carry (right) or borrow (left) chain: plane b flips while every
     # lower bit of the position equals the direction bit
     flips = np.empty_like(walk)

@@ -5,9 +5,9 @@ site k of lane 64w+r. A round runs on a uniformized bond clock of rate
 2^L >= S+1, L = S.bit_length(): L random bit planes spell a value per lane,
 which fires that bond if it is at most S and idles otherwise. Every bond
 therefore rings at rate 1 (the time unit), and firings of balanced bonds do
-nothing. Against a sampler moving one byte row per replica the round is no
-slower up to S = 511, and 1.5-2 times slower at S = 512 (whose clock idles
-half the time) to 1000.
+nothing. A round costs O(S) word operations per 64 lanes, and the clock idles
+a share 1 - (S+1)/2^L of the time: none at S = 2^L - 1, about half at
+S = 2^(L-1).
 
 * Stationary sampling starts n_replicas * n_samples lanes from exact
   stationary draws (exact.sample_stationary) and fires
@@ -20,13 +20,14 @@ half the time) to 1000.
   starts are drawn _DRAW_LANES at a time, so memory is bounded however many
   lanes a run asks for.
 * Transient moments run every replica from one fixed start for its own
-  Poisson number of rounds: each round moves the lanes from its first open
-  replica of core.poisson_rounds on.
+  Poisson number of rounds: each round of core.timed_rounds moves its open
+  lanes.
 
 Only state-changing firings are counted as events. Stationary estimates pool
 replica means and report the between-replica standard error. A stationary
-run of more than core.ROUND_CAP rounds per lane, or of more than MAX_FIRINGS
-lane-rounds, is refused before anything is drawn.
+run of more than core.ROUND_CAP rounds per lane, of more than MAX_FIRINGS
+lane-rounds, or of more point sets times replicas than core.MAX_REPLICAS
+(one tally each) is refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -38,15 +39,18 @@ import numpy as np
 
 from .core import (
     ALL_LANES,
+    MAX_REPLICAS,
     ROUND_CAP,
     Configuration,
     ModelParams,
     PointSet,
     RngStream,
     check_replicas,
+    first_lanes,
     lane_mean_stderr,
     mean_stderr,
-    poisson_rounds,
+    split_lanes,
+    timed_rounds,
     validate_point_set,
 )
 from .errors import ResourceError, ValidationError
@@ -77,17 +81,16 @@ def _run_rounds(occ: np.ndarray, n_rounds: int, n_lanes: int, gen: np.random.Gen
     """Fire n_rounds rounds in every lane of an (S+2, W) occupancy array; count changes.
 
     Each round draws its L bit planes as gen.bit_generator.random_raw((L, W)).
-    Lanes n_lanes.. pad the last word: they fire too, but are not counted.
+    Lanes n_lanes.. pad the last word and never fire.
     """
     s, width = occ.shape[0] - 2, occ.shape[1]
     n_planes = s.bit_length()
-    tail = np.uint64((1 << (n_lanes - 64 * (width - 1))) - 1)  # counted lanes of the last word
+    lanes = first_lanes(n_lanes, width)
     scratch = np.empty((2, s + 1, width), dtype=np.uint64)
     flips = scratch[1]  # after a round: the fired bonds whose endpoints differed
     events = 0
     for _ in range(n_rounds):
-        _fire_round(occ, 0, gen.bit_generator.random_raw((n_planes, width)), scratch)
-        flips[:, -1] &= tail
+        _fire_round(occ, lanes, gen.bit_generator.random_raw((n_planes, width)), scratch)
         events += int(np.bitwise_count(flips).sum())
     return events
 
@@ -146,6 +149,10 @@ def estimate_stationary_moments(
         raise ResourceError(
             f"run asks for {n_lanes * rounds:.3g} lane-rounds, cap is {MAX_FIRINGS:.0e}"
         )
+    if len(sets) * n_replicas > MAX_REPLICAS:  # one count per point set and replica
+        raise ResourceError(
+            f"{len(sets)} point sets of {n_replicas} replicas asked for, cap is {MAX_REPLICAS:.0e}"
+        )
     gen = rng.generator()
     hits = np.zeros((len(sets), n_replicas), dtype=np.int64)
     events = 0
@@ -194,40 +201,31 @@ def transient_moment(
     pts = validate_point_set(points, s)
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
-    firsts = poisson_rounds(gen, (1 << n_planes) * t, n_replicas)
+    rounds = timed_rounds(gen, (1 << n_planes) * t, n_replicas, n_planes)
     words = np.where(initial.as_array() == 1, ALL_LANES, np.uint64(0))
     occ = np.repeat(words[:, None], -(-n_replicas // 64), axis=1)
     scratch = np.empty((2, s + 1, occ.shape[1]), dtype=np.uint64)
-    for first in firsts:
-        planes = gen.bit_generator.random_raw((n_planes, occ.shape[1] - (first >> 6)))
-        _fire_round(occ, first, planes, scratch)
+    for w, open_, planes in rounds:
+        _fire_round(occ[:, w:], open_, planes, scratch[:, :, w:])
     return lane_mean_stderr(np.bitwise_and.reduce(occ[list(pts)], axis=0), n_replicas)
 
 
 def _fire_round(
-    occ: np.ndarray, first: int, planes: np.ndarray, scratch: np.ndarray
+    occ: np.ndarray, open_: np.ndarray, planes: np.ndarray, scratch: np.ndarray
 ) -> None:
-    """Fire one round in lanes first.. of an (S+2, W) uint64 occupancy array.
+    """Fire one round in the open lanes of an (S+2, W) uint64 occupancy array.
 
-    Plane l holds bit l of each lane's value in 0..2^L-1, from first's word on;
-    a lane fires the bond its value names and idles past S. Splitting the open
-    lanes by each plane in turn leaves disjoint masks for bonds 0..S. A fired
+    open_ holds W words of open lanes. Plane l holds bit l of each lane's
+    value in 0..2^L-1; an open lane fires the bond its value names and idles
+    past S, as core.split_lanes leaves disjoint masks for bonds 0..S. A fired
     bond whose endpoints differ flips both. The reservoir rows are never
     written, which turns bond 0 into emptying site 1 and bond S into filling
     site S. The (2, S+1, W) scratch array spares each round large allocations.
     """
-    s = occ.shape[0] - 2
-    live = occ[:, first >> 6 :]
-    masks, flips = scratch[:, :, first >> 6 :]
-    masks[0] = ALL_LANES
-    masks[0, 0] <<= np.uint64(first & 63)
-    filled = 1
-    for plane in planes:  # rows past S are only cut at the last plane
-        cut = min(filled, s + 1 - filled)
-        np.bitwise_and(masks[:cut], plane, out=masks[filled : filled + cut])
-        masks[:filled] &= ~plane
-        filled += cut
-    np.bitwise_xor(live[:-1], live[1:], out=flips)
+    masks, flips = scratch
+    masks[0] = open_
+    split_lanes(masks, planes)
+    np.bitwise_xor(occ[:-1], occ[1:], out=flips)
     flips &= masks
-    live[1:-1] ^= flips[:-1]
-    live[1:-1] ^= flips[1:]
+    occ[1:-1] ^= flips[:-1]
+    occ[1:-1] ^= flips[1:]

@@ -66,7 +66,6 @@ from .core import (
     check_residual,
     count_mean_stderr,
     lockstep,
-    site_dtype,
 )
 from .dual import absorbing_run, stationary_moment
 from .errors import NumericError, ResourceError, ValidationError
@@ -354,7 +353,7 @@ def simulate_aux_walk(
             f"{size**2 - 1} moves per replica expected, cap is {ROUND_CAP} moves"
         )
     gen = rng.generator()
-    pos = np.ones(n_replicas, dtype=site_dtype(size + 1))
+    pos = np.ones(n_replicas, dtype=np.min_scalar_type(size + 1))
     visits = np.zeros(n_replicas, dtype=np.int32)  # returns <= moves <= ROUND_CAP
     left = iter(range(core.ROUND_CAP, 0, -_CHUNK))  # moves left before each round
 

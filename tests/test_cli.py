@@ -147,6 +147,17 @@ def test_simulate_tol_must_be_finite_and_positive(tol, monkeypatch, capsys):
     assert "tolerance must be finite and > 0" in capsys.readouterr().err
 
 
+def test_simulate_refuses_more_tallies_than_the_replica_cap(monkeypatch, capsys):
+    # The profile at S = 16 keeps 16 counts per replica: 1e8 replicas ask for
+    # 1.6e9, refused before a start is drawn or the counts are allocated.
+    def refuse(*_):
+        raise AssertionError("drew a start")
+
+    monkeypatch.setattr(sepsim.forward, "sample_stationary", refuse)
+    assert run(["simulate", "--size", "16", "--replicas", "1e8", "--samples", "1"]) == 4
+    assert "16 point sets of 100000000 replicas" in capsys.readouterr().err
+
+
 def test_simulate_refuses_rounds_past_the_round_cap(monkeypatch, capsys):
     # One lane at S = 700 asks for 20,070,400 rounds, far below the lane-round
     # cap but past ROUND_CAP: refused before any lane is drawn or fired.
@@ -602,6 +613,15 @@ GOLDEN_MD5 = {
         "run_m2.csv": "5770abb0056eb0c60c75fba6d09707ba",
     },
     "odes --size 6 --time 5 --format json": {"run.json": "91deaba93cdc436ec5b56adbae97bb68"},
+    # The summaries, taken while they had a writer of their own beside _json_parts.
+    "ladder --size 16 --start 4,9 --kmax 10 --format csv": {
+        "run.csv": "18fe82e4ee36019925b8c5e85e365557",
+        "run_summary.json": "3c352d8ce4d199f1693963a371b4dfff",
+    },
+    "sweep --grid 8,16 --format csv": {
+        "run.csv": "9881296d475a665857ee4e28e76a62fb",
+        "run_summary.json": "f2218ef0c76eb73b81da771a97ec9a2d",
+    },
 }
 
 
@@ -616,8 +636,11 @@ def test_deterministic_output_bytes_are_unchanged(command, chunk, monkeypatch, t
 
 
 # md5 of the JSON each sampler writes under --deterministic, taken before the
-# aux walk moved to byte tables and the dual repack to index gathers. Both
-# keep every draw, so a kernel change that moves a bit fails here.
+# aux walk moved to byte tables and the dual repack to index gathers, and for
+# simulate and the three-point duality-check before the round loop and the
+# lane split moved to core. Each keeps every draw, so a kernel change that
+# moves a bit fails here. At S = 70 the 71 bonds need all 7 planes and the
+# last word of 200 lanes is part-filled; three walkers leave index 3 idle.
 SAMPLER_MD5 = {
     "aux --size 10 --kmax 3 --replicas 1e5 --format json": "bcd5d996ba610a154f5794fc5fef91e8",
     "aux --size 200 --kmax 100000 --replicas 1000 --format json": (
@@ -629,6 +652,18 @@ SAMPLER_MD5 = {
     ),
     "duality-check --size 10 --points 3,7 --time 5 --replicas 1e5": (
         "2cf2dfc05ab909896380e3a50a3e7bf2"
+    ),
+    "duality-check --size 40 --points 5,20,33 --time 3 --replicas 70001": (
+        "1f508aa431f93237596b96fda9a6626d"
+    ),
+    "simulate --size 16 --replicas 32 --samples 1500 --format json": (
+        "dbf8627c1420f54eb014db8b50a5bb10"
+    ),
+    "simulate --size 10 --points 3,7 --replicas 8 --samples 300 --format json": (
+        "95c8311381ca98143594196847aaf9f7"
+    ),
+    "simulate --size 70 --replicas 2 --samples 100 --format json": (
+        "5bbaa6f9ecea5e4869145ab3e1846852"
     ),
 }
 
@@ -676,7 +711,16 @@ def test_exact_json_streams_what_json_dumps_writes(chunk, monkeypatch, tmp_path)
     text = out.read_text()
     doc = json.loads(text)
     assert len(doc["pi"]) == 1 << 10
-    assert text == sepsim.cli._json_text(doc.pop("config"), doc)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_parts_lay_out_nested_values_as_json_dumps():
+    # The summaries of ladder and sweep go through the same writer as whole
+    # documents; nested objects, lists and empty containers keep the layout.
+    config = {"command": "x", "points": [3, 7], "seed": 1}
+    payload = {"summary": {"b": [1.5, {"c": None, "a": []}], "a": {}}, "rows": [[1, 2.0]]}
+    text = "".join(sepsim.cli._json_parts(config, payload))
+    assert text == json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
 
 def test_cli_import_loads_numpy_random_and_no_scipy():

@@ -7,16 +7,20 @@ from scipy import stats
 
 from bruteforce import apply_swap, cluster_decompose, enabled_bonds, sorted_poisson_quotas
 from sepsim.core import (
+    ALL_LANES,
     Configuration,
     ModelParams,
     count_mean_stderr,
     RngStream,
     default_initial_configuration,
     ROUND_CAP,
+    first_lanes,
+    lane_mean_stderr,
     lockstep,
     mean_stderr,
     poisson_rounds,
-    site_dtype,
+    split_lanes,
+    timed_rounds,
     validate_point_set,
 )
 import sepsim.core
@@ -291,15 +295,6 @@ def test_replica_samplers_refuse_counts_above_the_cap(monkeypatch, run):
     run(100, ModelParams(size=4, seed=1).stream(0))
 
 
-@pytest.mark.parametrize(
-    "top,dtype",
-    [(1, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)],
-)
-def test_site_dtype_is_the_narrowest_that_holds_the_top_site(top, dtype):
-    assert site_dtype(top) is dtype
-    assert np.iinfo(dtype).min <= -1
-
-
 @pytest.mark.parametrize("mean,seed", [(0.5, 1), (20.0, 2), (80.0, 3), (1e5, 4)])
 def test_poisson_quotas_follow_the_poisson_law(mean, seed):
     n = 200_000
@@ -341,3 +336,74 @@ def test_poisson_quotas_edge_means_draw_nothing():
     assert poisson_rounds(None, 0.0, 5).size == 0
     with pytest.raises(ResourceError):
         poisson_rounds(None, ROUND_CAP * 1.01, 5)
+
+
+def _bits(words):
+    """The lanes of uint64 words as 0/1 bytes, lane 64w+r at index 64w+r."""
+    return np.unpackbits(np.asarray(words).astype("<u8").view(np.uint8), -1, bitorder="little")
+
+
+def test_first_lanes_matches_packbits_form():
+    # The words built directly against the 64 W booleans they replaced.
+    for n_words in range(1, 5):
+        for n in range(min(200, 64 * n_words) + 1):
+            want = np.packbits(np.arange(64 * n_words) < n, bitorder="little").view("<u8")
+            got = first_lanes(n, n_words)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 191])
+def test_lane_mean_stderr_reads_only_lanes_below_n(n):
+    # Random words, the padding lanes past n - 1 included: only lanes 0..n-1
+    # count, as mean_stderr of their bits.
+    words = np.random.default_rng(n).integers(0, 2**64, -(-n // 64), dtype=np.uint64)
+    assert lane_mean_stderr(words, n) == pytest.approx(mean_stderr(_bits(words)[:n]), nan_ok=True)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 11, 16, 17, 71])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_split_lanes_matches_a_per_lane_reading(rows, extra):
+    # Row v ends with the lanes of the first row whose planes spell v, and a
+    # lane spelling rows or more is in none; one extra plane past the fewest
+    # that spell every row drops the lanes that set it.
+    rng = np.random.default_rng(rows + 100 * extra)
+    n_words = 3
+    planes = rng.integers(0, 2**64, ((rows - 1).bit_length() + extra, n_words), dtype=np.uint64)
+    masks = np.full((rows, n_words), 12345, dtype=np.uint64)
+    masks[0] = rng.integers(0, 2**64, n_words, dtype=np.uint64)
+    live = _bits(masks[0]) == 1
+    split_lanes(masks, planes)
+    value = sum(_bits(plane).astype(np.int64) << b for b, plane in enumerate(planes))
+    for v in range(rows):
+        assert np.array_equal(_bits(masks[v]) == 1, live & (value == v))
+
+
+def _old_timed_loop(gen, mean, n, n_planes):
+    # The round loop that each transient sampler ran before sharing timed_rounds.
+    n_words = -(-n // 64)
+    for first in poisson_rounds(gen, mean, n):
+        open_ = np.full(n_words - (first >> 6), ALL_LANES)
+        open_[0] <<= np.uint64(first & 63)
+        yield first >> 6, open_, gen.bit_generator.random_raw((n_planes, n_words - (first >> 6)))
+
+
+@pytest.mark.parametrize(
+    "mean,n,n_planes",
+    [(0.0, 5, 2), (0.7, 1, 1), (3.0, 64, 4), (20.0, 200, 2), (40.0, 1000, 7), (9.0, 4097, 3)],
+)
+def test_timed_rounds_match_the_old_round_loop(mean, n, n_planes):
+    gen, ref = np.random.default_rng(7), np.random.default_rng(7)
+    got = list(timed_rounds(gen, mean, n, n_planes))
+    want = list(_old_timed_loop(ref, mean, n, n_planes))
+    assert len(got) == len(want)
+    for (w, open_, planes), (w_ref, open_ref, planes_ref) in zip(got, want):
+        assert w == w_ref and open_.dtype == np.uint64
+        assert np.array_equal(open_, open_ref) and np.array_equal(planes, planes_ref)
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_timed_rounds_refuse_before_the_first_round():
+    # The round counts are drawn, and a mean past the cap refused, on the call
+    # itself, before the caller allocates its lanes.
+    with pytest.raises(ResourceError):
+        timed_rounds(None, ROUND_CAP * 1.01, 5, 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sepsim.core
 import sepsim.dual
 from bruteforce import (
     DualResult,
@@ -18,7 +19,6 @@ from sepsim.core import ROUND_CAP, Configuration, ModelParams
 from sepsim.dual import (
     _at,
     _count_episodes,
-    _first_lanes,
     _hop_round,
     _on_zero,
     _repack,
@@ -338,7 +338,7 @@ def test_transient_dual_moment_reads_replicas_in_lane_order(monkeypatch):
     # four get one round that kills every open lane. A lane read out of order,
     # or a padding lane read in place of a replica, moves the mean off 66/70.
     n, kept = 70, 66
-    monkeypatch.setattr(sepsim.dual, "poisson_rounds", lambda *_: np.array([kept]))
+    monkeypatch.setattr(sepsim.core, "poisson_rounds", lambda *_: np.array([kept]))
 
     def kill_open_lanes(pos, open_, planes, size):
         bits = np.unpackbits(pos.astype("<u8").view(np.uint8), axis=2, bitorder="little")
@@ -466,15 +466,6 @@ def test_sliced_round_matches_scalar_move(case):
     again = _sites(pos)
     for lane in np.flatnonzero(dead_now):
         assert again[lane] == after[lane]
-
-
-def test_first_lanes_matches_packbits_form():
-    # The words built directly against the 64 W booleans they replaced.
-    for n_words in range(1, 5):
-        for n in range(min(200, 64 * n_words) + 1):
-            want = np.packbits(np.arange(64 * n_words) < n, bitorder="little").view("<u8")
-            got = _first_lanes(n, n_words)
-            assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from bruteforce import (
     swap_result,
 )
 from sepsim.core import Configuration, ModelParams
+import sepsim.core
 import sepsim.forward
 from sepsim.dual import stationary_moment, transient_dual_moment
 from sepsim.errors import ResourceError, ValidationError
@@ -74,6 +75,18 @@ def test_firing_cap_refuses_before_drawing(monkeypatch):
     with pytest.raises(ResourceError):
         estimate_stationary_moments(p, [(1,)], 1000, 1001, p.stream(0), 25_000.0)
     assert sum(ran) == 10**6 // 64
+
+
+def test_tally_cap_counts_point_sets_times_replicas(monkeypatch):
+    # One count per point set and replica: 3 sets of 4 replicas are exactly a
+    # cap of 12 and run, one replica more is refused before anything is drawn.
+    monkeypatch.setattr(sepsim.forward, "MAX_REPLICAS", 12)
+    p = ModelParams(size=3)
+    sets = [(1,), (2,), (1, 3)]
+    est = estimate_stationary_moments(p, sets, 4, 2, p.stream(0))
+    assert est.n_replicas == 4 and len(est.estimates) == 3
+    with pytest.raises(ResourceError, match="3 point sets of 5 replicas"):
+        estimate_stationary_moments(p, sets, 5, 2, _NoDraws())
 
 
 def test_default_sample_interval_in_bond_time_units():
@@ -145,7 +158,7 @@ def test_step_ctmc_holding_time_scales():
 def test_round_kernel_matches_scalar_replay(size, n_lanes, n_rounds, seed):
     # Random starts in every lane of the words, padding lanes included, and
     # the engine's own random planes drawn again from the same seed. Each lane
-    # replayed alone must match, and only lanes below n_lanes may count.
+    # below n_lanes replayed alone must match, and padding lanes never fire.
     rng = np.random.default_rng(seed)
     n_words, n_planes = -(-n_lanes // 64), size.bit_length()
     interior = rng.integers(0, 2, size=(size, 64 * n_words), dtype=np.uint8)
@@ -170,9 +183,9 @@ def test_round_kernel_matches_scalar_replay(size, n_lanes, n_rounds, seed):
     for lane in range(64 * n_words):
         state = tuple(int(v) for v in interior[:, lane])
         for value in values:
-            if value[lane] <= size:
+            if lane < n_lanes and value[lane] <= size:
                 new = swap_result(state, int(value[lane]), size)
-                changes += new != state and lane < n_lanes
+                changes += new != state
                 state = new
         assert tuple(int(v) for v in after[1:-1, lane]) == state
     assert events == changes
@@ -362,8 +375,11 @@ def test_bond_kernel_matches_scalar_swap(size, n_lanes, data, seed):
             np.full(n_words, 2**64 - 1, np.uint64),
         ]
     )
-    planes = rng.integers(0, 2**64, size=(n_planes, n_words - first // 64), dtype=np.uint64)
-    _fire_round(occ, first, planes, np.full((2, size + 1, n_words), 12345, np.uint64))
+    w = first // 64
+    planes = rng.integers(0, 2**64, size=(n_planes, n_words - w), dtype=np.uint64)
+    open_ = np.packbits(np.arange(64 * w, 64 * n_words) >= first, bitorder="little").view("<u8")
+    scratch = np.full((2, size + 1, n_words - w), 12345, np.uint64)
+    _fire_round(occ[:, w:], open_, planes, scratch)
     after = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")
     assert not after[0].any() and after[-1].all()
     plane_bits = np.unpackbits(planes.astype("<u8").view(np.uint8), axis=1, bitorder="little")
@@ -413,11 +429,12 @@ def test_transient_moment_reads_replicas_in_lane_order(monkeypatch):
     # round that empties every open lane. A lane read out of order, or a
     # padding lane read in place of a replica, moves the mean off 66/70.
     n, kept = 70, 66
-    monkeypatch.setattr(sepsim.forward, "poisson_rounds", lambda *_: np.array([kept]))
+    monkeypatch.setattr(sepsim.core, "poisson_rounds", lambda *_: np.array([kept]))
 
-    def empty_open_lanes(occ, first, planes, scratch):
+    def empty_open_lanes(occ, open_, planes, scratch):
         bits = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-        bits[1:-1, first:] = 0
+        is_open = np.unpackbits(open_.astype("<u8").view(np.uint8), bitorder="little")
+        bits[1:-1, is_open == 1] = 0
         occ[:] = np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
     monkeypatch.setattr(sepsim.forward, "_fire_round", empty_open_lanes)

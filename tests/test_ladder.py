@@ -22,7 +22,7 @@ from bruteforce import (
     reflected_walk_reference,
     walk_chunk_reference,
 )
-from sepsim.core import ModelParams, lockstep, mean_stderr, site_dtype
+from sepsim.core import ModelParams, lockstep, mean_stderr
 from sepsim.dual import estimate_absorption
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
@@ -545,7 +545,7 @@ def test_walk_chunk_matches_scalar_reference(size):
         starts = size - 1 - np.arange(len(words)) % 70
     coins = _coins(words, 70)
     for n in range(1, 71):
-        p = starts.astype(site_dtype(size + 2 * n + 1))
+        p = starts.astype(np.min_scalar_type(-(size + 2 * n + 2)))  # signed: holds -1..S+2n+1
         returns = _walk_chunk(p, words.copy(), n, size)
         want = [reflected_walk_reference(size, c[:n], int(q)) for c, q in zip(coins, starts)]
         absorbed = np.array([w[0] == size for w in want])
@@ -589,8 +589,8 @@ def test_walk_chunk_matches_per_move_oracle(size, n, seed):
     rng = np.random.default_rng(seed)
     start = rng.integers(0, size, 5000)
     words = rng.integers(0, 2**64, size=(5000, 1), dtype=np.uint64)
-    p = start.astype(site_dtype(size + 1))
-    want = start.astype(site_dtype(size + 2 * n + 1))
+    p = start.astype(np.min_scalar_type(size + 1))
+    want = start.astype(np.min_scalar_type(-(size + 2 * n + 2)))  # signed: holds -1..S+2n+1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sepsim.ladder, "_WALK_BLOCK", 1000)
         returns = _walk_chunk(p, words, n, size)
