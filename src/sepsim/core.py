@@ -93,12 +93,22 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def check_replicas(n: int) -> None:
-    """Refuse a replica count below 1 or above MAX_REPLICAS, before any draw."""
+def check_replicas(n: int, rows: int = 0) -> None:
+    """Refuse a replica count below 1 or above MAX_REPLICAS, before any draw.
+
+    A bit-lane sampler passes the rows of words it holds per 64 replicas, a
+    bit each per replica; more than 32 MAX_REPLICAS replica-rows (400 MB of
+    words, and twice that for the forward scratch) are refused too.
+    """
     if n < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n}")
     if n > MAX_REPLICAS:
         raise ResourceError(f"{n} replicas asked for, cap is {MAX_REPLICAS:.0e}")
+    if n * rows > 32 * MAX_REPLICAS:
+        raise ResourceError(
+            f"{n} replicas of {rows} bit rows asked for,"
+            f" cap is {32 * MAX_REPLICAS:.1e} replica-rows"
+        )
 
 
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:

@@ -38,9 +38,10 @@ chain over the planes; equality tests are an OR over the planes of an XOR.
 
 transient_dual_moment gives each family a Poisson number of moves, in the
 rounds of core.timed_rounds, and a lane whose lowest walker reaches 0 is
-dead. A round costs about 45 numpy calls whatever its width, so below about
-10^4 replicas the call overhead dominates: at S = 10, points (3, 7), a round
-takes about 45 us on one word, 65 us at 10^4 replicas and 125 us at 10^5.
+dead; core.check_replicas caps its replicas times (k+2) L rows. A round
+costs about 45 numpy calls whatever its width, so below about 10^4 replicas
+the call overhead dominates: at S = 10, points (3, 7), a round takes about
+45 us on one word, 65 us at 10^4 replicas and 125 us at 10^5.
 
 estimate_absorption and the ladder's hybrid pair share absorbing_run, on
 core.lockstep with words as its rows. After each round a close rule runs on
@@ -55,8 +56,9 @@ ruin line x/(S+1), its exact chance to freeze given the path so far, since
 frozen walkers stop excluding; by the tower rule the estimate stays unbiased.
 A one-point family still walks until it is absorbed. With few replicas the
 per-round call overhead dominates, most of all in the last rounds, on one or
-two words: 2*10^4 replicas at S = 40, points (10, 20, 30), take 0.59-0.67 s,
-and 2*10^5 at S = 100, points (30, 70), 3.5-3.8 s, on two shared cores.
+two words: 2*10^4 replicas at S = 40, points (10, 20, 30), take 0.66-0.77 s
+(best of five in each of three processes, two shared Xeon cores), and
+2*10^5 at S = 100, points (30, 70), 3.5-3.8 s.
 """
 
 from __future__ import annotations
@@ -231,13 +233,12 @@ def transient_dual_moment(
         raise ValidationError("environment configuration size does not match params")
     if not (t >= 0 and math.isfinite(t)):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    check_replicas(n_replicas)
     env = initial_env.as_array()
-    k = len(pts)
+    k, n_planes = len(pts), (s + 1).bit_length()
+    check_replicas(n_replicas, (k + 2) * n_planes)
     gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k
     rounds = timed_rounds(gen, 2.0 * (1 << n_index) * t, n_replicas, 1 + n_index)
-    n_planes = (s + 1).bit_length()
     start = _planes((s + 1, *pts, s + 1), n_planes)
     pos = np.repeat(start[..., None], -(-n_replicas // 64), axis=2)
     for w, open_, planes in rounds:

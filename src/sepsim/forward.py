@@ -21,7 +21,8 @@ S = 2^(L-1).
   lanes a run asks for.
 * Transient moments run every replica from one fixed start for its own
   Poisson number of rounds: each round of core.timed_rounds moves its open
-  lanes.
+  lanes. Its S+2 occupancy rows and 2(S+1) scratch rows hold a bit per
+  replica each, so core.check_replicas caps replicas times S+2.
 
 Only state-changing firings are counted as events. Stationary estimates pool
 replica means and report the between-replica standard error. A stationary
@@ -196,8 +197,8 @@ def transient_moment(
         raise ValidationError("initial configuration size does not match params")
     if not (t >= 0 and math.isfinite(t)):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
-    check_replicas(n_replicas)
     s = params.size
+    check_replicas(n_replicas, s + 2)
     pts = validate_point_set(points, s)
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1

@@ -75,6 +75,8 @@ MAX_LADDER_SIZE = 512
 _BLOCK = 64  # table rows per pair of matrix products
 # BLAS runs a product of this many multiply-adds on one thread; threaded, a
 # 64 x 255 x 254 one took 11-16 ms on a busy two-core host, not 0.2-0.6 ms.
+# Importing sepsim pins OpenBLAS to one thread, but the pin cannot act when a
+# caller loaded numpy first, so the products stay this small.
 _SERIAL_MACS = 1 << 18
 _EXP_FLOOR = -500.0  # least decay exponent: nothing underflows, and less is negligible
 _CHUNK = 32  # reflected-walk moves per open walker and lockstep round

@@ -395,6 +395,19 @@ def test_duality_check_rejects_points_before_sampling(monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_duality_check_refuses_lane_rows_past_the_cap(monkeypatch, capsys):
+    # 10^8 replicas of 1,002 occupancy rows at S = 1000 would ask np.repeat
+    # for 11.7 GiB of words: refused with exit 4 before any draw or lane array.
+    def refuse(*_, **__):
+        raise AssertionError("the sampler drew or allocated before refusing")
+
+    monkeypatch.setattr(sepsim.forward, "timed_rounds", refuse)
+    monkeypatch.setattr(np, "repeat", refuse)
+    assert run(["duality-check", "--size", "1000", "--points", "500", "--time", "1",
+                "--replicas", "1e8"]) == 4
+    assert "100000000 replicas of 1002 bit rows" in capsys.readouterr().err
+
+
 def test_sweep_outputs_and_slope(tmp_path):
     out = tmp_path / "sw.csv"
     code = run([
@@ -737,3 +750,32 @@ def test_cli_import_loads_numpy_random_and_no_scipy():
     assert done.stdout.split() == ["[]", "True"]
     for module in src.glob("*.py"):
         assert "scipy" not in module.read_text(), module.name
+
+
+def _sepsim_child(code, **env):
+    """stdout of `python -c code` with sepsim importable and OPENBLAS_NUM_THREADS as given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    env["PYTHONPATH"] = str(Path(sepsim.cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_sepsim_runs_in_one_thread_by_default(tmp_path):
+    # numpy's OpenBLAS would start an idle worker thread at import; importing
+    # sepsim first pins it to one thread, and a ladder run (BLAS products)
+    # starts none either.
+    out = str(tmp_path / "ladder.csv")
+    code = (
+        "import os, sepsim.cli; n = len(os.listdir('/proc/self/task')); "
+        f"sepsim.cli.main(['ladder', '--size', '64', '--start', '16,48', '--output', {out!r}]); "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], n, len(os.listdir('/proc/self/task')))"
+    )
+    assert _sepsim_child(code) == ["1", "1", "1"]
+    assert (tmp_path / "ladder_summary.json").exists()
+
+
+def test_sepsim_keeps_an_explicit_blas_thread_count():
+    code = "import os, sepsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _sepsim_child(code, OPENBLAS_NUM_THREADS="2") == ["2"]

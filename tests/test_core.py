@@ -295,6 +295,36 @@ def test_replica_samplers_refuse_counts_above_the_cap(monkeypatch, run):
     run(100, ModelParams(size=4, seed=1).stream(0))
 
 
+S31 = ModelParams(size=31, seed=1)
+C31 = Configuration.from_interior_string("1" * 16 + "0" * 15)
+
+
+@pytest.mark.parametrize(
+    "run,most",
+    [
+        # S+2 = 33 occupancy rows: 96 replicas make 3,168 replica-rows, 97 make 3,201
+        (lambda n, rng: transient_moment(S31, C31, 1.0, (2,), n, rng), 96),
+        # (k+2) L = 6 x 6 = 36 plane rows: 88 replicas make 3,168, 89 make 3,204
+        (lambda n, rng: transient_dual_moment(S31, (2, 9, 17, 30), C31, 1.0, n, rng), 88),
+    ],
+    ids=["forward-transient", "dual-transient"],
+)
+def test_transient_samplers_refuse_replica_rows_above_the_cap(monkeypatch, run, most):
+    # The cap is 32 MAX_REPLICAS replica-rows, 3,200 here: one replica past it
+    # is refused before the stream is opened and before np.repeat builds the
+    # lanes; the largest count under it runs.
+    monkeypatch.setattr(sepsim.core, "MAX_REPLICAS", 100)
+
+    def spy(*_, **__):
+        raise AssertionError("np.repeat called before the refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "repeat", spy)
+        with pytest.raises(ResourceError, match="bit rows asked for, cap is 3.2e"):
+            run(most + 1, _NoDraws())
+    run(most, S31.stream(0))
+
+
 @pytest.mark.parametrize("mean,seed", [(0.5, 1), (20.0, 2), (80.0, 3), (1e5, 4)])
 def test_poisson_quotas_follow_the_poisson_law(mean, seed):
     n = 200_000

@@ -27,6 +27,7 @@ from sepsim.dual import estimate_absorption
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.ladder import (
     _CHUNK,
+    _SERIAL_MACS,
     MAX_LADDER_SIZE,
     _byte_table,
     _meeting_masses,
@@ -246,6 +247,21 @@ def test_meeting_masses_match_lu_oracle(case):
     assert np.allclose(masses @ (n * m), x * w, rtol=0, atol=1e-12 * size**2)
     h2 = x * w * (x**2 - w**2)
     assert np.allclose(masses @ (n * m * (n**2 - m**2)), h2, rtol=0, atol=1e-12 * size**4)
+
+
+@pytest.mark.parametrize("n_rows,pieces", [(100, 1), (200, 2), (257, 3), (0, 1)])
+def test_product_in_pieces_matches_one_product(n_rows, pieces):
+    # A 64 x 32 left factor takes _SERIAL_MACS // 2048 = 128 rows of b per
+    # piece; 257 rows are one past a piece boundary, and an empty b still
+    # makes one (64, 0) piece. Positive entries: no cancellation, so the
+    # pieces agree with one product to a few ulps whatever BLAS kernel runs.
+    gen = np.random.default_rng(n_rows)
+    a, b = gen.random((64, 32)), gen.random((n_rows, 32))
+    step = _SERIAL_MACS // a.size
+    assert step == 128 and max(1, -(-n_rows // step)) == pieces
+    got = sepsim.ladder._product(a, b)
+    assert got.shape == (64, n_rows)
+    np.testing.assert_array_max_ulp(got, a @ b.T, maxulp=4)
 
 
 def test_deep_ladder_matches_lu_oracle_route():

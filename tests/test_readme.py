@@ -13,7 +13,7 @@ import sepsim.core
 import sepsim.forward
 import sepsim.moments
 from sepsim.cli import build_parser, main
-from sepsim.core import MAX_REPLICAS, ROUND_CAP, Configuration, ModelParams
+from sepsim.core import MAX_REPLICAS, ROUND_CAP, Configuration, ModelParams, check_replicas
 from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
 from sepsim.exact import MAX_EXACT_SIZE
@@ -85,6 +85,20 @@ def test_exact_size_cap():
 def test_replica_cap():
     exponent = stated(r"refuse more than `10\^(\d+)` replicas")
     assert 10 ** int(exponent) == MAX_REPLICAS
+
+
+def test_replica_row_cap():
+    factor, exponent = stated(r"refuses more than `(\d+)\*10\^(\d+)` replica-rows")
+    cap = int(factor) * 10 ** int(exponent)
+    assert cap == 32 * MAX_REPLICAS
+    # S + 2 = 1002 occupancy rows at S = 1000
+    mantissa, exponent = stated(
+        r"at `S = 1000` the forward sampler refuses more than `([\d.]+)\*10\^(\d+)` replicas"
+    )
+    assert float(mantissa) * 10 ** int(exponent) == float(f"{cap // 1002:.3g}")
+    check_replicas(cap // 1002, 1002)
+    with pytest.raises(ResourceError, match="1002 bit rows"):
+        check_replicas(cap // 1002 + 1, 1002)
 
 
 def test_aux_size_cap():
