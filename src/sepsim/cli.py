@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Generator
 from datetime import datetime, timezone
@@ -28,11 +29,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Configuration, ModelParams, default_initial_configuration, validate_point_set
-from .dual import estimate_absorption, stationary_moment, transient_dual_moment
+from .core import (
+    Configuration,
+    ModelParams,
+    check_replicas,
+    default_initial_configuration,
+    validate_point_set,
+)
+from .dual import (
+    estimate_absorption,
+    stationary_moment,
+    transient_dual_moment,
+    transient_dual_rows,
+)
 from .errors import SepsimError, ValidationError
 from .exact import occupation_profile, pair_moments, stationary_distribution
-from .forward import estimate_stationary_moments, transient_moment
+from .forward import estimate_stationary_moments, transient_moment, transient_rows
 from .ladder import gamma_closed_form, ladder_tables, simulate_aux_walk
 from .moments import (
     build_moment_system,
@@ -117,9 +129,19 @@ def _json_parts(config: dict, payload: dict):
 
 
 def _write(path: str | None, parts) -> None:
-    """Write an iterable of strings to path, or to stdout when path is None."""
+    """Write an iterable of strings to path, or to stdout when path is None.
+
+    A reader that closes stdout early ends the output: the rest is dropped,
+    and stdout then points at os.devnull so the final flush stays quiet.
+    """
     if path is None:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     with open(path, "w") as f:
         f.writelines(parts)
@@ -336,6 +358,8 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
             )
     else:
         config0 = default_initial_configuration(params)
+    for rows in (transient_rows(params.size), transient_dual_rows(params.size, len(pts))):
+        check_replicas(args.replicas, rows)  # both samplers' caps, before either draws
     lhs, lhs_se = transient_moment(
         params, config0, args.time, pts, args.replicas, params.stream(1)
     )

@@ -25,6 +25,15 @@ values. k = 1 is the ruin line x/(S+1); k = 2 is the pair form
 x(y-1)/(S(S+1)) (Spohn, J. Phys. A 16 (1983) 4275). Every value costs O(k)
 at any size.
 
+The exact draws of exact.sample_stationary give a short probabilistic proof.
+A bulk site x is filled exactly when none of S independent integers j_m,
+uniform on {0, ..., m} for m = 1..S, equals x, so bulk sites x_1 < ... < x_k
+are all filled with chance prod_{m=1..S} (m + 1 - #{j : x_j <= m})/(m + 1).
+With m = 0 as a factor 1, the numerators climb 1, 2, ..., S + 1 - k one
+step per m, except that each x_j repeats the value x_j - j + 1 (at m = x_j - 1
+and at m = x_j). The product is thus (S + 1 - k)! prod_j (x_j - j + 1) over
+(S + 1)!, the closed form above.
+
 The samplers are bit-sliced: bit r of word w in plane b of walker j is bit b
 of walker j's position in replica 64w+r, L = (S+1).bit_length() planes, with
 a sentinel row frozen at S+1 on either side of the family. One kernel,
@@ -212,6 +221,14 @@ def _count_episodes(
     return ~np.bitwise_or.reduce(count ^ _planes((target,), len(count))[0, :, None], axis=0)
 
 
+def transient_dual_rows(size: int, k: int) -> int:
+    """Rows of words transient_dual_moment holds per 64 families of k walkers.
+
+    Each of the k walkers and the two sentinels has (S+1).bit_length() planes.
+    """
+    return (k + 2) * (size + 1).bit_length()
+
+
 def transient_dual_moment(
     params: ModelParams,
     initial_points: PointSet,
@@ -235,7 +252,7 @@ def transient_dual_moment(
         raise ValidationError(f"time must be finite and >= 0, got {t}")
     env = initial_env.as_array()
     k, n_planes = len(pts), (s + 1).bit_length()
-    check_replicas(n_replicas, (k + 2) * n_planes)
+    check_replicas(n_replicas, transient_dual_rows(s, k))
     gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k
     rounds = timed_rounds(gen, 2.0 * (1 << n_index) * t, n_replicas, 1 + n_index)

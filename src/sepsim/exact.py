@@ -22,9 +22,14 @@ fixed at 1 on the axis of each point.
 
 Memory grows as 2^S so the module enforces a size cap; this path is meant for
 desk-scale verification, not production sizes. Exact draws from the law need
-no table and work at any S: fill site x exactly when sigma(x) < x for a
-uniform permutation sigma of {0, ..., S} (Corteel and Williams, Adv. Appl.
-Math. 39 (2007) 293, at q = 1 and unit rates, mirrored to these reservoirs).
+no table and work at any S. Filling site x exactly when sigma(x) < x for a
+uniform permutation sigma of {0, ..., S} gives the law (Corteel and Williams,
+Adv. Appl. Math. 39 (2007) 293, at q = 1 and unit rates, mirrored to these
+reservoirs). That permutation is built by cycle insertion from S independent
+integers j_m, uniform on {0, ..., m} for m = 1..S: m becomes a fixed point
+(j_m = m, site m stays empty) or goes in right after j_m < m in its cycle,
+which fills site m and empties site j_m for good. So site x is filled exactly
+when no j_m equals x, and a draw costs S integers and no shuffle.
 """
 
 from __future__ import annotations
@@ -149,11 +154,18 @@ def pair_moments(pi: StationaryVector) -> dict[tuple[int, int], float]:
 def sample_stationary(size: int, n: int, gen: np.random.Generator) -> np.ndarray:
     """n independent draws from the stationary law as an (n, S) bool array.
 
-    Column x-1 is site x, filled exactly when sigma(x) < x for the row's own
-    uniform permutation sigma of {0, ..., S}; see the module docstring.
+    Column x-1 is site x, filled exactly when none of the row's own S
+    insertion points j_m, uniform on {0, ..., m}, equals x; see the module
+    docstring. The draws for m = 1..S come in that order, n at a time, and
+    the result is the transpose of a C-ordered (S, n) array.
     """
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
-    sigma = np.tile(np.arange(size + 1, dtype=np.min_scalar_type(size)), (n, 1))
-    gen.permuted(sigma, axis=1, out=sigma)
-    return sigma[:, 1:] < np.arange(1, size + 1, dtype=sigma.dtype)
+    hit = np.zeros((size + 1, n), dtype=bool)  # row x: some j_m equals x
+    flat, lane = hit.reshape(-1), np.arange(n)
+    for m in range(1, size + 1):
+        j = gen.integers(0, m + 1, size=n, dtype=np.min_scalar_type(size)).astype(np.intp)
+        j *= n
+        j += lane
+        flat[j] = True
+    return ~hit[1:].T

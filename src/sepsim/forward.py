@@ -73,8 +73,8 @@ def _exact_start(size: int, n_words: int, gen: np.random.Generator) -> np.ndarra
     step = _DRAW_LANES // 64
     for w in range(0, n_words, step):
         n = min(step, n_words - w)
-        bits = np.packbits(sample_stationary(size, 64 * n, gen), axis=0, bitorder="little")
-        occ[1:-1, w : w + n] = np.ascontiguousarray(bits.T).view("<u8")
+        bits = np.packbits(sample_stationary(size, 64 * n, gen).T, axis=1, bitorder="little")
+        occ[1:-1, w : w + n] = bits.view("<u8")
     return occ
 
 
@@ -82,7 +82,8 @@ def _run_rounds(occ: np.ndarray, n_rounds: int, n_lanes: int, gen: np.random.Gen
     """Fire n_rounds rounds in every lane of an (S+2, W) occupancy array; count changes.
 
     Each round draws its L bit planes as gen.bit_generator.random_raw((L, W)).
-    Lanes n_lanes.. pad the last word and never fire.
+    Lanes n_lanes.. pad the last word and never fire. A lane fires at most
+    one bond a round, so the OR of the flip rows counts its change.
     """
     s, width = occ.shape[0] - 2, occ.shape[1]
     n_planes = s.bit_length()
@@ -92,7 +93,7 @@ def _run_rounds(occ: np.ndarray, n_rounds: int, n_lanes: int, gen: np.random.Gen
     events = 0
     for _ in range(n_rounds):
         _fire_round(occ, lanes, gen.bit_generator.random_raw((n_planes, width)), scratch)
-        events += int(np.bitwise_count(flips).sum())
+        events += int(np.bitwise_count(np.bitwise_or.reduce(flips, axis=0)).sum())
     return events
 
 
@@ -180,6 +181,11 @@ def estimate_stationary_moments(
     )
 
 
+def transient_rows(size: int) -> int:
+    """Rows of words transient_moment holds per 64 replicas: its S+2 occupancy rows."""
+    return size + 2
+
+
 def transient_moment(
     params: ModelParams,
     initial: Configuration,
@@ -198,7 +204,7 @@ def transient_moment(
     if not (t >= 0 and math.isfinite(t)):
         raise ValidationError(f"time must be finite and >= 0, got {t}")
     s = params.size
-    check_replicas(n_replicas, s + 2)
+    check_replicas(n_replicas, transient_rows(s))
     pts = validate_point_set(points, s)
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1

@@ -152,6 +152,23 @@ def deficiency_counts(size):
     return counts
 
 
+def insertion_counts(size):
+    """Insertion tuples (j_1, ..., j_S), 0 <= j_m <= m, counted by unhit set.
+
+    Entry c counts the (S+1)! tuples whose set {x >= 1 : no j_m equals x} is
+    the state with code c (site x in bit x-1): the rule by which
+    exact.sample_stationary fills sites, applied to every tuple in turn.
+    """
+    counts = np.zeros(2**size, dtype=np.int64)
+    for js in itertools.product(*(range(m + 1) for m in range(1, size + 1))):
+        code = (1 << size) - 1
+        for j in js:
+            if j:
+                code &= ~(1 << (j - 1))
+        counts[code] += 1
+    return counts
+
+
 def eulerian_numbers(n):
     """Row n of the Eulerian triangle, A(n, j) for j = 0..n-1, as Python ints.
 

@@ -408,6 +408,37 @@ def test_duality_check_refuses_lane_rows_past_the_cap(monkeypatch, capsys):
     assert "100000000 replicas of 1002 bit rows" in capsys.readouterr().err
 
 
+def test_duality_check_refuses_either_cap_before_either_sampler(monkeypatch, capsys):
+    # Ten points at S = 10: the forward sampler's 12 rows fit 10^8 replicas,
+    # the dual's 12 * 4 rows do not, so the run is refused before the forward
+    # sampler runs.
+    def sampler(*_):
+        raise AssertionError("a sampler ran before both caps were checked")
+
+    monkeypatch.setattr(sepsim.cli, "transient_moment", sampler)
+    monkeypatch.setattr(sepsim.cli, "transient_dual_moment", sampler)
+    assert run(["duality-check", "--size", "10", "--points", "1,2,3,4,5,6,7,8,9,10",
+                "--time", "1", "--replicas", "1e8"]) == 4
+    assert "100000000 replicas of 48 bit rows" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    # exact --size 14 writes about 500 kB of CSV, far more than a pipe holds,
+    # so the writer is still writing when the reader closes after one line.
+    # Its stderr holds its status line and nothing else.
+    env = {**os.environ, "PYTHONPATH": str(Path(sepsim.cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepsim.cli", "exact", "--size", "14"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# config: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err.startswith(b"max |m1(x) - x/(S+1)| = ") and err.count(b"\n") == 1
+
+
 def test_sweep_outputs_and_slope(tmp_path):
     out = tmp_path / "sw.csv"
     code = run([
@@ -650,10 +681,12 @@ def test_deterministic_output_bytes_are_unchanged(command, chunk, monkeypatch, t
 
 # md5 of the JSON each sampler writes under --deterministic, taken before the
 # aux walk moved to byte tables and the dual repack to index gathers, and for
-# simulate and the three-point duality-check before the round loop and the
-# lane split moved to core. Each keeps every draw, so a kernel change that
-# moves a bit fails here. At S = 70 the 71 bonds need all 7 planes and the
-# last word of 200 lanes is part-filled; three walkers leave index 3 idle.
+# the three-point duality-check before the round loop and the lane split moved
+# to core. The simulate digests were re-taken when exact starts moved from a
+# shuffled permutation to S insertion points, once the law tests passed. Each
+# keeps every draw, so a kernel change that moves a bit fails here. At S = 70
+# the 71 bonds need all 7 planes and the last word of 200 lanes is
+# part-filled; three walkers leave index 3 idle.
 SAMPLER_MD5 = {
     "aux --size 10 --kmax 3 --replicas 1e5 --format json": "bcd5d996ba610a154f5794fc5fef91e8",
     "aux --size 200 --kmax 100000 --replicas 1000 --format json": (
@@ -670,13 +703,13 @@ SAMPLER_MD5 = {
         "1f508aa431f93237596b96fda9a6626d"
     ),
     "simulate --size 16 --replicas 32 --samples 1500 --format json": (
-        "dbf8627c1420f54eb014db8b50a5bb10"
+        "a8fde375e1f5ce5df02ff9f94cd1df19"
     ),
     "simulate --size 10 --points 3,7 --replicas 8 --samples 300 --format json": (
-        "95c8311381ca98143594196847aaf9f7"
+        "a8acd9e6a0a3ba346a9d5cf614603262"
     ),
     "simulate --size 70 --replicas 2 --samples 100 --format json": (
-        "5bbaa6f9ecea5e4869145ab3e1846852"
+        "b003f4d8c6610d7614b6d5b765e611b4"
     ),
 }
 

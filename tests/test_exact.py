@@ -14,11 +14,13 @@ from bruteforce import (
     deficiency_counts,
     dense_generator,
     eulerian_numbers,
+    insertion_counts,
     moment_from_distribution,
     sparse_generator,
     stationary_null_space,
 )
 from sepsim.cli import main
+from sepsim.dual import stationary_moment
 from sepsim.errors import NumericError, ResourceError, ValidationError
 from sepsim.exact import (
     MAX_EXACT_SIZE,
@@ -162,6 +164,33 @@ def test_weights_match_matrix_product_oracle(size):
 @pytest.mark.parametrize("size", range(1, 8))
 def test_weights_count_permutations_by_deficiency_set(size):
     assert np.array_equal(_weights(size), deficiency_counts(size))
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_weights_count_insertion_tuples_by_unhit_set(size):
+    # The sampler's own rule over all (S+1)! equally likely tuples.
+    assert np.array_equal(_weights(size), insertion_counts(size))
+
+
+@st.composite
+def _size_and_points(draw):
+    size = draw(st.integers(1, 40))
+    k = draw(st.integers(1, min(4, size)))
+    return size, sorted(draw(st.sets(st.integers(1, size), min_size=k, max_size=k)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_size_and_points())
+def test_insertion_product_telescopes_to_the_closed_form(case):
+    # j_m misses all k points with chance (m + 1 - #{x_i <= m})/(m + 1), the
+    # j_m are independent, and the product over m = 1..S telescopes.
+    size, pts = case
+    product = math.prod(
+        Fraction(m + 1 - sum(x <= m for x in pts), m + 1) for m in range(1, size + 1)
+    )
+    closed = math.prod(Fraction(x - j, size + 1 - j) for j, x in enumerate(pts))
+    assert product == closed
+    assert float(product) == pytest.approx(stationary_moment(size, pts), rel=1e-14)
 
 
 def test_largest_size_is_fast_certified_and_small():

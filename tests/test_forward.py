@@ -18,9 +18,11 @@ import sepsim.core
 import sepsim.forward
 from sepsim.dual import stationary_moment, transient_dual_moment
 from sepsim.errors import ResourceError, ValidationError
-from sepsim.exact import exact_moment, stationary_distribution
+from sepsim.exact import exact_moment, sample_stationary, stationary_distribution
 from sepsim.forward import (
+    _DRAW_LANES,
     MAX_FIRINGS,
+    _exact_start,
     _fire_round,
     _run_rounds,
     estimate_stationary_moments,
@@ -257,6 +259,22 @@ def test_replica_means_pool_their_own_lanes(monkeypatch):
     assert est.stderrs[0] == pytest.approx(np.std(means, ddof=1) / np.sqrt(10), abs=1e-15)
 
 
+def test_exact_start_spans_draw_chunks():
+    # 133 words are one chunk of _DRAW_LANES lanes and 320 lanes more. Lane
+    # i of the words is draw i of the same stream, chunk after chunk, and
+    # every site keeps its stationary mean x/(S+1) within 5 sigma.
+    s, n_words = 12, _DRAW_LANES // 64 + 5
+    occ = _exact_start(s, n_words, np.random.default_rng(4))
+    gen = np.random.default_rng(4)
+    draws = np.vstack([sample_stationary(s, _DRAW_LANES, gen), sample_stationary(s, 320, gen)])
+    bits = np.unpackbits(occ.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not bits[0].any() and bits[-1].all()
+    assert np.array_equal(bits[1:-1], draws.T)
+    want = np.arange(1, s + 1) / (s + 1)
+    sigma = np.sqrt(want * (1 - want) / (64 * n_words))
+    assert np.all(np.abs(bits[1:-1].mean(axis=1) - want) < 5 * sigma)
+
+
 def test_forward_run_keeps_exact_draws_stationary():
     # 64 replicas of 16 exact draws each fire S time units at S=128. Every
     # site and adjacent pair must stay within 4 sigma of the closed form,
@@ -287,7 +305,8 @@ def test_burn_in_and_masks_are_streamed():
 
 def test_sample_rounds_are_streamed():
     # 2e5 samples at S=64, one lane each: their words and round scratch
-    # alone would take 5 MB, their exact-draw permutations 13 MB.
+    # alone would take 5 MB, their exact draws' 64 insertion points 13 MB
+    # and their unhit flags 13 MB more.
     p = ModelParams(size=64, seed=3)
     tracemalloc.start()
     try:

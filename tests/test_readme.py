@@ -17,7 +17,7 @@ from sepsim.core import MAX_REPLICAS, ROUND_CAP, Configuration, ModelParams, che
 from sepsim.dual import transient_dual_moment
 from sepsim.errors import ResourceError
 from sepsim.exact import MAX_EXACT_SIZE
-from sepsim.forward import CHUNK_WORDS, transient_moment
+from sepsim.forward import _DRAW_LANES, CHUNK_WORDS, transient_moment
 from sepsim.ladder import MAX_LADDER_SIZE
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -141,6 +141,7 @@ def test_simulate_chunk_size():
     chunks = re.findall(r"(\d+,\d{3}) (?:lanes )?at a time", text())
     assert len(chunks) == 2
     assert {int(c.replace(",", "")) for c in chunks} == {64 * CHUNK_WORDS}
+    assert int(stated(r"in blocks of (\d+,\d{3}) lanes").replace(",", "")) == _DRAW_LANES
 
 
 def command_lines():
