@@ -246,12 +246,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sets = [(x,) for x in range(1, params.size + 1)]
     est = estimate_stationary_moments(
-        params, sets, args.replicas, args.samples, params.stream(0)
+        params, sets, args.replicas * args.samples, params.stream(0)
     )
     if args.tol is not None:
-        if est.n_replicas < 2:
+        if est.n_lanes < 2:
             print(
-                "warning: one replica has no standard error, so --tol is not "
+                "warning: one lane has no standard error, so --tol is not "
                 "checked; raise --replicas",
                 file=sys.stderr,
             )
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="stationary moments by forward Monte Carlo")
     _add_model_flags(p)
     p.add_argument("--replicas", type=_count, default=32)
-    p.add_argument("--samples", type=_count, default=200)
+    p.add_argument("--samples", type=_count, default=200, help="lanes = replicas x samples")
     p.add_argument("--points", type=_int_list, default=None)
     p.add_argument("--tol", type=_tolerance, default=None, help="warn if stderr exceeds this")
     p.add_argument("--threads", type=int, default=None, help="accepted and ignored")

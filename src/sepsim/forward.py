@@ -9,26 +9,25 @@ nothing. A round costs O(S) word operations per 64 lanes, and the clock idles
 a share 1 - (S+1)/2^L of the time: none at S = 2^L - 1, about half at
 S = 2^(L-1).
 
-* Stationary sampling starts n_replicas * n_samples lanes from exact
-  stationary draws (exact.sample_stationary) and fires
-  ceil(2^L sample_interval) rounds in all of them; the interval is
-  max(1, S^2/25) time units unless the caller gives one. A fixed number of
-  uniformized jumps leaves the stationary law invariant, so no burn-in or
-  clock is needed, and the run is a forward check of that invariance.
-  Sample i of replica r is lane r*n_samples + i, read at every point set
-  after its last round. Lanes run CHUNK_WORDS words at a time and their
-  starts are drawn _DRAW_LANES at a time, so memory is bounded however many
-  lanes a run asks for.
+* Stationary sampling starts n_lanes lanes from exact stationary draws
+  (exact.sample_stationary) and fires ceil(2^L sample_interval) rounds in
+  all of them; the interval is max(1, S^2/25) time units unless the caller
+  gives one. A fixed number of uniformized jumps leaves the stationary law
+  invariant, so no burn-in or clock is needed, and the run is a forward
+  check of that invariance. Every lane is read at every point set after its
+  last round. Lanes run CHUNK_WORDS words at a time and their starts are
+  drawn _DRAW_LANES at a time, so memory is bounded however many lanes a
+  run asks for.
 * Transient moments run every replica from one fixed start for its own
   Poisson number of rounds: each round of core.timed_rounds moves its open
   lanes. Its S+2 occupancy rows and 2(S+1) scratch rows hold a bit per
   replica each, so core.check_replicas caps replicas times S+2.
 
-Only state-changing firings are counted as events. Stationary estimates pool
-replica means and report the between-replica standard error. A stationary
-run of more than core.ROUND_CAP rounds per lane, of more than MAX_FIRINGS
-lane-rounds, or of more point sets times replicas than core.MAX_REPLICAS
-(one tally each) is refused before anything is drawn.
+Only state-changing firings are counted as events. The lanes of a stationary
+run are independent, so each estimate is a share of lanes with the binomial
+standard error of core.count_mean_stderr. A stationary run of more than
+core.ROUND_CAP rounds per lane or of more than MAX_FIRINGS lane-rounds is
+refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -40,16 +39,15 @@ import numpy as np
 
 from .core import (
     ALL_LANES,
-    MAX_REPLICAS,
     ROUND_CAP,
     Configuration,
     ModelParams,
     PointSet,
     RngStream,
     check_replicas,
+    count_mean_stderr,
     first_lanes,
     lane_mean_stderr,
-    mean_stderr,
     split_lanes,
     timed_rounds,
     validate_point_set,
@@ -59,7 +57,7 @@ from .exact import sample_stationary
 
 DEFAULT_INTERVAL_DIVISOR = 25.0  # sample every size^2 / 25 time units
 
-# Lane-rounds a stationary run may ask for: replicas * samples * rounds.
+# Lane-rounds a stationary run may ask for: lanes * rounds.
 MAX_FIRINGS = 10**11
 
 CHUNK_WORDS = 1024  # words of 64 lanes that a stationary run fires together
@@ -99,18 +97,18 @@ def _run_rounds(occ: np.ndarray, n_rounds: int, n_lanes: int, gen: np.random.Gen
 
 @dataclass(frozen=True)
 class StationaryEstimate:
-    """Pooled moment estimates with their between-replica standard errors.
+    """Moment estimates over n_lanes independent lanes, with their standard errors.
 
     total_events counts state-changing firings over all lanes, and rounds is
     the number of rounds each lane fires in its sample_interval time units,
-    so total_events is at most rounds * n_replicas * n_samples.
+    so total_events is at most rounds * n_lanes.
     """
 
     point_sets: tuple[PointSet, ...]
     estimates: np.ndarray
     stderrs: np.ndarray
     total_events: int
-    n_replicas: int
+    n_lanes: int
     rounds: int
     sample_interval: float
 
@@ -118,21 +116,18 @@ class StationaryEstimate:
 def estimate_stationary_moments(
     params: ModelParams,
     point_sets: list[PointSet] | tuple[PointSet, ...],
-    n_replicas: int,
-    n_samples: int,
+    n_lanes: int,
     rng: RngStream,
     sample_interval: float | None = None,
 ) -> StationaryEstimate:
-    """Estimate several occupation moments from n_replicas * n_samples lanes.
+    """Estimate several occupation moments from n_lanes lanes.
 
     Each lane runs sample_interval time units, by default max(1, S^2/25).
     All draws come from one generator of rng, chunk after chunk in lane
     order, so the result is reproducible bit for bit.
     """
-    if n_replicas < 1 or n_samples < 1:
-        raise ValidationError(
-            f"n_replicas and n_samples must be >= 1, got {n_replicas} and {n_samples}"
-        )
+    if n_lanes < 1:
+        raise ValidationError(f"n_lanes must be >= 1, got {n_lanes}")
     s = params.size
     if sample_interval is None:
         sample_interval = max(1.0, s**2 / DEFAULT_INTERVAL_DIVISOR)
@@ -144,38 +139,30 @@ def estimate_stationary_moments(
     if not sets:
         raise ValidationError("need at least one point set")
     rounds = math.ceil((1 << s.bit_length()) * sample_interval)
-    n_lanes, per = n_replicas * n_samples, n_samples
     if rounds > ROUND_CAP:
         raise ResourceError(f"run asks for {rounds} rounds per lane, cap is {ROUND_CAP}")
     if n_lanes * rounds > MAX_FIRINGS:
         raise ResourceError(
             f"run asks for {n_lanes * rounds:.3g} lane-rounds, cap is {MAX_FIRINGS:.0e}"
         )
-    if len(sets) * n_replicas > MAX_REPLICAS:  # one count per point set and replica
-        raise ResourceError(
-            f"{len(sets)} point sets of {n_replicas} replicas asked for, cap is {MAX_REPLICAS:.0e}"
-        )
     gen = rng.generator()
-    hits = np.zeros((len(sets), n_replicas), dtype=np.int64)
+    counts = np.zeros(len(sets))  # float64: exact up to 2^53 lanes, and c (n - c) cannot wrap
     events = 0
     for lo in range(0, n_lanes, 64 * CHUNK_WORDS):
         n = min(64 * CHUNK_WORDS, n_lanes - lo)
         occ = _exact_start(s, -(-n // 64), gen)
         events += _run_rounds(occ, rounds, n, gen)
-        # Lane lo+i is a sample of replica (lo+i) // per: sum each replica's run.
-        first = lo // per
-        starts = np.maximum(np.arange(first, (lo + n - 1) // per + 1) * per - lo, 0)
-        for row, pts in zip(hits, sets):
-            word = np.bitwise_and.reduce(occ[list(pts)], axis=0).astype("<u8")
-            seen = np.unpackbits(word.view(np.uint8), count=n, bitorder="little")
-            row[first : first + starts.size] += np.add.reduceat(seen, starts, dtype=np.int64)
-    estimates, stderrs = np.array([mean_stderr(row / per) for row in hits]).T
+        lanes = first_lanes(n, occ.shape[1])
+        for i, pts in enumerate(sets):
+            hit = np.bitwise_and.reduce(occ[list(pts)], axis=0) & lanes
+            counts[i] += np.bitwise_count(hit).sum()
+    estimates, stderrs = count_mean_stderr(counts, n_lanes)
     return StationaryEstimate(
         point_sets=sets,
         estimates=estimates,
         stderrs=stderrs,
         total_events=events,
-        n_replicas=n_replicas,
+        n_lanes=n_lanes,
         rounds=rounds,
         sample_interval=sample_interval,
     )

@@ -86,14 +86,14 @@ def test_criterion_03_closed_s2_values():
 def test_criterion_04_forward_mc_profile():
     t0 = time.perf_counter()
     p = ModelParams(size=16, seed=1)
-    est = estimate_stationary_moments(p, [(x,) for x in range(1, 17)], 32, 4800, p.stream(0))
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 17)], 32 * 4800, p.stream(0))
     elapsed = time.perf_counter() - t0
     target = np.arange(1, 17) / 17
     err = np.abs(est.estimates - target)
     limit = np.maximum(0.02, 3 * est.stderrs)
     ok = (
         bool((err < limit).all())
-        and est.n_replicas >= 32
+        and est.n_lanes >= 32
         and est.total_events >= 5_000_000
         and elapsed < 60.0
     )
@@ -102,7 +102,7 @@ def test_criterion_04_forward_mc_profile():
         "forward-mc",
         ok,
         f"max err {err.max():.4f}, {est.total_events:.2e} events, "
-        f"{est.n_replicas} replicas, {elapsed:.1f}s of 60s",
+        f"{est.n_lanes} lanes, {elapsed:.1f}s of 60s",
     )
 
 

@@ -13,7 +13,7 @@ from bruteforce import (
     step_ctmc,
     swap_result,
 )
-from sepsim.core import Configuration, ModelParams
+from sepsim.core import Configuration, ModelParams, count_mean_stderr
 import sepsim.core
 import sepsim.forward
 from sepsim.dual import stationary_moment, transient_dual_moment
@@ -31,25 +31,22 @@ from sepsim.forward import (
 
 
 def test_schedule_validation():
-    # The counts and the interval are checked before anything is drawn.
+    # The lane count and the interval are checked before anything is drawn.
     p = ModelParams(size=2)
 
-    def run(n_replicas, n_samples, sample_interval):
-        return estimate_stationary_moments(
-            p, [(1,)], n_replicas, n_samples, _NoDraws(), sample_interval
-        )
+    def run(n_lanes, sample_interval):
+        return estimate_stationary_moments(p, [(1,)], n_lanes, _NoDraws(), sample_interval)
 
     with pytest.raises(AssertionError, match="drew"):
-        run(1, 1, 0.5)
+        run(1, 0.5)
     with pytest.raises(ValidationError):
-        run(1, 0, 0.5)
-    with pytest.raises(ValidationError):
-        run(1, 1, 0.0)
-    with pytest.raises(ValidationError):
-        run(0, 1, 0.5)
+        run(1, 0.0)
+    for bad_lanes in (0, -1):
+        with pytest.raises(ValidationError):
+            run(bad_lanes, 0.5)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            run(1, 1, bad)
+            run(1, bad)
 
 
 class _NoDraws:
@@ -59,9 +56,9 @@ class _NoDraws:
 
 def test_firing_cap_refuses_before_drawing(monkeypatch):
     # At S=3 the clock runs 4 rounds per unit time, so an interval of 25000
-    # is 1e5 rounds per lane: 1000 x 1000 lanes are exactly the cap of lane-
-    # rounds and are admitted, one sample more is refused. The engine is
-    # stubbed out, so nothing is simulated either way.
+    # is 1e5 rounds per lane: 10^6 lanes are exactly the cap of lane-rounds
+    # and are admitted, one lane more is refused. The engine is stubbed out,
+    # so nothing is simulated either way.
     assert MAX_FIRINGS == 10**11
     ran = []
 
@@ -72,23 +69,32 @@ def test_firing_cap_refuses_before_drawing(monkeypatch):
     monkeypatch.setattr(sepsim.forward, "_exact_start", start)
     monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
     p = ModelParams(size=3)
-    est = estimate_stationary_moments(p, [(1,)], 1000, 1000, p.stream(0), 25_000.0)
+    est = estimate_stationary_moments(p, [(1,)], 10**6, p.stream(0), 25_000.0)
     assert est.rounds == 100_000 and sum(ran) == 10**6 // 64
     with pytest.raises(ResourceError):
-        estimate_stationary_moments(p, [(1,)], 1000, 1001, p.stream(0), 25_000.0)
+        estimate_stationary_moments(p, [(1,)], 10**6 + 1, p.stream(0), 25_000.0)
     assert sum(ran) == 10**6 // 64
 
 
-def test_tally_cap_counts_point_sets_times_replicas(monkeypatch):
-    # One count per point set and replica: 3 sets of 4 replicas are exactly a
-    # cap of 12 and run, one replica more is refused before anything is drawn.
-    monkeypatch.setattr(sepsim.forward, "MAX_REPLICAS", 12)
-    p = ModelParams(size=3)
-    sets = [(1,), (2,), (1, 3)]
-    est = estimate_stationary_moments(p, sets, 4, 2, p.stream(0))
-    assert est.n_replicas == 4 and len(est.estimates) == 3
-    with pytest.raises(ResourceError, match="3 point sets of 5 replicas"):
-        estimate_stationary_moments(p, sets, 5, 2, _NoDraws())
+def test_lane_tally_memory_does_not_grow_with_lanes(monkeypatch):
+    # 16 point sets keep one count each, however many lanes: with the engine
+    # stubbed, 10^7 lanes (153 chunks) peak within 1 MB of 10^5 lanes.
+    monkeypatch.setattr(
+        sepsim.forward, "_exact_start", lambda s, w, gen: np.full((s + 2, w), 2**64 - 1, np.uint64)
+    )
+    monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
+    p = ModelParams(size=16)
+    sets = [(x,) for x in range(1, 17)]
+    peaks = []
+    for n_lanes in (10**5, 10**7):
+        tracemalloc.start()
+        try:
+            est = estimate_stationary_moments(p, sets, n_lanes, p.stream(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert est.n_lanes == n_lanes and (est.estimates == 1).all()
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 def test_default_sample_interval_in_bond_time_units():
@@ -96,10 +102,10 @@ def test_default_sample_interval_in_bond_time_units():
     # clock runs 2^3 rounds per unit time, so each lane fires ceil(8 * 1.44).
     # Below S=5 the interval is one time unit.
     p = ModelParams(size=6)
-    est = estimate_stationary_moments(p, [(1,)], 2, 3, p.stream(0))
+    est = estimate_stationary_moments(p, [(1,)], 6, p.stream(0))
     assert est.sample_interval == 1.44 and est.rounds == 12
     p = ModelParams(size=3)
-    est = estimate_stationary_moments(p, [(1,)], 2, 3, p.stream(0))
+    est = estimate_stationary_moments(p, [(1,)], 6, p.stream(0))
     assert est.sample_interval == 1.0 and est.rounds == 4
 
 
@@ -196,7 +202,7 @@ def test_round_kernel_matches_scalar_replay(size, n_lanes, n_rounds, seed):
 def test_stationary_estimate_matches_exact():
     p = ModelParams(size=3, seed=1)
     pi = stationary_distribution(p.size)
-    est = estimate_stationary_moments(p, [(2,)], 24, 150, p.stream(0))
+    est = estimate_stationary_moments(p, [(2,)], 24 * 150, p.stream(0))
     want = exact_moment(pi, (2,))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
 
@@ -204,16 +210,16 @@ def test_stationary_estimate_matches_exact():
 def test_stationary_pair_estimate_matches_exact():
     p = ModelParams(size=4, seed=8)
     pi = stationary_distribution(p.size)
-    est = estimate_stationary_moments(p, [(1, 3)], 24, 150, p.stream(0))
+    est = estimate_stationary_moments(p, [(1, 3)], 24 * 150, p.stream(0))
     want = exact_moment(pi, (1, 3))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
 
 
 def test_profile_shares_trajectories():
     p = ModelParams(size=4, seed=3)
-    prof = estimate_stationary_moments(p, [(x,) for x in range(1, 5)], 6, 40, p.stream(0))
-    single = estimate_stationary_moments(p, [(2,)], 6, 40, p.stream(0))
-    # same stream, same replica count: site 2 must agree exactly
+    prof = estimate_stationary_moments(p, [(x,) for x in range(1, 5)], 240, p.stream(0))
+    single = estimate_stationary_moments(p, [(2,)], 240, p.stream(0))
+    # same stream, same lane count: site 2 must agree exactly
     assert prof.estimates[1] == single.estimates[0]
     assert prof.total_events == single.total_events
 
@@ -223,25 +229,25 @@ def test_stationary_single_site_matches_exact():
     # on both sides.
     p = ModelParams(size=1, seed=2)
     want = exact_moment(stationary_distribution(p.size), (1,))
-    est = estimate_stationary_moments(p, [(1,)], 24, 200, p.stream(0))
+    est = estimate_stationary_moments(p, [(1,)], 24 * 200, p.stream(0))
     assert abs(est.estimates[0] - want) < max(0.02, 3.5 * est.stderrs[0])
     assert 0 < est.total_events <= est.rounds * 24 * 200
 
 
 def test_single_replica_has_nan_stderr():
+    # One lane reads 0 or 1 at each site and has no standard error.
     p = ModelParams(size=5, seed=4)
-    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], 1, 50, p.stream(0))
-    assert np.all((est.estimates >= 0) & (est.estimates <= 1))
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 6)], 1, p.stream(0))
+    assert np.isin(est.estimates, (0.0, 1.0)).all()
     assert np.isnan(est.stderrs).all()
-    assert 0 < est.total_events <= est.rounds * 50
+    assert 0 < est.total_events <= est.rounds
 
 
-def test_replica_means_pool_their_own_lanes(monkeypatch):
+def test_lanes_pool_into_one_binomial_estimate(monkeypatch):
     # Lane i starts with site 1 full exactly when i is a multiple of 3, and
-    # nothing fires. With 7 lanes a replica, 70 lanes in two chunks of one
-    # word, replica r's mean is its share of multiples of 3 among lanes
-    # 7r..7r+6: a lane read under the wrong replica, or a padding lane read,
-    # moves some mean.
+    # nothing fires. 70 lanes run in two chunks of one word; the 58 padding
+    # lanes of the second word are set like the rest, so reading one moves
+    # the count off the 24 multiples of 3 below 70.
     monkeypatch.setattr(sepsim.forward, "CHUNK_WORDS", 1)
     lane = iter(range(128))
 
@@ -253,10 +259,20 @@ def test_replica_means_pool_their_own_lanes(monkeypatch):
     monkeypatch.setattr(sepsim.forward, "_exact_start", start)
     monkeypatch.setattr(sepsim.forward, "_run_rounds", lambda *_: 0)
     p = ModelParams(size=1)
-    est = estimate_stationary_moments(p, [(1,)], 10, 7, p.stream(0), 1.0)
-    means = [sum(i % 3 == 0 for i in range(7 * r, 7 * r + 7)) / 7 for r in range(10)]
-    assert est.estimates[0] == pytest.approx(np.mean(means), abs=1e-15)
-    assert est.stderrs[0] == pytest.approx(np.std(means, ddof=1) / np.sqrt(10), abs=1e-15)
+    est = estimate_stationary_moments(p, [(1,)], 70, p.stream(0), 1.0)
+    assert est.estimates[0] == 24 / 70
+    assert est.stderrs[0] == count_mean_stderr(24, 70)[1]
+
+
+def test_stderr_is_the_binomial_error_of_the_lanes():
+    # simulate --size 3 --replicas 2 --samples 3: six lanes, of which two read
+    # 1 at site 2. Split into two replicas of three they had equal means and
+    # a standard error of 0; the lanes' own error is sqrt(2 * 4 / 5) / 6.
+    p = ModelParams(size=3, seed=1)
+    est = estimate_stationary_moments(p, [(x,) for x in range(1, 4)], 6, p.stream(0))
+    counts = np.rint(est.estimates * 6)
+    assert counts[1] == 2 and est.stderrs[1] == math.sqrt(2 * 4 / 5) / 6 > 0
+    assert np.array_equal(est.stderrs, count_mean_stderr(counts, 6)[1])
 
 
 def test_exact_start_spans_draw_chunks():
@@ -276,13 +292,13 @@ def test_exact_start_spans_draw_chunks():
 
 
 def test_forward_run_keeps_exact_draws_stationary():
-    # 64 replicas of 16 exact draws each fire S time units at S=128. Every
-    # site and adjacent pair must stay within 4 sigma of the closed form,
-    # sigma the binomial error of the 1024 independent lanes.
+    # 1024 lanes of exact draws fire S time units at S=128. Every site and
+    # adjacent pair must stay within 4 sigma of the closed form, sigma the
+    # binomial error of the 1024 independent lanes.
     s = 128
     p = ModelParams(size=s, seed=7)
     sets = [(x,) for x in range(1, s + 1)] + [(x, x + 1) for x in range(1, s)]
-    est = estimate_stationary_moments(p, sets, 64, 16, p.stream(0), float(s))
+    est = estimate_stationary_moments(p, sets, 1024, p.stream(0), float(s))
     want = np.array([stationary_moment(s, pts) for pts in sets])
     sigma = np.sqrt(want * (1 - want) / 1024)
     assert est.rounds == 256 * s
@@ -295,7 +311,7 @@ def test_burn_in_and_masks_are_streamed():
     p = ModelParams(size=64, seed=3)
     tracemalloc.start()
     try:
-        est = estimate_stationary_moments(p, [(5,), (30, 31)], 8, 128, p.stream(0), 50.0)
+        est = estimate_stationary_moments(p, [(5,), (30, 31)], 1024, p.stream(0), 50.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -304,13 +320,13 @@ def test_burn_in_and_masks_are_streamed():
 
 
 def test_sample_rounds_are_streamed():
-    # 2e5 samples at S=64, one lane each: their words and round scratch
-    # alone would take 5 MB, their exact draws' 64 insertion points 13 MB
-    # and their unhit flags 13 MB more.
+    # 2e5 lanes at S=64: their words and round scratch alone would take 5 MB,
+    # their exact draws' 64 insertion points 13 MB and their unhit flags
+    # 13 MB more.
     p = ModelParams(size=64, seed=3)
     tracemalloc.start()
     try:
-        est = estimate_stationary_moments(p, [(5,), (30, 31)], 8, 25_000, p.stream(0), 1.0)
+        est = estimate_stationary_moments(p, [(5,), (30, 31)], 200_000, p.stream(0), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -321,9 +337,9 @@ def test_sample_rounds_are_streamed():
 def test_estimate_validates_points():
     p = ModelParams(size=4, seed=1)
     with pytest.raises(ValidationError):
-        estimate_stationary_moments(p, [(0, 2)], 2, 5, p.stream(0))
+        estimate_stationary_moments(p, [(0, 2)], 10, p.stream(0))
     with pytest.raises(ValidationError):
-        estimate_stationary_moments(p, [], 2, 5, p.stream(0))
+        estimate_stationary_moments(p, [], 10, p.stream(0))
 
 
 def test_transient_moment_at_time_zero():
