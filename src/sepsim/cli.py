@@ -3,9 +3,11 @@
 Every command computes its configuration fields, a JSON payload and its CSV
 tables, each table a list of columns, and hands them to one writer, _emit.
 A payload value needed only in JSON may be a function that builds it, so
-CSV output never builds it; a generator it builds is its own JSON text. CSV
-rows, and exact's JSON pi object, go out in chunks of _CHUNK_ROWS, each
-float by its repr. The writer echoes the configuration, with the command
+CSV output never builds it; a generator value is its own JSON text, which is
+how JSON tables write their rows. CSV rows, JSON table rows and exact's JSON
+pi object go out in chunks of _CHUNK_ROWS, each number column formatting its
+distinct bit patterns once (_cells). main builds only the subparser of the
+command it runs. The writer echoes the configuration, with the command
 name and a timestamp (left out under --deterministic, so repeated runs are
 byte-identical), into every file: CSV files start with a `# config: {...}`
 comment line, JSON files carry a `config` key. JSON output is the payload in
@@ -99,7 +101,45 @@ def _float_pair(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"not numbers: {text!r}") from exc
 
 
-_CHUNK_ROWS = 65_536  # CSV rows formatted and written at a time
+_CHUNK_ROWS = 65_536  # table rows formatted and written at a time
+
+
+# The JSON spelling of a bool or number where it differs from str's.
+_JSON_WORDS = {
+    "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"
+}
+
+
+def _cells(chunk: np.ndarray, as_json: bool = False) -> list[str]:
+    """The text of each cell of a column chunk: str of its Python scalar, or json.dumps.
+
+    A bytes cell is its decoded text (only CSV tables hold bytes). A bool or
+    number chunk formats each distinct bit pattern once and never merges
+    equal values: 0.0 and -0.0 compare equal but print differently.
+    """
+    if chunk.dtype.kind not in "biuf":
+        if as_json:
+            return list(map(json.dumps, chunk.tolist()))
+        return list(map(bytes.decode if chunk.dtype.kind == "S" else str, chunk.tolist()))
+    bits, at = np.unique(chunk.view(f"u{chunk.dtype.itemsize}"), return_inverse=True)
+    texts = list(map(str, bits.view(chunk.dtype).tolist()))
+    if as_json:
+        texts = [_JSON_WORDS.get(t, t) for t in texts]
+    return np.array(texts, dtype=object)[at].tolist()
+
+
+def _json_table(columns):
+    """json.dumps(rows, indent=2) text of a table's rows, set in one level as _json_parts does."""
+    cols = [np.asarray(c) for c in columns]
+    if not len(cols[0]):
+        yield "[]"
+        return
+    sep = "\n    ],\n    [\n      "
+    for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+        cells = [_cells(c[lo : lo + _CHUNK_ROWS], as_json=True) for c in cols]
+        rows = sep.join(map(",\n      ".join, zip(*cells)))
+        yield ("[\n    [\n      " if lo == 0 else sep) + rows
+    yield "\n    ]\n  ]"
 
 
 def _json_object(keys: np.ndarray, values: np.ndarray):
@@ -107,8 +147,8 @@ def _json_object(keys: np.ndarray, values: np.ndarray):
     sep = ",\n    "
     for lo in range(0, len(keys), _CHUNK_ROWS):
         chunk = slice(lo, lo + _CHUNK_ROWS)
-        kv = zip(keys[chunk].tolist(), values[chunk].tolist())
-        yield ("{\n    " if lo == 0 else sep) + sep.join(f'"{k.decode()}": {v!r}' for k, v in kv)
+        kv = zip(keys[chunk].tolist(), _cells(values[chunk]))
+        yield ("{\n    " if lo == 0 else sep) + sep.join(f'"{k.decode()}": {v}' for k, v in kv)
     yield "\n  }" if len(keys) else "{}"
 
 
@@ -132,7 +172,8 @@ def _write(path: str | None, parts) -> None:
     """Write an iterable of strings to path, or to stdout when path is None.
 
     A reader that closes stdout early ends the output: the rest is dropped,
-    and stdout then points at os.devnull so the final flush stays quiet.
+    and stdout then points at os.devnull so the final flush stays quiet. A
+    file that cannot be written is a SepsimError, exit code 1.
     """
     if path is None:
         try:
@@ -143,12 +184,15 @@ def _write(path: str | None, parts) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
-    with open(path, "w") as f:
-        f.writelines(parts)
+    try:
+        with open(path, "w") as f:
+            f.writelines(parts)
+    except OSError as exc:
+        raise SepsimError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _rows(*columns) -> list[tuple]:
-    """Columns as a list of rows of Python scalars, the JSON form of a table."""
+    """Columns as a list of rows of Python scalars."""
     return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
@@ -159,9 +203,8 @@ def _csv_lines(config: dict, header: list[str], columns):
     """
     yield "# config: " + json.dumps(config, sort_keys=True) + "\n" + ",".join(header) + "\n"
     cols = [np.asarray(c) for c in columns]
-    cell = [bytes.decode if c.dtype.kind == "S" else str for c in cols]
     for lo in range(0, len(cols[0]), _CHUNK_ROWS):
-        cells = [map(f, c[lo : lo + _CHUNK_ROWS].tolist()) for f, c in zip(cell, cols)]
+        cells = [_cells(c[lo : lo + _CHUNK_ROWS]) for c in cols]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -225,8 +268,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     states, probs = chars.view(f"S{s}")[:, 0], pi.probabilities
     payload = {
         "max_m1_deviation": max_dev,
-        "m1": _rows(*m1),
-        "m2": _rows(*m2),
+        "m1": _json_table(m1),
+        "m2": _json_table(m2),
         "pi": lambda: _json_object(states[in_key_order], probs[in_key_order]),
         "residual": pi.residual,
     }
@@ -322,7 +365,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
         "slack": table.final_bound - (p0 - table.p_inf),
     }
     header = ["k", "C_k", "gamma_k", "P_k"]
-    payload = {"rows": _rows(*columns), "columns": header, "summary": summary}
+    payload = {"rows": _json_table(columns), "columns": header, "summary": summary}
     _emit(args, config, payload, [(None, header, columns)])
     return 0
 
@@ -341,7 +384,7 @@ def cmd_odes(args: argparse.Namespace) -> int:
     tables = []
     for level, values in zip(system.chain(), field.levels):
         name, columns = f"m{level.k}", (*level.points.T, values)
-        payload[name] = lambda columns=columns: _rows(*columns)
+        payload[name] = _json_table(columns)
         tables.append((name, ["x", "y"][: level.k] + [name], columns))
     _emit(args, {"size": params.size, "time": args.time}, payload, tables)
     return 0
@@ -402,7 +445,7 @@ def cmd_aux(args: argparse.Namespace) -> int:
         result.gamma_stderr[1:],
     )
     header = ["k", "gamma_k", "estimate", "stderr"]
-    payload = {"rows": _rows(*columns), "columns": header}
+    payload = {"rows": _json_table(columns), "columns": header}
     _emit(args, config, payload, [(None, header, columns)])
     return 0
 
@@ -435,28 +478,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         slope = float(np.polyfit(np.log(sizes), np.log(errors), 1)[0])
     config = {"alphas": [a1, a2], "grid": args.grid}
     header = ["S", "x1", "x2", "m2", "target", "abs_err"]
+    columns = list(zip(*rows))
     payload = {
-        "rows": rows,
+        "rows": _json_table(columns),
         "columns": header,
         "summary": {"target": target, "slope": slope},
     }
-    _emit(args, config, payload, [(None, header, list(zip(*rows)))])
+    _emit(args, config, payload, [(None, header, columns)])
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sepsim",
-        description="boundary-driven exclusion process: simulation and exact checks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="exact stationary distribution and moments")
+def _exact_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("simulate", help="stationary moments by forward Monte Carlo")
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--replicas", type=_count, default=32)
     p.add_argument("--samples", type=_count, default=200, help="lanes = replicas x samples")
@@ -464,49 +501,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=None, help="warn if stderr exceeds this")
     p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("dual", help="absorption probability of the dual walk")
+
+def _dual_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--points", type=_int_list, required=True)
     p.add_argument("--replicas", type=_count, default=100_000)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("ladder", help="meeting ladder between exclusion and free pairs")
+
+def _ladder_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--start", type=_int_list, required=True, metavar="X,Y")
     p.add_argument("--kmax", type=int, default=40)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_ladder)
 
-    p = sub.add_parser(
-        "odes", help="moment hierarchy: closed-form stationary field or integration"
-    )
+
+def _odes_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--time", type=float, default=None, help="integrate to this time")
     _add_output_flags(p)
-    p.set_defaults(func=cmd_odes)
 
-    p = sub.add_parser(
-        "duality-check", help="forward and dual transient estimates of one moment"
-    )
+
+def _duality_check_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--points", type=_int_list, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--replicas", type=_count, default=1_000_000)
     p.add_argument("--initial", default=None, help="bulk occupancy bits, site 1 first")
     _add_output_flags(p, formats=())
-    p.set_defaults(func=cmd_duality_check)
 
-    p = sub.add_parser("aux", help="reflected-walk return counts against the closed form")
+
+def _aux_flags(p: argparse.ArgumentParser) -> None:
     _add_model_flags(p)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--replicas", type=_count, default=1_000_000)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_aux)
 
-    p = sub.add_parser("sweep", help="two-point moment against the product limit")
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alphas", type=_float_pair, default=(0.3, 0.7), metavar="A1,A2")
     p.add_argument(
         "--grid",
@@ -516,15 +549,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=1)
     _add_output_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
+
+# Each command's help line, function and flags, in the order help lists them.
+_COMMANDS = {
+    "exact": ("exact stationary distribution and moments", cmd_exact, _exact_flags),
+    "simulate": ("stationary moments by forward Monte Carlo", cmd_simulate, _simulate_flags),
+    "dual": ("absorption probability of the dual walk", cmd_dual, _dual_flags),
+    "ladder": ("meeting ladder between exclusion and free pairs", cmd_ladder, _ladder_flags),
+    "odes": (
+        "moment hierarchy: closed-form stationary field or integration",
+        cmd_odes,
+        _odes_flags,
+    ),
+    "duality-check": (
+        "forward and dual transient estimates of one moment",
+        cmd_duality_check,
+        _duality_check_flags,
+    ),
+    "aux": ("reflected-walk return counts against the closed form", cmd_aux, _aux_flags),
+    "sweep": ("two-point moment against the product limit", cmd_sweep, _sweep_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The sepsim parser: every subparser, or only that of the named command.
+
+    A one-command parser spells its usage with every command's name, so its
+    text matches the full parser's; the full parser leaves the metavar unset,
+    so its errors keep naming the argument `command`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sepsim",
+        description="boundary-driven exclusion process: simulation and exact checks",
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, func, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse, before any work, an --output in a missing directory or naming one."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise ValidationError(f"--output names a directory: {path}")
+    if not Path(path).parent.is_dir():
+        raise ValidationError(f"--output directory does not exist: {path}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command argv names (sys.argv[1:] when None); return its exit code.
+
+    Only the named command's subparser is built; no command, help or an
+    unknown name builds them all.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except SepsimError as exc:
         print(f"error: {exc}", file=sys.stderr)

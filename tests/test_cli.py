@@ -7,9 +7,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sepsim.cli
 import sepsim.forward
@@ -803,3 +806,132 @@ def test_sepsim_runs_in_one_thread_by_default(tmp_path):
 def test_sepsim_keeps_an_explicit_blas_thread_count():
     code = "import os, sepsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _sepsim_child(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def test_output_in_a_missing_directory_is_refused_before_the_run(monkeypatch, capsys, tmp_path):
+    def sampler(*_):
+        raise AssertionError("the sampler ran before --output was checked")
+
+    monkeypatch.setattr(sepsim.cli, "estimate_stationary_moments", sampler)
+    out = tmp_path / "missing" / "run.json"
+    assert run(["simulate", "--size", "3", "--format", "json", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --output directory does not exist: {out}\n"
+
+
+def test_output_naming_a_directory_is_refused(capsys, tmp_path):
+    assert run(["sweep", "--grid", "8", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --output names a directory: {tmp_path}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_file_that_cannot_be_written_is_a_one_line_error(capsys, tmp_path):
+    # --output is a fine path, but the second table's file is a directory.
+    (tmp_path / "run_m2.csv").mkdir()
+    assert run(["exact", "--size", "3", "--output", str(tmp_path / "run.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: cannot write {tmp_path / 'run_m2.csv'}: Is a directory"
+    assert len(err) == 2  # the status line, then the error; no traceback
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, tmp_path):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run(["sweep", "--grid", "8", "--output", str(tmp_path / "sw.csv")]) == 0
+    assert built == ["sweep"]
+    built.clear()
+    build_parser()
+    assert sorted(built) == _subcommands()
+
+
+def _exit_text(parse, argv, capsys):
+    """The exit code, stdout and stderr of parse(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", ["--help", "--bogus"])
+@pytest.mark.parametrize("name", _subcommands())
+def test_a_lone_subparser_prints_what_the_full_parser_prints(name, extra, monkeypatch, capsys):
+    # A subcommand's help, its own errors and the top-level "unrecognized
+    # arguments" error (which prints the top-level usage) read the same
+    # whether main built one subparser or all of them.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([name, extra], [*SMALL_RUNS[name], extra]):
+        lazy = _exit_text(main, argv, capsys)
+        assert lazy == _exit_text(build_parser().parse_args, argv, capsys)
+        assert any(lazy[1:])
+
+
+TOP_USAGE = """\
+usage: sepsim [-h]
+              {exact,simulate,dual,ladder,odes,duality-check,aux,sweep} ...
+"""
+TOP_HELP = TOP_USAGE + """
+boundary-driven exclusion process: simulation and exact checks
+
+positional arguments:
+  {exact,simulate,dual,ladder,odes,duality-check,aux,sweep}
+    exact               exact stationary distribution and moments
+    simulate            stationary moments by forward Monte Carlo
+    dual                absorption probability of the dual walk
+    ladder              meeting ladder between exclusion and free pairs
+    odes                moment hierarchy: closed-form stationary field or
+                        integration
+    duality-check       forward and dual transient estimates of one moment
+    aux                 reflected-walk return counts against the closed form
+    sweep               two-point moment against the product limit
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_top_level_text_is_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_text(main, [], capsys) == (
+        2, "", TOP_USAGE + "sepsim: error: the following arguments are required: command\n"
+    )
+    assert _exit_text(main, ["--help"], capsys) == (0, TOP_HELP, "")
+    code, out, err = _exit_text(main, ["bogus", "--size", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(TOP_USAGE + "sepsim: error: argument command: invalid choice: 'bogus'")
+
+
+# Values a float column formats alike by value but not by bit pattern, or
+# that JSON spells its own way; drawn often, so columns repeat them.
+ODD_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1]
+COLUMN_VALUES = {
+    "float": st.one_of(st.sampled_from(ODD_FLOATS), st.floats()),
+    "int": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def tables(draw):
+    """Equal-length columns of Python floats, ints or bools, one to four of them."""
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_VALUES)), min_size=1, max_size=4))
+    return [draw(st.lists(COLUMN_VALUES[k], min_size=n, max_size=n)) for k in kinds]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(columns=tables())
+@example(columns=[[0.0, -0.0, 0.0, math.nan], [1, 2, 1, 2]])
+def test_cells_print_each_value_as_str_and_json_do(columns):
+    # Each distinct bit pattern is formatted once and spread back over its
+    # rows; rows span chunks of 7, and 0.0 beside -0.0 must keep its sign.
+    rows = [list(r) for r in zip(*columns)]
+    arrays = [np.asarray(c) for c in columns]
+    with mock.patch.object(sepsim.cli, "_CHUNK_ROWS", 7):
+        csv = "".join(sepsim.cli._csv_lines({}, ["h"], arrays)).split("\n", 2)[2]
+        text = "".join(sepsim.cli._json_table(arrays))
+    assert csv == "".join(",".join(map(str, r)) + "\n" for r in rows)
+    assert text == json.dumps(rows, sort_keys=True, indent=2).replace("\n", "\n  ")
