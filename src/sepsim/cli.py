@@ -2,20 +2,19 @@
 
 Every command computes its configuration fields, a JSON payload and its CSV
 tables, each table a list of columns, and hands them to one writer, _emit.
-A payload value needed only in JSON may be a function that builds it, so
-CSV output never builds it; a generator value is its own JSON text, which is
-how JSON tables write their rows. CSV rows, JSON table rows and exact's JSON
-pi object go out in chunks of _CHUNK_ROWS, each number column formatting its
-distinct bit patterns once (_cells). main builds only the subparser of the
-command it runs. The writer echoes the configuration, with the command
-name and a timestamp (left out under --deterministic, so repeated runs are
-byte-identical), into every file: CSV files start with a `# config: {...}`
-comment line, JSON files carry a `config` key. JSON output is the payload in
-one file; duality-check always writes JSON. CSV output writes a table of
-suffix None to --output and any other table to `<stem>_<suffix>.csv`, the
-stem being --output without a .csv or .json extension, plus
-`<stem>_summary.json` when the payload has a "summary". Without --output
-everything goes to stdout.
+A generator payload value is its own JSON text, run only when JSON is
+written: JSON tables and exact's pi object write their rows so. CSV rows,
+JSON table rows and the pi object go out in chunks of _CHUNK_ROWS, each
+number column formatting its distinct bit patterns once (_cells). main
+builds only the subparser of the command it runs. The writer echoes the
+configuration, with the command name and a timestamp (left out under
+--deterministic, so repeated runs are byte-identical), into every file: CSV
+files start with a `# config: {...}` comment line, JSON files carry a
+`config` key. JSON output is the payload in one file; duality-check always
+writes JSON. CSV output writes a table of suffix None to --output and any
+other table to `<stem>_<suffix>.csv`, the stem being --output without a .csv
+or .json extension, plus `<stem>_summary.json` when the payload has a
+"summary". Without --output everything goes to stdout.
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ from .dual import (
     estimate_absorption,
     stationary_moment,
     transient_dual_moment,
-    transient_dual_rows,
+    transient_dual_cost,
 )
 from .errors import SepsimError, ValidationError
 from .exact import occupation_profile, pair_moments, stationary_distribution
-from .forward import estimate_stationary_moments, transient_moment, transient_rows
+from .forward import estimate_stationary_moments, transient_cost, transient_moment
 from .ladder import gamma_closed_form, ladder_tables, simulate_aux_walk
 from .moments import (
     build_moment_system,
@@ -143,13 +142,15 @@ def _json_table(columns):
 
 
 def _json_object(keys: np.ndarray, values: np.ndarray):
-    """json.dumps text of a dict one level deep: sorted plain bytes keys, finite floats."""
+    """json.dumps text of {keys[c]: values[c]}, gathered chunk by chunk in key order."""
+    # keys[c] spells code c, bit j as character j: the keys sort as the codes bit-reversed
+    in_key_order = np.arange(len(keys)).reshape((2,) * keys.dtype.itemsize).T.ravel()
     sep = ",\n    "
     for lo in range(0, len(keys), _CHUNK_ROWS):
-        chunk = slice(lo, lo + _CHUNK_ROWS)
-        kv = zip(keys[chunk].tolist(), _cells(values[chunk]))
+        at = in_key_order[lo : lo + _CHUNK_ROWS]
+        kv = zip(keys[at].tolist(), _cells(values[at]))
         yield ("{\n    " if lo == 0 else sep) + sep.join(f'"{k.decode()}": {v}' for k, v in kv)
-    yield "\n  }" if len(keys) else "{}"
+    yield "\n  }"
 
 
 def _json_parts(config: dict, payload: dict):
@@ -215,7 +216,6 @@ def _emit(args: argparse.Namespace, config: dict, payload: dict, tables=()) -> N
         config["timestamp"] = datetime.now(timezone.utc).isoformat()
     out = args.output
     if getattr(args, "format", "json") == "json":
-        payload = {key: v() if callable(v) else v for key, v in payload.items()}
         _write(out, _json_parts(config, payload))
         return
     stem = out
@@ -261,16 +261,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
     m2 = (x + 1, y + 1, np.array(list(pair_moments(pi).values())))  # x < y, lex order
     codes = np.arange(1 << s, dtype=np.uint32)
     chars = np.empty((1 << s, s), dtype=np.uint8)
-    in_key_order = np.zeros(1, dtype=np.int64)  # codes bit-reversed: states sorted
     for j in range(s):  # site j+1 is bit j, written leftmost first
         chars[:, j] = ord("0") + (codes >> j & 1)
-        in_key_order = np.concatenate((2 * in_key_order, 2 * in_key_order + 1))
     states, probs = chars.view(f"S{s}")[:, 0], pi.probabilities
     payload = {
         "max_m1_deviation": max_dev,
         "m1": _json_table(m1),
         "m2": _json_table(m2),
-        "pi": lambda: _json_object(states[in_key_order], probs[in_key_order]),
+        "pi": _json_object(states, probs),
         "residual": pi.residual,
     }
     tables = [
@@ -401,8 +399,9 @@ def cmd_duality_check(args: argparse.Namespace) -> int:
             )
     else:
         config0 = default_initial_configuration(params)
-    for rows in (transient_rows(params.size), transient_dual_rows(params.size, len(pts))):
-        check_replicas(args.replicas, rows)  # both samplers' caps, before either draws
+    s, k, t = params.size, len(pts), args.time
+    for rows, mean in (transient_cost(s, t), transient_dual_cost(s, k, t)):
+        check_replicas(args.replicas, rows, mean)  # both samplers' caps, before either draws
     lhs, lhs_se = transient_moment(
         params, config0, args.time, pts, args.replicas, params.stream(1)
     )

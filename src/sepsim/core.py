@@ -93,12 +93,13 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def check_replicas(n: int, rows: int = 0) -> None:
+def check_replicas(n: int, rows: int = 0, mean: float = 0.0) -> None:
     """Refuse a replica count below 1 or above MAX_REPLICAS, before any draw.
 
     A bit-lane sampler passes the rows of words it holds per 64 replicas, a
     bit each per replica; more than 32 MAX_REPLICAS replica-rows (400 MB of
-    words, and twice that for the forward scratch) are refused too.
+    words, and twice that for the forward scratch) are refused too. A timed
+    run passes its mean round count per replica, refused above ROUND_CAP.
     """
     if n < 1:
         raise ValidationError(f"n_replicas must be >= 1, got {n}")
@@ -109,6 +110,8 @@ def check_replicas(n: int, rows: int = 0) -> None:
             f"{n} replicas of {rows} bit rows asked for,"
             f" cap is {32 * MAX_REPLICAS:.1e} replica-rows"
         )
+    if mean > ROUND_CAP:
+        raise ResourceError(f"{mean:.3g} rounds per replica expected, cap is {ROUND_CAP} rounds")
 
 
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -175,12 +178,9 @@ def poisson_rounds(gen: np.random.Generator, mean: float, n: int) -> np.ndarray:
     every weight underflows. The replicas open in round j are then a suffix,
     and entry j is its first one: the number of counts at most j. There is
     one entry per round up to the largest count; a mean above ROUND_CAP is
-    refused before any draw.
+    refused before any draw, by check_replicas.
     """
-    if mean > ROUND_CAP:
-        raise ResourceError(
-            f"{mean:.3g} rounds per replica expected, cap is {ROUND_CAP} rounds"
-        )
+    check_replicas(n, mean=mean)
     if mean == 0:
         return np.zeros(0, dtype=np.int64)
     half = 40 * math.sqrt(mean) + 40

@@ -47,10 +47,10 @@ chain over the planes; equality tests are an OR over the planes of an XOR.
 
 transient_dual_moment gives each family a Poisson number of moves, in the
 rounds of core.timed_rounds, and a lane whose lowest walker reaches 0 is
-dead; core.check_replicas caps its replicas times (k+2) L rows. A round
-costs about 45 numpy calls whatever its width, so below about 10^4 replicas
-the call overhead dominates: at S = 10, points (3, 7), a round takes about
-45 us on one word, 65 us at 10^4 replicas and 125 us at 10^5.
+dead; core.check_replicas caps its replicas times (k+2) L rows and its mean
+rounds. A round costs about 45 numpy calls whatever its width, so below 10^4
+replicas the call overhead dominates: at S = 10, points (3, 7), a round takes
+about 45 us on one word, 65 us at 10^4 replicas and 125 us at 10^5.
 
 estimate_absorption and the ladder's hybrid pair share absorbing_run, on
 core.lockstep with words as its rows. After each round a close rule runs on
@@ -221,12 +221,11 @@ def _count_episodes(
     return ~np.bitwise_or.reduce(count ^ _planes((target,), len(count))[0, :, None], axis=0)
 
 
-def transient_dual_rows(size: int, k: int) -> int:
-    """Rows of words transient_dual_moment holds per 64 families of k walkers.
-
-    Each of the k walkers and the two sentinels has (S+1).bit_length() planes.
-    """
-    return (k + 2) * (size + 1).bit_length()
+def transient_dual_cost(size: int, k: int, t: float) -> tuple[int, float]:
+    """transient_dual_moment's (k+2) L rows per 64 families and mean 2K t rounds, K >= k."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
+    return (k + 2) * (size + 1).bit_length(), 2.0 * (1 << (k - 1).bit_length()) * t
 
 
 def transient_dual_moment(
@@ -248,14 +247,13 @@ def transient_dual_moment(
     pts = validate_point_set(initial_points, s, interior_only=True)
     if initial_env.size != s:
         raise ValidationError("environment configuration size does not match params")
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
-    env = initial_env.as_array()
     k, n_planes = len(pts), (s + 1).bit_length()
-    check_replicas(n_replicas, transient_dual_rows(s, k))
+    rows, mean = transient_dual_cost(s, k, t)
+    check_replicas(n_replicas, rows)
+    env = initial_env.as_array()
     gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k
-    rounds = timed_rounds(gen, 2.0 * (1 << n_index) * t, n_replicas, 1 + n_index)
+    rounds = timed_rounds(gen, mean, n_replicas, 1 + n_index)
     start = _planes((s + 1, *pts, s + 1), n_planes)
     pos = np.repeat(start[..., None], -(-n_replicas // 64), axis=2)
     for w, open_, planes in rounds:

@@ -1,35 +1,35 @@
 """Exact stationary distribution of the chain by full state-space enumeration.
 
 A bulk configuration is encoded as an S-bit integer with site 1 in the least
-significant bit. Scaled by (S+1)!, the closed form of dual.stationary_moment
-gives every set B = {x_1 < ... < x_k} of sites the integer moment
-W(B) = (S+1-k)! prod_j (x_j - j + 1). The weight of a configuration tau is
-the superset Mobius sum w(tau) = sum_{B >= tau} (-1)^(|B|-|tau|) W(B),
-which runs as S passes of f[bit clear] -= f[bit set] over reshaped views.
-All of it is uint64 arithmetic, exact modulo 2**64; every true weight is
-below 2**64 up to S = 21 (at most 0.057 * 2**64), so the result is exact.
-A weight that wraps shows as a mass other than (S+1)!, which is an error.
+significant bit. The law comes from S independent integers j_m, uniform on
+{0, ..., m} for m = 1..S, by cycle insertion: m becomes a fixed point
+(j_m = m, site m stays empty) or goes in right after j_m < m in its cycle,
+which fills site m and empties site j_m for good. Site x is filled exactly
+when no j_m equals x, that is when sigma(x) < x for the uniform permutation
+sigma of {0, ..., S} so built, which gives the law (Corteel and Williams,
+Adv. Appl. Math. 39 (2007) 293, at q = 1 and unit rates, mirrored here).
+
+(S+1)! pi counts the tuples by unhit set, grown one site at a time. With
+W_m[F] the number of j_1..j_m that leave exactly F unhit in 1..m,
+W_m[F] = W_{m-1}[F] (j_m = m) and W_m[F+m] = (m-|F|) W_{m-1}[F] +
+sum_{x<m, x not in F} W_{m-1}[F+x] (j_m is 0 or already hit, or it hits x).
+Every term is positive and every partial sum is at most a weight of the
+m-site chain, below 2**64 up to S = 21, so the uint64 sums are exact. A
+weight that wraps shows as a mass other than (S+1)!, which is an error.
 
 The vector is then certified against the balance equations, with every
 bond clock ringing once per unit time: it must be positive and have
 |Q^T pi| <= MAX_RESIDUAL. Q^T pi is summed bond by bond on reshaped views
 of pi, so no generator matrix is built. A common bond speed only scales Q,
 so the law does not depend on it. The chain is irreducible, so a vector
-that passes is its stationary law whatever the closed form says. An
-occupation moment (the probability that a given set of sites is
-simultaneously occupied) is the sum of a view of pi with one axis per site,
-fixed at 1 on the axis of each point.
+that passes is its stationary law whatever route built it. An occupation
+moment (the probability that a given set of sites is simultaneously
+occupied) is the sum of a view of pi with one axis per site, fixed at 1 on
+the axis of each point.
 
 Memory grows as 2^S so the module enforces a size cap; this path is meant for
 desk-scale verification, not production sizes. Exact draws from the law need
-no table and work at any S. Filling site x exactly when sigma(x) < x for a
-uniform permutation sigma of {0, ..., S} gives the law (Corteel and Williams,
-Adv. Appl. Math. 39 (2007) 293, at q = 1 and unit rates, mirrored to these
-reservoirs). That permutation is built by cycle insertion from S independent
-integers j_m, uniform on {0, ..., m} for m = 1..S: m becomes a fixed point
-(j_m = m, site m stays empty) or goes in right after j_m < m in its cycle,
-which fills site m and empties site j_m for good. So site x is filled exactly
-when no j_m equals x, and a draw costs S integers and no shuffle.
+no table and work at any S: a draw costs S integers and no shuffle.
 """
 
 from __future__ import annotations
@@ -57,16 +57,15 @@ class StationaryVector:
 
 def _weights(size: int) -> np.ndarray:
     """(S+1)! pi of every bulk state, exact, as float64; see the module docstring."""
-    count = np.bitwise_count(np.arange(1 << size, dtype=np.uint32))  # |B|
-    w = np.ones(1 << size, dtype=np.uint64)
-    for i in range(size):  # rows n..2n-1 add site i+1 = x_k on top of k-1 sites
-        n = 1 << i
-        w[n : 2 * n] = w[:n] * (i + 1 - count[:n])
-    fact = [math.factorial(size + 1 - k) % 2**64 for k in range(size + 1)]
-    w *= np.array(fact, dtype=np.uint64)[count]  # W(B)
-    for i in range(size):  # axis 1 is bit i
-        f = w.reshape(-1, 2, 1 << i)
-        f[:, 0] -= f[:, 1]
+    count = np.bitwise_count(np.arange(1 << (size - 1), dtype=np.uint32))  # |F|
+    w = np.zeros(1 << size, dtype=np.uint64)
+    w[0] = 1
+    for m in range(1, size + 1):  # rows n..2n-1 have site m = bit m-1 filled
+        n = 1 << (m - 1)
+        low, high = w[:n], w[n : 2 * n]
+        np.multiply(low, m - count[:n], out=high)
+        for i in range(m - 1):  # axis 1 is bit i, site x = i+1
+            high.reshape(-1, 2, 1 << i)[:, 0] += low.reshape(-1, 2, 1 << i)[:, 1]
     return w.astype(np.float64)
 
 
@@ -94,7 +93,7 @@ def _balance(v: np.ndarray, size: int) -> np.ndarray:
 
 
 def stationary_distribution(size: int) -> StationaryVector:
-    """Stationary vector from the closed form, certified by the balance equations."""
+    """Stationary vector by insertion counts, certified by the balance equations."""
     if size < 1:
         raise ValidationError(f"size must be >= 1, got {size}")
     if size > MAX_EXACT_SIZE:

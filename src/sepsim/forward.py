@@ -21,7 +21,7 @@ S = 2^(L-1).
 * Transient moments run every replica from one fixed start for its own
   Poisson number of rounds: each round of core.timed_rounds moves its open
   lanes. Its S+2 occupancy rows and 2(S+1) scratch rows hold a bit per
-  replica each, so core.check_replicas caps replicas times S+2.
+  replica each, so core.check_replicas caps replicas times S+2 and mean rounds.
 
 Only state-changing firings are counted as events. The lanes of a stationary
 run are independent, so each estimate is a share of lanes with the binomial
@@ -168,9 +168,11 @@ def estimate_stationary_moments(
     )
 
 
-def transient_rows(size: int) -> int:
-    """Rows of words transient_moment holds per 64 replicas: its S+2 occupancy rows."""
-    return size + 2
+def transient_cost(size: int, t: float) -> tuple[int, float]:
+    """transient_moment's S+2 rows of words per 64 replicas, and its 2^L t mean rounds."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
+    return size + 2, (1 << size.bit_length()) * t
 
 
 def transient_moment(
@@ -188,14 +190,13 @@ def transient_moment(
     """
     if initial.size != params.size:
         raise ValidationError("initial configuration size does not match params")
-    if not (t >= 0 and math.isfinite(t)):
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
     s = params.size
-    check_replicas(n_replicas, transient_rows(s))
+    rows, mean = transient_cost(s, t)
+    check_replicas(n_replicas, rows)
     pts = validate_point_set(points, s)
     gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
-    rounds = timed_rounds(gen, (1 << n_planes) * t, n_replicas, n_planes)
+    rounds = timed_rounds(gen, mean, n_replicas, n_planes)
     words = np.where(initial.as_array() == 1, ALL_LANES, np.uint64(0))
     occ = np.repeat(words[:, None], -(-n_replicas // 64), axis=1)
     scratch = np.empty((2, s + 1, occ.shape[1]), dtype=np.uint64)

@@ -133,6 +133,29 @@ def _matrix_product_weights(size: int) -> np.ndarray:
     return table.sum(axis=1)
 
 
+def mobius_weights(size: int) -> np.ndarray:
+    """(S+1)! pi of every bulk state from the closed form, in uint64, as float64.
+
+    Scaled by (S+1)!, the closed form of dual.stationary_moment gives every
+    set B = {x_1 < ... < x_k} of sites the integer moment
+    W(B) = (S+1-k)! prod_j (x_j - j + 1), and the weight of a configuration
+    tau is the superset Mobius sum sum_{B >= tau} (-1)^(|B|-|tau|) W(B), run
+    as S passes of f[bit clear] -= f[bit set]. The sums cancel, so they are
+    exact only modulo 2**64; every true weight is below 2**64 up to S = 21.
+    """
+    count = np.bitwise_count(np.arange(1 << size, dtype=np.uint32))  # |B|
+    w = np.ones(1 << size, dtype=np.uint64)
+    for i in range(size):  # rows n..2n-1 add site i+1 = x_k on top of k-1 sites
+        n = 1 << i
+        w[n : 2 * n] = w[:n] * (i + 1 - count[:n])
+    fact = [math.factorial(size + 1 - k) % 2**64 for k in range(size + 1)]
+    w *= np.array(fact, dtype=np.uint64)[count]  # W(B)
+    for i in range(size):  # axis 1 is bit i
+        f = w.reshape(-1, 2, 1 << i)
+        f[:, 0] -= f[:, 1]
+    return w.astype(np.float64)
+
+
 def deficiency_counts(size):
     """Permutations sigma of {0, ..., S} counted by deficiency set.
 

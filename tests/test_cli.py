@@ -1,11 +1,13 @@
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from collections.abc import Generator
 from pathlib import Path
 from unittest import mock
 
@@ -414,6 +416,28 @@ def test_duality_check_refuses_either_cap_before_either_sampler(monkeypatch, cap
     assert "100000000 replicas of 48 bit rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "points,time",
+    [
+        # forward 2^4 t = 3.2e6 rounds fit the cap, the dual's 2 * 16 t = 6.4e6 do not
+        ("1,2,3,4,5,6,7,8,9,10", "200000"),
+        # forward 2^4 t = 6.4e6 rounds do not fit, the dual's 2 * 2 t = 1.6e6 do
+        ("3,7", "400000"),
+    ],
+)
+def test_duality_check_refuses_either_round_cap_before_either_sampler(
+    points, time, monkeypatch, capsys
+):
+    def sampler(*_):
+        raise AssertionError("a sampler ran before both round caps were checked")
+
+    monkeypatch.setattr(sepsim.cli, "transient_moment", sampler)
+    monkeypatch.setattr(sepsim.cli, "transient_dual_moment", sampler)
+    assert run(["duality-check", "--size", "10", "--points", points, "--time", time,
+                "--replicas", "64"]) == 4
+    assert "6.4e+06 rounds per replica expected" in capsys.readouterr().err
+
+
 def test_closed_stdout_ends_the_output_quietly():
     # exact --size 14 writes about 500 kB of CSV, far more than a pipe holds,
     # so the writer is still writing when the reader closes after one line.
@@ -726,19 +750,21 @@ def test_odes_without_time_builds_no_matrix(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("fmt,calls", [("csv", 0), ("json", 1)])
 def test_exact_builds_the_pi_payload_only_for_json(fmt, calls, monkeypatch, tmp_path):
-    built = []
+    # The pi payload is a generator: its key order and its 2^S entries are
+    # built in its body, which only the JSON writer runs.
+    pis = []
     emit = sepsim.cli._emit
 
     def spy(args, config, payload, tables=()):
-        make_pi = payload["pi"]
-        assert callable(make_pi)  # a built dict would cost its 2^S entries in CSV too
-        payload["pi"] = lambda: built.append(1) or make_pi()
+        pis.append(payload["pi"])
         emit(args, config, payload, tables)
 
     monkeypatch.setattr(sepsim.cli, "_emit", spy)
     out = tmp_path / f"ex.{fmt}"
     assert run(["exact", "--size", "4", "--format", fmt, "--output", str(out)]) == 0
-    assert len(built) == calls
+    [pi] = pis
+    assert isinstance(pi, Generator)
+    assert inspect.getgeneratorstate(pi) == ("GEN_CLOSED" if calls else "GEN_CREATED")
 
 
 @pytest.mark.parametrize("chunk", [7, sepsim.cli._CHUNK_ROWS])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 import time
@@ -15,6 +16,7 @@ from bruteforce import (
     dense_generator,
     eulerian_numbers,
     insertion_counts,
+    mobius_weights,
     moment_from_distribution,
     sparse_generator,
     stationary_null_space,
@@ -170,6 +172,28 @@ def test_weights_count_permutations_by_deficiency_set(size):
 def test_weights_count_insertion_tuples_by_unhit_set(size):
     # The sampler's own rule over all (S+1)! equally likely tuples.
     assert np.array_equal(_weights(size), insertion_counts(size))
+
+
+@pytest.mark.parametrize("size", range(1, 23))
+def test_weights_match_the_closed_form_mobius_oracle(size):
+    # Both routes are exact in Z modulo 2**64, so they agree bit for bit at
+    # every size, the wrapped weights at S = 22 included.
+    assert np.array_equal(_weights(size), mobius_weights(size))
+
+
+# md5 of _weights(S).tobytes() past the float64 oracles (S <= 17) and the
+# enumerations (S <= 7), pinned at the closed-form Mobius route before the
+# insertion recurrence replaced it.
+WEIGHTS_MD5 = {
+    18: "b06e6d02a2abf00cfe6ace7168688030",
+    19: "55dcef3db21053ed5c7ca3c03d47874c",
+    20: "749194c9e99f072d3fd26b7ba88b8b75",
+}
+
+
+@pytest.mark.parametrize("size", sorted(WEIGHTS_MD5))
+def test_weights_bytes_are_pinned_past_the_oracles(size):
+    assert hashlib.md5(_weights(size).tobytes()).hexdigest() == WEIGHTS_MD5[size]
 
 
 @st.composite
