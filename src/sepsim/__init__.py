@@ -22,7 +22,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .core import (  # after the pin: core loads numpy
     Configuration,
     ModelParams,
-    RngStream,
     default_initial_configuration,
 )
 from .errors import (
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Configuration",
     "ModelParams",
-    "RngStream",
     "default_initial_configuration",
     "SepsimError",
     "ValidationError",

@@ -81,13 +81,11 @@ def _tolerance(text: str) -> float:
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated ints; an empty item, as in "2,,4" or "", is refused."""
     try:
-        items = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return items
 
 
 def _float_pair(text: str) -> tuple[float, float]:

@@ -9,10 +9,11 @@ firing bond S fills site S (a particle enters from the full reservoir). Every
 bond rings at rate 1, which is the unit of time: the stationary law does not
 depend on a common bond rate, and a transient law depends only on rate * t.
 
-This module also owns the reproducible-randomness contract: an RngStream is a
-value keyed by (seed, stream_id), and two streams with the same key always
-yield the same draw sequence while distinct ids give statistically independent
-sequences.
+This module also owns the reproducible-randomness contract:
+ModelParams.stream(i) builds a fresh numpy Generator keyed by (seed, i).
+Equal keys draw equal sequences, distinct keys statistically independent
+ones, and a sampler consumes the generator it is given, so repeating a run
+takes a new one.
 
 The numpy samplers run on a uniformized clock (Bortz, Kalos and Lebowitz,
 J. Comput. Phys. 17 (1975) 10): every open replica takes one move or one
@@ -75,20 +76,13 @@ class ModelParams:
         if self.size < 1:
             raise ValidationError(f"size must be >= 1, got {self.size}")
 
-    def stream(self, stream_id: int = 0) -> "RngStream":
-        return RngStream(self.seed, stream_id)
+    def stream(self, stream_id: int = 0) -> np.random.Generator:
+        """A fresh generator keyed by (seed, stream_id): equal keys draw equal sequences.
 
-
-@dataclass(frozen=True)
-class RngStream:
-    """Reproducible random stream keyed by (seed, stream_id)."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
+        A sampler consumes the generator it is given; repeating a run takes a new one.
+        """
         ss = np.random.SeedSequence(
-            entropy=self.seed & _MASK64, spawn_key=(self.stream_id & _MASK64,)
+            entropy=self.seed & _MASK64, spawn_key=(stream_id & _MASK64,)
         )
         return np.random.Generator(np.random.PCG64(ss))
 

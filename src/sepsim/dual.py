@@ -53,7 +53,8 @@ replicas the call overhead dominates: at S = 10, points (3, 7), a round takes
 about 45 us on one word, 65 us at 10^4 replicas and 125 us at 10^5.
 
 estimate_absorption and the ladder's hybrid pair share absorbing_run, on
-core.lockstep with words as its rows. After each round a close rule runs on
+core.lockstep with words as its rows; core.check_replicas caps its replicas
+times (k+2) L rows as well. After each round a close rule runs on
 whole words: a lane closes once its lowest walker is dead or walker min(k, 2)
 is frozen, so at most one walker is left in the bulk (a hybrid lane also at
 the end of its k-th meeting episode). Whenever the open lanes fit in half the
@@ -85,7 +86,6 @@ from .core import (
     Configuration,
     ModelParams,
     PointSet,
-    RngStream,
     check_replicas,
     first_lanes,
     lane_mean_stderr,
@@ -113,7 +113,7 @@ def estimate_absorption(
     params: ModelParams,
     initial: PointSet,
     n_replicas: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte Carlo probability that a family freezes completely.
 
@@ -124,8 +124,7 @@ def estimate_absorption(
     """
     s = params.size
     pts = validate_point_set(initial, s, interior_only=True)
-    check_replicas(n_replicas)
-    return absorbing_run(s, pts, n_replicas, rng.generator(), lambda x: x[0] / (s + 1))
+    return absorbing_run(s, pts, n_replicas, gen, lambda x: x[0] / (s + 1))
 
 
 def absorbing_run(
@@ -142,10 +141,13 @@ def absorbing_run(
     S+1, and with episodes > 0 also once its count of distance-1 entries and
     exits of walkers 1 and 2 reaches 2 * episodes. score maps the sites of
     walkers 1..min(k, 2) in closed lanes, a (min(k, 2), m) array, to m scores.
-    Lanes still open after core.ROUND_CAP rounds raise NumericError.
+    The (k+2) L rows of position planes per 64 replicas pass core.check_replicas
+    before anything is allocated. Lanes still open after core.ROUND_CAP rounds
+    raise NumericError.
     """
     k, top = len(points), min(len(points), 2)
     n_index, n_planes = (k - 1).bit_length(), (size + 1).bit_length()
+    check_replicas(n_replicas, (k + 2) * n_planes)
     n_words = -(-n_replicas // 64)
     pos = np.repeat(_planes((size + 1, *points, size + 1), n_planes)[..., None], n_words, 2)
     # the count never exceeds the round count, so a target past ROUND_CAP never closes
@@ -234,7 +236,7 @@ def transient_dual_moment(
     initial_env: Configuration,
     t: float,
     n_replicas: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> tuple[float, float]:
     """Expected product of the start field over walker positions at time t.
 
@@ -251,7 +253,6 @@ def transient_dual_moment(
     rows, mean = transient_dual_cost(s, k, t)
     check_replicas(n_replicas, rows)
     env = initial_env.as_array()
-    gen = rng.generator()
     n_index = (k - 1).bit_length()  # index planes: K = 2**n_index >= k
     rounds = timed_rounds(gen, mean, n_replicas, 1 + n_index)
     start = _planes((s + 1, *pts, s + 1), n_planes)
@@ -274,24 +275,11 @@ def _planes(values: tuple[int, ...], n_planes: int) -> np.ndarray:
 
 
 def _on_zero(walk: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """Words of a (k, L, W) position array set where a walker sits on a 0 of env.
-
-    Each maximal run of zero sites is split into aligned blocks [a, a + 2^j);
-    a walker lies in one exactly when its planes from j up equal those of a.
-    """
-    n_planes = walk.shape[1]
-    hit = np.zeros(walk.shape[2], dtype=np.uint64)
-    zero = np.flatnonzero(env == 0)
-    cut = np.flatnonzero(np.diff(zero) > 1)
-    for a, end in zip(zero[np.r_[0, cut + 1]], zero[np.r_[cut, -1]] + 1):
-        while a < end:
-            j = (int(a) & -int(a) or 1 << n_planes).bit_length() - 1
-            while a + (1 << j) > end:
-                j -= 1
-            high = walk[:, j:] ^ _planes((a,), n_planes)[0, j:, None]
-            hit |= np.bitwise_or.reduce(~np.bitwise_or.reduce(high, axis=1), axis=0)
-            a += 1 << j
-    return hit
+    """Words of a (k, L, W) position array set where a walker sits on a 0 of env."""
+    hit = np.zeros((walk.shape[0], walk.shape[2]), dtype=np.uint64)
+    for site in np.flatnonzero(env == 0):
+        hit |= _at(walk, site)
+    return np.bitwise_or.reduce(hit, axis=0)
 
 
 def _at(walk: np.ndarray, site: int) -> np.ndarray:

@@ -43,7 +43,6 @@ from .core import (
     Configuration,
     ModelParams,
     PointSet,
-    RngStream,
     check_replicas,
     count_mean_stderr,
     first_lanes,
@@ -117,14 +116,14 @@ def estimate_stationary_moments(
     params: ModelParams,
     point_sets: list[PointSet] | tuple[PointSet, ...],
     n_lanes: int,
-    rng: RngStream,
+    gen: np.random.Generator,
     sample_interval: float | None = None,
 ) -> StationaryEstimate:
     """Estimate several occupation moments from n_lanes lanes.
 
     Each lane runs sample_interval time units, by default max(1, S^2/25).
-    All draws come from one generator of rng, chunk after chunk in lane
-    order, so the result is reproducible bit for bit.
+    All draws come from gen, chunk after chunk in lane order, so the result
+    is reproducible bit for bit from a fresh generator of the same key.
     """
     if n_lanes < 1:
         raise ValidationError(f"n_lanes must be >= 1, got {n_lanes}")
@@ -145,7 +144,6 @@ def estimate_stationary_moments(
         raise ResourceError(
             f"run asks for {n_lanes * rounds:.3g} lane-rounds, cap is {MAX_FIRINGS:.0e}"
         )
-    gen = rng.generator()
     counts = np.zeros(len(sets))  # float64: exact up to 2^53 lanes, and c (n - c) cannot wrap
     events = 0
     for lo in range(0, n_lanes, 64 * CHUNK_WORDS):
@@ -181,7 +179,7 @@ def transient_moment(
     t: float,
     points: PointSet,
     n_replicas: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> tuple[float, float]:
     """Moment of the occupation product at a fixed time from a fixed start.
 
@@ -194,7 +192,6 @@ def transient_moment(
     rows, mean = transient_cost(s, t)
     check_replicas(n_replicas, rows)
     pts = validate_point_set(points, s)
-    gen = rng.generator()
     n_planes = s.bit_length()  # the uniformized rate 2**n_planes is at least S+1
     rounds = timed_rounds(gen, mean, n_replicas, n_planes)
     words = np.where(initial.as_array() == 1, ALL_LANES, np.uint64(0))

@@ -61,7 +61,6 @@ from .core import (
     MAX_RESIDUAL,
     ROUND_CAP,
     ModelParams,
-    RngStream,
     check_replicas,
     check_residual,
     count_mean_stderr,
@@ -240,7 +239,7 @@ def simulate_hybrid_pair(
     y0: int,
     k: int,
     n_replicas: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte Carlo check of one ladder rung.
 
@@ -266,7 +265,7 @@ def simulate_hybrid_pair(
     def score(pair: np.ndarray) -> np.ndarray:  # float64 first: narrow sites overflow
         return pair[0].astype(np.float64) * pair[1] / (s + 1) ** 2
 
-    return absorbing_run(s, (x0, y0), n_replicas, rng.generator(), score, episodes=k)
+    return absorbing_run(s, (x0, y0), n_replicas, gen, score, episodes=k)
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,7 @@ def simulate_aux_walk(
     size: int,
     k_max: int,
     n_replicas: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> AuxWalkResult:
     """Empirical tail of the number of returns to 0 before reaching S.
 
@@ -354,7 +353,6 @@ def simulate_aux_walk(
         raise ResourceError(
             f"{size**2 - 1} moves per replica expected, cap is {ROUND_CAP} moves"
         )
-    gen = rng.generator()
     pos = np.ones(n_replicas, dtype=np.min_scalar_type(size + 1))
     visits = np.zeros(n_replicas, dtype=np.int32)  # returns <= moves <= ROUND_CAP
     left = iter(range(core.ROUND_CAP, 0, -_CHUNK))  # moves left before each round

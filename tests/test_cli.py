@@ -333,6 +333,22 @@ def test_replica_count_accepts_whole_numbers(text, count):
     assert build_parser().parse_args(argv).replicas == count
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "--size", "5", "--points", "2,,4"],
+        ["ladder", "--size", "16", "--start", "4,,9"],
+        ["sweep", "--grid", "8,,16"],
+    ],
+    ids=["points", "start", "grid"],
+)
+def test_int_list_refuses_an_empty_item(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "not a comma-separated int list" in capsys.readouterr().err
+
+
 def test_duality_check_custom_initial(tmp_path):
     out = tmp_path / "dc.json"
     code = run([
@@ -400,6 +416,18 @@ def test_duality_check_refuses_lane_rows_past_the_cap(monkeypatch, capsys):
     assert run(["duality-check", "--size", "1000", "--points", "500", "--time", "1",
                 "--replicas", "1e8"]) == 4
     assert "100000000 replicas of 1002 bit rows" in capsys.readouterr().err
+
+
+def test_dual_refuses_lane_rows_past_the_cap(monkeypatch, capsys):
+    # 500 points at S = 1000 hold (500 + 2) * 10 position-plane rows per 64
+    # replicas; 10^8 replicas would ask np.repeat for 58.4 GiB of words.
+    def refuse(*_, **__):
+        raise AssertionError("the sampler allocated before refusing")
+
+    monkeypatch.setattr(np, "repeat", refuse)
+    points = ",".join(str(x) for x in range(1, 501))
+    assert run(["dual", "--size", "1000", "--points", points, "--replicas", "1e8"]) == 4
+    assert "100000000 replicas of 5020 bit rows" in capsys.readouterr().err
 
 
 def test_duality_check_refuses_either_cap_before_either_sampler(monkeypatch, capsys):

@@ -11,7 +11,6 @@ from sepsim.core import (
     Configuration,
     ModelParams,
     count_mean_stderr,
-    RngStream,
     default_initial_configuration,
     ROUND_CAP,
     first_lanes,
@@ -26,7 +25,7 @@ from sepsim.core import (
 import sepsim.core
 from sepsim.dual import estimate_absorption, transient_dual_moment
 from sepsim.errors import NumericError, ResourceError, ValidationError
-from sepsim.forward import transient_moment
+from sepsim.forward import estimate_stationary_moments, transient_moment
 from sepsim.ladder import simulate_aux_walk, simulate_hybrid_pair
 
 
@@ -200,17 +199,26 @@ def test_default_initial_configuration_is_left_step():
 
 
 def test_rng_stream_reproducible():
-    a = RngStream(seed=42, stream_id=3).generator().random(8)
-    b = RngStream(seed=42, stream_id=3).generator().random(8)
+    a = ModelParams(size=1, seed=42).stream(3).random(8)
+    b = ModelParams(size=1, seed=42).stream(3).random(8)
     assert np.array_equal(a, b)
 
 
 def test_rng_streams_differ():
-    a = RngStream(seed=42, stream_id=0).generator().random(8)
-    b = RngStream(seed=42, stream_id=1).generator().random(8)
-    c = RngStream(seed=43, stream_id=0).generator().random(8)
+    a = ModelParams(size=1, seed=42).stream(0).random(8)
+    b = ModelParams(size=1, seed=42).stream(1).random(8)
+    c = ModelParams(size=1, seed=43).stream(0).random(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed,i", [(1, 0), (42, 3), (2**64 - 1, 2**63)])
+def test_rng_stream_derivation_is_pinned(seed, i):
+    # The seed and the stream id key a SeedSequence that feeds PCG64; every
+    # per-seed value the samplers print depends on this derivation.
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+    want = np.random.Generator(np.random.PCG64(ss)).bit_generator.state
+    assert ModelParams(size=1, seed=seed).stream(i).bit_generator.state == want
 
 
 def test_lockstep_absorbing_runs_until_absorbed():
@@ -266,7 +274,9 @@ def test_absorbing_samplers_respect_round_cap(monkeypatch, run):
 
 
 class _NoDraws:
-    def generator(self):
+    """A generator stand-in: any draw from it fails the test."""
+
+    def __getattr__(self, name):
         raise AssertionError("the sampler drew before refusing its replica count")
 
 
@@ -276,23 +286,44 @@ C0 = Configuration.from_interior_string("1100")
 @pytest.mark.parametrize(
     "run",
     [
-        lambda n, rng: estimate_absorption(SMALL, (20, 21), n, rng),
-        lambda n, rng: simulate_hybrid_pair(SMALL, 10, 30, 2, n, rng),
-        lambda n, rng: simulate_aux_walk(4, 2, n, rng),
-        lambda n, rng: transient_moment(ModelParams(size=4), C0, 1.0, (2,), n, rng),
-        lambda n, rng: transient_dual_moment(ModelParams(size=4), (2,), C0, 1.0, n, rng),
+        lambda n, gen: estimate_absorption(SMALL, (20, 21), n, gen),
+        lambda n, gen: simulate_hybrid_pair(SMALL, 10, 30, 2, n, gen),
+        lambda n, gen: simulate_aux_walk(4, 2, n, gen),
+        lambda n, gen: transient_moment(ModelParams(size=4), C0, 1.0, (2,), n, gen),
+        lambda n, gen: transient_dual_moment(ModelParams(size=4), (2,), C0, 1.0, n, gen),
     ],
     ids=["absorption", "hybrid", "aux", "forward-transient", "dual-transient"],
 )
 def test_replica_samplers_refuse_counts_above_the_cap(monkeypatch, run):
-    # One replica past the cap is refused before the stream is opened, so
-    # before any draw and before any replica array exists; the cap itself runs.
+    # One replica past the cap is refused before any draw and before any
+    # replica array exists; the cap itself runs.
     monkeypatch.setattr(sepsim.core, "MAX_REPLICAS", 100)
     with pytest.raises(ResourceError, match="cap is 1e"):
         run(101, _NoDraws())
     with pytest.raises(ValidationError):
         run(0, _NoDraws())
     run(100, ModelParams(size=4, seed=1).stream(0))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda gen: estimate_stationary_moments(ModelParams(size=4), [(2,)], 500, gen).estimates,
+        lambda gen: transient_moment(ModelParams(size=4), C0, 1.0, (2,), 500, gen),
+        lambda gen: transient_dual_moment(ModelParams(size=4), (2,), C0, 1.0, 500, gen),
+        lambda gen: estimate_absorption(SMALL, (20, 21), 500, gen),
+        lambda gen: simulate_hybrid_pair(SMALL, 10, 30, 2, 500, gen),
+        lambda gen: simulate_aux_walk(10, 3, 500, gen).gamma_mc,
+    ],
+    ids=["stationary", "forward-transient", "dual-transient", "absorption", "hybrid", "aux"],
+)
+def test_samplers_consume_the_generator_they_are_given(run):
+    # A second call on the same generator continues its sequence; a fresh
+    # generator of the same key repeats the first call.
+    gen = ModelParams(size=1, seed=7).stream(5)
+    first = np.asarray(run(gen))
+    assert not np.array_equal(np.asarray(run(gen)), first)
+    assert np.array_equal(np.asarray(run(ModelParams(size=1, seed=7).stream(5))), first)
 
 
 S31 = ModelParams(size=31, seed=1)
@@ -303,16 +334,16 @@ C31 = Configuration.from_interior_string("1" * 16 + "0" * 15)
     "run,most",
     [
         # S+2 = 33 occupancy rows: 96 replicas make 3,168 replica-rows, 97 make 3,201
-        (lambda n, rng: transient_moment(S31, C31, 1.0, (2,), n, rng), 96),
+        (lambda n, gen: transient_moment(S31, C31, 1.0, (2,), n, gen), 96),
         # (k+2) L = 6 x 6 = 36 plane rows: 88 replicas make 3,168, 89 make 3,204
-        (lambda n, rng: transient_dual_moment(S31, (2, 9, 17, 30), C31, 1.0, n, rng), 88),
+        (lambda n, gen: transient_dual_moment(S31, (2, 9, 17, 30), C31, 1.0, n, gen), 88),
     ],
     ids=["forward-transient", "dual-transient"],
 )
 def test_transient_samplers_refuse_replica_rows_above_the_cap(monkeypatch, run, most):
     # The cap is 32 MAX_REPLICAS replica-rows, 3,200 here: one replica past it
-    # is refused before the stream is opened and before np.repeat builds the
-    # lanes; the largest count under it runs.
+    # is refused before any draw and before np.repeat builds the lanes; the
+    # largest count under it runs.
     monkeypatch.setattr(sepsim.core, "MAX_REPLICAS", 100)
 
     def spy(*_, **__):

@@ -433,11 +433,10 @@ def test_aux_walk_validation():
 def test_aux_walk_table_ends_at_the_ladder_early_stop():
     # 0.9**263 < 1e-12 <= 0.9**262, so at S=10 both tables end at k = 263,
     # and both runs close their walks at the same return count.
-    stream = ModelParams(size=10, seed=3).stream(0)
     tables = []
     tops = []
     for k_max in (300, 3000):
-        r = simulate_aux_walk(10, k_max, 2000, stream)
+        r = simulate_aux_walk(10, k_max, 2000, ModelParams(size=10, seed=3).stream(0))
         tables.append(r)
         assert len(r.gamma) == len(r.gamma_mc) == len(r.gamma_stderr) == 264
         assert ladder_tables(ModelParams(size=10), 2, 5, k_max).k_max == 263
@@ -517,7 +516,9 @@ def test_aux_walk_single_replica_has_no_stderr():
 
 
 class _NoDraws:
-    def generator(self):
+    """A generator stand-in: any draw from it fails the test."""
+
+    def __getattr__(self, name):
         raise AssertionError("the walk drew before refusing its size")
 
 
@@ -631,17 +632,17 @@ def test_ladder_does_not_build_byte_tables_at_import():
 def test_aux_walk_caps_moves_not_chunks(monkeypatch):
     # One walker at S = 6 reads 32 coins from each word its stream draws;
     # with seed 5 it is absorbed on a move that ends no chunk.
-    stream = ModelParams(size=6, seed=5).stream(0)
-    words = stream.generator().bit_generator.random_raw((4, 1))
+    p = ModelParams(size=6, seed=5)
+    words = p.stream(0).bit_generator.random_raw((4, 1))
     coins = [c for w in _coins(words, _CHUNK) for c in w]
     end, returns, moves = reflected_walk_reference(6, coins)
     assert end == 6 and moves > _CHUNK and moves % _CHUNK
     monkeypatch.setattr(sepsim.core, "ROUND_CAP", moves)
-    r = simulate_aux_walk(6, 40, 1, stream)
+    r = simulate_aux_walk(6, 40, 1, p.stream(0))
     assert r.gamma_mc[returns] == 1 and not r.gamma_mc[returns + 1 :].any()
     monkeypatch.setattr(sepsim.core, "ROUND_CAP", moves - 1)
     with pytest.raises(NumericError):
-        simulate_aux_walk(6, 40, 1, stream)
+        simulate_aux_walk(6, 40, 1, p.stream(0))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)

@@ -99,6 +99,9 @@ def test_replica_row_cap():
     check_replicas(cap // 1002, 1002)
     with pytest.raises(ResourceError, match="1002 bit rows"):
         check_replicas(cap // 1002 + 1, 1002)
+    # (500 + 2) * 10 position-plane rows for 500 points at S = 1000
+    mantissa, exponent = stated(r"`dual` at 500 points more than `([\d.]+)\*10\^(\d+)`")
+    assert float(mantissa) * 10 ** int(exponent) == float(f"{cap // 5020:.3g}")
 
 
 def test_aux_size_cap():
