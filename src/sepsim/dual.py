@@ -58,10 +58,11 @@ times (k+2) L rows as well. After each round a close rule runs on
 whole words: a lane closes once its lowest walker is dead or walker min(k, 2)
 is frozen, so at most one walker is left in the bulk (a hybrid lane also at
 the end of its k-th meeting episode). Whenever the open lanes fit in half the
-words, the held lanes are decoded once into one byte per lane and bit: closed
-lanes are gathered by index and scored, and open ones gathered by index and
-packed densely again in lane order into the first words, so no word waits
-for its slowest lane. estimate_absorption scores the lowest walker's
+words, the held lanes are split one plane at a time: each plane's lanes are
+decoded into a byte each, the closed ones gathered by index into the sites
+that score them and the open ones gathered by index and packed densely again
+in lane order into the plane's first words, so no word waits for its slowest
+lane. estimate_absorption scores the lowest walker's
 ruin line x/(S+1), its exact chance to freeze given the path so far, since
 frozen walkers stop excluding; by the tower rule the estimate stays unbiased.
 A one-point family still walks until it is absorbed. With few replicas the
@@ -144,6 +145,12 @@ def absorbing_run(
     The (k+2) L rows of position planes per 64 replicas pass core.check_replicas
     before anything is allocated. Lanes still open after core.ROUND_CAP rounds
     raise NumericError.
+
+    Peak memory: the P bytes of planes and the 8-byte float score of each of
+    the n replicas; while a round runs, about 3 P of temporaries; at a repack,
+    per held lane one byte of bits, one byte of mask, 8 bytes of lane index
+    and a few bytes of gathered bits, sites and scores. That stays below
+    4 P + 32 n bytes.
     """
     k, top = len(points), min(len(points), 2)
     n_index, n_planes = (k - 1).bit_length(), (size + 1).bit_length()
@@ -167,37 +174,27 @@ def absorbing_run(
             shut |= _count_episodes(count[:, :w], live[1], live[2], open_, target)
         open_ &= ~shut
         n_open = int(np.bitwise_count(open_).sum())
-        if -(-n_open // 64) > w // 2:
+        w_kept = -(-n_open // 64)
+        if w_kept > w // 2:
             return w
-        state = np.concatenate((live[1:-1].reshape(k * n_planes, w), count[:, :w]))
-        kept, closed = _repack(state, open_, held)
-        sites = np.zeros((top, closed.shape[1]), dtype=np.min_scalar_type(size + 1))
-        for b in range(n_planes):  # row j * L + b holds plane b of walker j + 1
-            sites |= closed[b : top * n_planes : n_planes].astype(sites.dtype) << b
-        scores[done : done + sites.shape[1]] = score(sites)
-        held, done, w_kept = n_open, done + sites.shape[1], kept.shape[1]
-        pos[1:-1, :, :w_kept] = kept[: k * n_planes].reshape(k, n_planes, w_kept)
-        count[:, :w_kept] = kept[k * n_planes :]
+        is_open = np.unpackbits(open_.astype("<u8", copy=False).view("u1"), -1, held, "little")
+        kept, closed = np.flatnonzero(is_open), np.flatnonzero(is_open == 0)
+        sites = np.zeros((top, closed.size), dtype=np.min_scalar_type(size + 1))
+        packed = np.zeros(64 * w_kept, dtype=np.uint8)
+        # row j * L + b holds plane b of walker j + 1, then the counter planes
+        for row, plane in enumerate([*pos[1:-1, :, :w].reshape(-1, w), *count[:, :w]]):
+            bits = np.unpackbits(plane.astype("<u8", copy=False).view("u1"), -1, held, "little")
+            if row < top * n_planes:
+                sites[row // n_planes] |= bits[closed].astype(sites.dtype) << row % n_planes
+            packed[:n_open] = bits[kept]
+            plane[:w_kept] = np.packbits(packed, bitorder="little").view("<u8")
+        scores[done : done + closed.size] = score(sites)
+        held, done = n_open, done + closed.size
         lanes[:w_kept] = first_lanes(n_open, w_kept)
         return w_kept
 
     lockstep(n_words, step)
     return mean_stderr(scores)
-
-
-def _repack(state: np.ndarray, open_: np.ndarray, held: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split lanes 0..held-1 of a (R, W) word array by the open-lane words.
-
-    Returns the open lanes packed densely in lane order, as (R, ceil(n_open/64))
-    words with zero padding lanes, and the closed lanes as (R, n_closed) bits.
-    """
-    bits = np.unpackbits(state.astype("<u8").view(np.uint8), 1, held, bitorder="little")
-    is_open = np.unpackbits(open_.astype("<u8").view(np.uint8), -1, held, "little") == 1
-    lanes = np.flatnonzero(is_open)
-    kept = np.zeros((len(state), 64 * -(-lanes.size // 64)), dtype=np.uint8)
-    kept[:, : lanes.size] = bits.take(lanes, axis=1)
-    closed = bits.take(np.flatnonzero(~is_open), axis=1)
-    return np.packbits(kept, axis=1, bitorder="little").view("<u8"), closed
 
 
 def _count_episodes(

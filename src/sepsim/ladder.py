@@ -163,26 +163,23 @@ def _meeting_masses(size: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     s, order = size, np.argsort(y, kind="stable")
     a, b = x[order], y[order] - 1  # rows sorted by b
     sites, i = np.arange(s + 1), np.arange(1, s)
-    v = np.sqrt(2 / s) * np.sin(np.pi * (np.outer(sites, i) % (2 * s)) / s)
+    v = np.sqrt(2 / s) * np.sin(np.pi * np.arange(2 * s) / s)[np.outer(sites, i) % (2 * s)]
     theta = np.arccosh(2 - np.cos(np.pi * i / s))
-
-    def half(d):  # sinh(d theta) e^(-d theta), one column per mode
-        return -np.expm1(-2 * np.multiply.outer(d, theta)) / 2
-
-    den = np.sinh(theta) * half(s)
+    half = -np.expm1(-2 * np.outer(sites, theta)) / 2  # row d: sinh(d theta) e^(-d theta)
+    den = np.sinh(theta) * half[s]
     decay = np.exp(np.maximum(-np.outer(sites, theta), _EXP_FLOOR))
     p = np.arange(1, s - 1)
-    # K's mode terms over V[a, i]: e^((b-p) theta) half(b) up[p] for p >= b,
-    # e^((p-b) theta) half(S-b) down[p] / den below
-    up = (v[p] * decay[1] * half(s - p - 1) - v[p + 1] * half(s - p)) / den
-    down = v[p] * half(p + 1) / decay[1] - v[p + 1] * half(p)
+    # K's mode terms over V[a, i]: e^((b-p) theta) half[b] up[p] for p >= b,
+    # e^((p-b) theta) half[S-b] down[p] / den below
+    up = (v[p] * decay[1] * half[s - p - 1] - v[p + 1] * half[s - p]) / den
+    down = v[p] * half[p + 1] / decay[1] - v[p + 1] * half[p]
     green = np.zeros((len(a), s))  # K(p), p = 0..S-1
     for j in range(0, len(a), _BLOCK):
         ar, br, block = a[j : j + _BLOCK], b[j : j + _BLOCK], green[j : j + _BLOCK]
         lo, hi = min(int(br[0]), s - 1), int(br[-1])
         top = min(hi, s - 1)  # columns p >= lo take above, p < top below
-        above = _product(v[ar] * half(br) / decay[br - lo], decay[: s - 1 - lo] * up[lo - 1 :])
-        scaled = v[ar] * half(s - br) / (decay[hi - br] * den)
+        above = _product(v[ar] * half[br] / decay[br - lo], decay[: s - 1 - lo] * up[lo - 1 :])
+        scaled = v[ar] * half[s - br] / (decay[hi - br] * den)
         below = _product(scaled, decay[hi - 1 : hi - top : -1] * down[: top - 1])
         block[:, lo : s - 1] = above
         block[:, 1:top] = np.where(p[: top - 1] < br[:, None], below, block[:, 1:top])

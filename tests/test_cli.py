@@ -724,7 +724,8 @@ def test_deterministic_output_bytes_are_unchanged(command, chunk, monkeypatch, t
 
 
 # md5 of the JSON each sampler writes under --deterministic, taken before the
-# aux walk moved to byte tables and the dual repack to index gathers, and for
+# aux walk moved to byte tables and the dual repack to index gathers (kept
+# when the repack moved to one plane at a time), and for
 # the three-point duality-check before the round loop and the lane split moved
 # to core. The simulate digests were re-taken when exact starts moved from a
 # shuffled permutation to S insertion points, once the law tests passed, and

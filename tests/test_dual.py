@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from sepsim.dual import (
     _count_episodes,
     _hop_round,
     _on_zero,
-    _repack,
     absorbing_run,
     estimate_absorption,
     pair_absorption_exact,
@@ -29,6 +29,7 @@ from sepsim.dual import (
 )
 from sepsim.errors import ValidationError
 from sepsim.exact import exact_moment, stationary_distribution
+from sepsim.ladder import simulate_hybrid_pair
 from sepsim.moments import build_moment_system, stationary_moments
 
 
@@ -469,31 +470,99 @@ def test_sliced_round_matches_scalar_move(case):
 
 @st.composite
 def _repack_case(draw):
-    n_rows, n_words = draw(st.integers(1, 12)), draw(st.integers(1, 4))
-    held = draw(st.integers(0, 64 * n_words))
-    is_open = draw(st.lists(st.booleans(), min_size=held, max_size=held))
-    return n_rows, n_words, held, is_open, draw(st.integers(0, 2**32 - 1))
+    size = draw(st.integers(1, 300))  # from S = 255 on, sites take two bytes
+    k, episodes = draw(st.integers(1, min(3, size))), draw(st.integers(0, 3))
+    n_words = draw(st.integers(1, 4))
+    held = draw(st.integers(64 * n_words - 63, 64 * n_words))
+    return size, k, episodes, held, draw(st.floats(0, 1)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_repack_case())
-def test_repack_keeps_open_lanes_in_order_and_returns_each_closed_lane_once(case):
-    # Random rows of walker and counter planes over 1-4 words; lanes past
-    # held are scored already and must vanish, whatever their bits.
-    n_rows, n_words, held, is_open, seed = case
-    state = np.random.default_rng(seed).integers(0, 2**64, (n_rows, n_words), dtype=np.uint64)
-    lanes = np.zeros(64 * n_words, dtype=bool)
-    lanes[:held] = is_open
-    lanes[held:] = np.random.default_rng(seed + 1).random(64 * n_words - held) < 0.5
-    kept, closed = _repack(state, _words(lanes), held)
+def test_absorbing_run_repacks_open_lanes_in_order_and_scores_each_closed_lane_once(case):
+    # The first round writes random walker and counter planes over 1-4 words
+    # and a random open pattern; the second closes every lane. Lanes past
+    # held are padding and must vanish, whatever their bits.
+    size, k, episodes, held, frac, seed = case
+    rng = np.random.default_rng(seed)
+    top, n_words, n_planes = min(k, 2), -(-held // 64), (size + 1).bit_length()
+    n_walk = k * n_planes
+    state = rng.integers(0, 2**64, (n_walk + (2 * episodes).bit_length(), n_words), np.uint64)
+    is_open = np.zeros(64 * n_words, dtype=bool)
+    is_open[:held] = rng.random(held) < frac
+    rounds, later, scored = [], [], []
+
+    def hop(live, open_, planes, size):
+        rounds.append(live.shape[2])
+        if len(rounds) == 1:
+            live[1:-1] = state[:n_walk].reshape(k, n_planes, n_words)
+            open_[:] = _words(is_open)
+        else:
+            later.append(live[1:-1].reshape(n_walk, -1).copy())
+            open_[:] = 0
+
+    def count_episodes(count, lo, hi, open_, target):
+        if len(rounds) > 1:
+            later.append(count.copy())
+        else:
+            count[:] = state[n_walk:]
+        return np.zeros_like(open_)
+
+    def score(sites):
+        scored.append(sites.astype(np.int64))
+        return np.zeros(sites.shape[1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sepsim.dual, "_hop_round", hop)
+        mp.setattr(sepsim.dual, "_count_episodes", count_episodes)
+        pts = tuple(range(1, k + 1))
+        absorbing_run(size, pts, held, np.random.default_rng(0), score, episodes)
     bits = np.unpackbits(state.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    want_open = [r for r in range(held) if is_open[r]]
-    want_closed = [r for r in range(held) if not is_open[r]]
-    assert kept.shape == (n_rows, -(-len(want_open) // 64))
-    got = np.unpackbits(kept.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    assert np.array_equal(got[:, : len(want_open)], bits[:, want_open])
-    assert not got[:, len(want_open) :].any()
-    assert closed.dtype == np.uint8 and np.array_equal(closed, bits[:, want_closed])
+    walk = bits[:n_walk].reshape(k, n_planes, -1).astype(np.int64)
+    sites = (walk << np.arange(n_planes)[:, None]).sum(axis=1)
+    # the close rule: the lowest walker dead or walker min(k, 2) frozen
+    is_open &= (sites[0] != 0) & (sites[top - 1] != size + 1)
+    want_open, want_closed = np.flatnonzero(is_open), np.flatnonzero(~is_open[:held])
+    if -(-want_open.size // 64) > n_words // 2:  # no repack: the second round sees all
+        assert np.array_equal(np.concatenate(later), state)
+        order = np.arange(held)
+    else:
+        order = np.concatenate((want_closed, want_open))
+        if want_open.size:
+            kept = np.concatenate(later).astype("<u8").view(np.uint8)
+            got = np.unpackbits(kept, axis=1, bitorder="little")
+            assert got.shape == (len(state), 64 * -(-want_open.size // 64))
+            assert np.array_equal(got[:, : want_open.size], bits[:, want_open])
+            assert not got[:, want_open.size :].any()
+        else:
+            assert not later
+    assert len(rounds) <= 2
+    assert np.array_equal(np.concatenate(scored, axis=1), sites[:top, order])
+
+
+@pytest.mark.parametrize(
+    "sampler,size,args,k",
+    [
+        (estimate_absorption, 30, (tuple(range(1, 11)),), 10),
+        (simulate_hybrid_pair, 16, (4, 9, 2), 2),
+    ],
+)
+def test_absorbing_run_peak_memory_is_bounded(sampler, size, args, k):
+    # At S = 30, points 1..10, 64,000 replicas hold 0.46 MiB of position
+    # planes; unpacking every held lane to a byte per plane took 8.0 MiB.
+    # absorbing_run states its peak: below 4 P + 32 n bytes, P the planes.
+    p, n_planes = ModelParams(size=size), (size + 1).bit_length()
+    sampler(p, *args, 640, np.random.default_rng(0))  # warm caches and imports
+    peaks = []
+    for n in (64_000, 128_000):
+        tracemalloc.start()
+        try:
+            sampler(p, *args, n, np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < 4 * 8 * (k + 2) * n_planes * -(-n // 64) + 32 * n, peaks
+    assert peaks[0] <= 3 * 2**20 and peaks[1] <= 2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize(
